@@ -127,18 +127,13 @@ MatrixCompletion::Fit MatrixCompletion::fit(
     result.col_factors = random_normal_matrix(n, rank, rng);
   }
 
-  // Per-row/per-column observation counts (the incremental lists live inside
-  // the PartialMatrix; only the workspace sizing needs a pass here).
-  std::size_t max_obs = 1;
+  // Per-row/per-column observation counts: the chunk-balancing weights (the
+  // observation lists themselves live inside the PartialMatrix).
   std::vector<std::size_t> row_weight(m), col_weight(n);
-  for (std::size_t r = 0; r < m; ++r) {
+  for (std::size_t r = 0; r < m; ++r)
     row_weight[r] = observed.observed_count_in_row(r);
-    max_obs = std::max(max_obs, row_weight[r]);
-  }
-  for (std::size_t c = 0; c < n; ++c) {
+  for (std::size_t c = 0; c < n; ++c)
     col_weight[c] = observed.observed_count_in_col(c);
-    max_obs = std::max(max_obs, col_weight[c]);
-  }
 
   Matrix& row_f = result.row_factors;
   Matrix& col_f = result.col_factors;
@@ -160,14 +155,13 @@ MatrixCompletion::Fit MatrixCompletion::fit(
   // One ALS half-sweep: for every index i, ridge-solve dst's row i against
   // the src-side factors of its observed entries. Solves are independent
   // (dst rows are disjoint, src is read-only during the phase), so chunks of
-  // them run concurrently; each chunk hoists one design-matrix/rhs workspace
-  // across its solves.
+  // them run concurrently; each chunk owns one RidgeSolver workspace that
+  // reads the src rows in place across all of its solves.
   const auto half_sweep = [&](const std::vector<std::size_t>& bounds,
                               Matrix& dst, const Matrix& src,
                               auto&& obs_list, auto&& obs_value) {
     pool.parallel_for(bounds.size() - 1, [&](std::size_t chunk) {
-      Matrix a(max_obs, rank);
-      std::vector<double> b(max_obs);
+      RidgeSolver solver(rank);
       for (std::size_t i = bounds[chunk]; i < bounds[chunk + 1]; ++i) {
         const std::vector<std::size_t>& obs = obs_list(i);
         if (obs.empty()) {
@@ -177,18 +171,14 @@ MatrixCompletion::Fit MatrixCompletion::fit(
           solve_max[i] = solve_delta[i] = solve_factor[i] = 0.0;
           continue;
         }
-        a.resize(obs.size(), rank);
-        b.resize(obs.size());
-        for (std::size_t j = 0; j < obs.size(); ++j) {
-          const auto from = src.row(obs[j]);
-          std::copy(from.begin(), from.end(), a.row(j).begin());
-          b[j] = obs_value(i, obs[j]) - mu;
-        }
+        solver.reset();
+        for (std::size_t j : obs)
+          solver.add_row(src.row(j), obs_value(i, j) - mu);
         // Weighted-lambda ALS (Zhou et al.): scaling the ridge by the number
         // of observations keeps sparsely observed rows from blowing up to
         // compensate for small factors on the other side.
-        const auto x = ridge_solve(
-            a, b, options_.lambda * static_cast<double>(obs.size()));
+        const auto x =
+            solver.solve(options_.lambda * static_cast<double>(obs.size()));
         double mx = 0.0, dsq = 0.0, fsq = 0.0;
         for (std::size_t k = 0; k < rank; ++k) {
           const double d = dst(i, k) - x[k];
@@ -300,15 +290,10 @@ std::vector<double> MatrixCompletion::loo_column_predictions(
   // — so the chunk-balancing weight is the sum of both system heights.
   std::vector<std::size_t> weight(count);
   std::size_t total_weight = 0;
-  std::size_t max_row_obs = 1;
   for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t row_obs =
-        observed.observed_count_in_row(rows_in_col[i]);
-    max_row_obs = std::max(max_row_obs, row_obs);
-    weight[i] = row_obs + count;
+    weight[i] = observed.observed_count_in_row(rows_in_col[i]) + count;
     total_weight += weight[i];
   }
-  const std::size_t max_obs = std::max(max_row_obs, count);
 
   util::ThreadPool& pool = pool_ ? *pool_ : util::ThreadPool::global();
   const std::size_t lanes = pool.worker_count() + 1;
@@ -319,9 +304,8 @@ std::vector<double> MatrixCompletion::loo_column_predictions(
   // of them fan out over the pool exactly like the ALS half-sweeps:
   // results land by index, bit-identical to serial for any worker count.
   pool.parallel_for(bounds.size() - 1, [&](std::size_t chunk) {
-    Matrix a(max_obs, rank);
-    std::vector<double> b;
-    b.reserve(max_obs);
+    RidgeSolver solver(rank);
+    std::vector<double> u(rank), v(rank);
     for (std::size_t idx = bounds[chunk]; idx < bounds[chunk + 1]; ++idx) {
       const std::size_t cell = rows_in_col[idx];
       // Both factors touching the held-out entry are re-solved without it —
@@ -332,36 +316,28 @@ std::vector<double> MatrixCompletion::loo_column_predictions(
       // Row factor of the held-out cell from its *other* observations
       // (column factors fixed):
       const auto& cols_of_row = observed.observed_cols_in_row(cell);
-      std::vector<double> u(rank, 0.0);
+      std::fill(u.begin(), u.end(), 0.0);
       if (cols_of_row.size() > 1) {
-        a.resize(cols_of_row.size() - 1, rank);
-        b.clear();
-        std::size_t i = 0;
-        for (std::size_t c : cols_of_row) {
-          if (c == col) continue;
-          for (std::size_t k = 0; k < rank; ++k) a(i, k) = f.col_factors(c, k);
-          b.push_back(observed.value(cell, c) - f.mu);
-          ++i;
-        }
-        u = ridge_solve(
-            a, b,
+        solver.reset();
+        for (std::size_t c : cols_of_row)
+          if (c != col)
+            solver.add_row(f.col_factors.row(c),
+                           observed.value(cell, c) - f.mu);
+        const auto x = solver.solve(
             options_.lambda * static_cast<double>(cols_of_row.size() - 1));
+        std::copy(x.begin(), x.end(), u.begin());
       }
       // Assessed column's factor without the held-out cell (row factors
       // fixed):
-      std::vector<double> v(rank, 0.0);
+      std::fill(v.begin(), v.end(), 0.0);
       if (count > 1) {
-        a.resize(count - 1, rank);
-        b.clear();
-        std::size_t i = 0;
-        for (std::size_t r : rows_in_col) {
-          if (r == cell) continue;
-          for (std::size_t k = 0; k < rank; ++k) a(i, k) = f.row_factors(r, k);
-          b.push_back(observed.value(r, col) - f.mu);
-          ++i;
-        }
-        v = ridge_solve(a, b,
-                        options_.lambda * static_cast<double>(count - 1));
+        solver.reset();
+        for (std::size_t r : rows_in_col)
+          if (r != cell)
+            solver.add_row(f.row_factors.row(r), observed.value(r, col) - f.mu);
+        const auto x =
+            solver.solve(options_.lambda * static_cast<double>(count - 1));
+        std::copy(x.begin(), x.end(), v.begin());
       }
       double pred = f.mu;
       for (std::size_t k = 0; k < rank; ++k) pred += u[k] * v[k];

@@ -1,8 +1,16 @@
 // Linear solvers built on the decompositions. The ALS matrix-completion
-// engine calls ridge_solve thousands of times per campaign, so the normal
-// equations + Cholesky path is the hot one.
+// engine runs thousands of rank-r ridge solves per sensing cycle (its
+// half-sweeps and its leave-one-out re-solves), so the normal equations +
+// Cholesky path is the hot one. It lives in RidgeSolver: a workspace sized
+// once to the rank that accumulates the Gram and right-hand side straight
+// from caller-owned rows and factors in place — no design-matrix copy, no
+// per-solve allocation, no compute-backend dispatch (a sub-tile Gram gains
+// nothing from a tuned GEMM). Its factorisation is the one Cholesky kernel
+// of linalg/decompositions.h, so ridge_solve, Cholesky and the ALS engine
+// share one arithmetic, identical under every DRCELL_BACKEND.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -10,9 +18,52 @@
 
 namespace drcell {
 
+/// Reusable ridge-regression workspace for many small systems of one width:
+///   solver.reset();
+///   for each observation: solver.add_row(a_row, b);
+///   x = solver.solve(lambda);
+/// solves (AᵀA + λI) x = Aᵀb for the rows added since the last reset.
+///
+/// Arithmetic contract (bit-identical to forming the Gram with
+/// kernels::matmul_transposed_self_add and factoring it with Cholesky):
+/// rows accumulate in the order they are added; a row skips its
+/// contribution to Gram row i when its i-th entry is exactly 0; the
+/// right-hand side accumulates with no skip. A Gram that is numerically
+/// semidefinite gets a scale-aware jitter of 1e-12·max(trace/n, 1) on the
+/// diagonal, escalated ×100 for up to 8 retries; if the 9th factorisation
+/// still fails (e.g. a non-finite row), solve() throws CheckError.
+/// Not thread-safe: give each thread (pool chunk) its own solver.
+class RidgeSolver {
+ public:
+  explicit RidgeSolver(std::size_t n);
+
+  /// Zeroes the accumulated Gram and right-hand side.
+  void reset();
+
+  /// Accumulates one observation: a design row of n entries and its
+  /// target. The row is read, never retained.
+  void add_row(std::span<const double> row, double b);
+
+  /// Solves the accumulated system with ridge weight lambda >= 0. The solve
+  /// consumes the system (lambda and any jitter land on the stored Gram), so
+  /// reset() before accumulating the next one. The returned view stays valid
+  /// until the next solve(). Requires lambda > 0 or full column rank (up to
+  /// the jitter ladder).
+  std::span<const double> solve(double lambda);
+
+ private:
+  std::size_t n_;
+  std::vector<double> gram_;    // n x n row-major, lower triangle used
+  std::vector<double> rhs_;     // Aᵀb
+  std::vector<double> factor_;  // Cholesky factor, lower triangle used
+  std::vector<double> y_;       // forward-substitution result
+  std::vector<double> x_;       // solution
+};
+
 /// Solves the ridge-regularised least squares problem
 ///   min_x ||A x - b||² + lambda ||x||²
-/// via the normal equations (Aᵀ A + λ I) x = Aᵀ b with Cholesky.
+/// via the normal equations (Aᵀ A + λ I) x = Aᵀ b with Cholesky — one
+/// RidgeSolver pass over A's rows in ascending order.
 /// Requires lambda > 0 or A of full column rank.
 std::vector<double> ridge_solve(const Matrix& a, std::span<const double> b,
                                 double lambda);

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "linalg/decompositions.h"
+#include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "linalg/solvers.h"
 #include "util/rng.h"
@@ -301,6 +304,123 @@ TEST(SVDDecomposition, RankOfLowRankMatrix) {
   const Matrix v = random_normal_matrix(5, 2, rng);
   const Matrix low_rank = u.matmul(v.transposed());
   EXPECT_EQ(SVD(low_rank).rank(), 2u);
+}
+
+// Reference ridge solve composed from the library's separate parts: the
+// Gram through the native kernel, Cholesky on the full matrix, and the
+// jitter ladder (escalated ×100 for up to 8 retries, the 9th failure
+// throws). `retries` reports how many jitter steps fired.
+std::vector<double> ridge_solve_oracle(const Matrix& a,
+                                       std::span<const double> b,
+                                       double lambda, int* retries = nullptr) {
+  const std::size_t n = a.cols();
+  Matrix g(n, n);
+  kernels::matmul_transposed_self_add(a, a, g);
+  for (std::size_t i = 0; i < n; ++i) g(i, i) += lambda;
+  std::vector<double> rhs(n, 0.0);
+  for (std::size_t r = 0; r < a.rows(); ++r)
+    for (std::size_t c = 0; c < n; ++c) rhs[c] += a(r, c) * b[r];
+  double trace = 0.0;
+  for (std::size_t i = 0; i < n; ++i) trace += g(i, i);
+  double jitter = 1e-12 * std::max(trace / static_cast<double>(n), 1.0);
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    try {
+      if (retries) *retries = attempt;
+      return Cholesky(g).solve(rhs);
+    } catch (const CheckError&) {
+      for (std::size_t i = 0; i < n; ++i) g(i, i) += jitter;
+      jitter *= 100.0;
+    }
+  }
+  if (retries) *retries = 8;
+  return Cholesky(g).solve(rhs);
+}
+
+// Bitwise equality (distinguishes -0.0 from 0.0 and compares NaN payloads).
+void expect_same_bits(std::span<const double> got,
+                      std::span<const double> want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0);
+}
+
+// Runs the system through a reused RidgeSolver and through ridge_solve,
+// checking both against the oracle bit for bit.
+void expect_matches_oracle(RidgeSolver& solver, const Matrix& a,
+                           std::span<const double> b, double lambda) {
+  const auto want = ridge_solve_oracle(a, b, lambda);
+  solver.reset();
+  for (std::size_t r = 0; r < a.rows(); ++r) solver.add_row(a.row(r), b[r]);
+  expect_same_bits(solver.solve(lambda), want);
+  expect_same_bits(ridge_solve(a, b, lambda), want);
+}
+
+TEST(RidgeSolver, MatchesOracleBitwiseAcrossRanksWithZeroEntries) {
+  Rng rng(41);
+  for (std::size_t rank = 1; rank <= 8; ++rank) {
+    SCOPED_TRACE(rank);
+    RidgeSolver solver(rank);  // reused across every system of this rank
+    for (std::size_t rows : {std::size_t{1}, rank, 3 * rank + 2}) {
+      Matrix a = random_normal_matrix(rows, rank, rng);
+      // Exact zeros (including a whole zero row) exercise the Gram's
+      // zero skip.
+      for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t c = 0; c < rank; ++c)
+          if ((r + 2 * c) % 3 == 0 || r == rows / 2) a(r, c) = 0.0;
+      std::vector<double> b(rows);
+      for (auto& v : b) v = rng.normal();
+      expect_matches_oracle(solver, a, b,
+                            0.005 * static_cast<double>(rows));
+    }
+  }
+}
+
+TEST(RidgeSolver, ZeroSkipIsObservableAndKept) {
+  // Row [inf, 0]: skipping the zero entry keeps Gram(1, 0) at 0 instead of
+  // 0·inf = NaN, so the factorisation succeeds (with a non-finite result)
+  // where a no-skip Gram would fail. The solver must follow the skip.
+  const double inf = std::numeric_limits<double>::infinity();
+  const Matrix a{{inf, 0.0}, {1.0, 2.0}};
+  const std::vector<double> b{1.0, -1.0};
+  ASSERT_NO_THROW(ridge_solve_oracle(a, b, 0.1));
+  RidgeSolver solver(2);
+  expect_matches_oracle(solver, a, b, 0.1);
+}
+
+TEST(RidgeSolver, JitterLadderOnSemidefiniteGramMatchesOracle) {
+  // Duplicated columns with lambda = 0: column 0's squared norm is 25, so
+  // its pivot is exactly 5 and column 1's pivot is exactly 0 — the plain
+  // factorisation fails and the jitter ladder must fire.
+  const Matrix a{{2.0, 2.0, 0.5}, {1.0, 1.0, 0.0}, {2.0, 2.0, -1.0},
+                 {0.0, 0.0, 3.0}, {4.0, 4.0, 1.0}};
+  const std::vector<double> b{1.0, 0.0, -2.0, 0.5, 3.0};
+  int retries = 0;
+  ridge_solve_oracle(a, b, 0.0, &retries);
+  ASSERT_GE(retries, 1);
+  RidgeSolver solver(3);
+  expect_matches_oracle(solver, a, b, 0.0);
+  // A rank-1 system of a single all-ones row: the same ladder at rank 4.
+  const Matrix ones{{1.0, 1.0, 1.0, 1.0}};
+  const std::vector<double> one{2.0};
+  ridge_solve_oracle(ones, one, 0.0, &retries);
+  ASSERT_GE(retries, 1);
+  RidgeSolver solver4(4);
+  expect_matches_oracle(solver4, ones, one, 0.0);
+}
+
+TEST(RidgeSolver, NonFiniteRowThrowsAfterTheLadder) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Matrix a{{1.0, 0.5, -1.0}, {nan, 2.0, 0.0}, {0.0, 1.0, 1.0}};
+  const std::vector<double> b{1.0, 2.0, 3.0};
+  EXPECT_THROW(ridge_solve_oracle(a, b, 0.1), CheckError);
+  EXPECT_THROW(ridge_solve(a, b, 0.1), CheckError);
+  RidgeSolver solver(3);
+  solver.reset();
+  for (std::size_t r = 0; r < a.rows(); ++r) solver.add_row(a.row(r), b[r]);
+  EXPECT_THROW(solver.solve(0.1), CheckError);
+  // The workspace stays usable after the failure.
+  const Matrix ok{{1.0, 0.0, 2.0}, {0.0, 1.0, -1.0}, {3.0, 1.0, 0.0}};
+  expect_matches_oracle(solver, ok, b, 0.1);
 }
 
 TEST(Solvers, RidgeShrinksTowardsZero) {
