@@ -42,6 +42,24 @@ std::vector<std::size_t> chunk_bounds(std::size_t count, std::size_t lanes,
   return util::chunk_bounds(count, lanes, total_obs, weight,
                             kSolveChunkPolicy);
 }
+
+// Chunk bounds of one ALS half-sweep, weighted by observation count. Each
+// chunk factors the Gram of its first observation list, even when the
+// previous chunk ended on the same list. Per observation, the Gram costs
+// about (rank + 1) / 2 times the right-hand side's work, so every chunk
+// carries at least the weight of rank + 1 of the half-sweep's longest
+// lists: its one repeated factorisation then costs at most about half of
+// its right-hand-side work. Only long lists — the column half of a
+// cells x cycles window — get coarser chunks than the shared policy's.
+std::vector<std::size_t> half_sweep_bounds(
+    std::size_t lanes, std::size_t total_obs, std::size_t rank,
+    const std::vector<std::size_t>& weight) {
+  util::ChunkPolicy policy = kSolveChunkPolicy;
+  policy.min_weight_per_chunk =
+      std::max(policy.min_weight_per_chunk,
+               *std::max_element(weight.begin(), weight.end()) * (rank + 1));
+  return util::chunk_bounds(weight.size(), lanes, total_obs, weight, policy);
+}
 }  // namespace
 
 MatrixCompletion::MatrixCompletion(MatrixCompletionOptions options)
@@ -142,8 +160,8 @@ MatrixCompletion::Fit MatrixCompletion::fit(
   util::ThreadPool& pool = pool_ ? *pool_ : util::ThreadPool::global();
   const std::size_t lanes = pool.worker_count() + 1;
   const std::size_t total_obs = observed.observed_count();
-  const auto row_bounds = chunk_bounds(m, lanes, total_obs, row_weight);
-  const auto col_bounds = chunk_bounds(n, lanes, total_obs, col_weight);
+  const auto row_bounds = half_sweep_bounds(lanes, total_obs, rank, row_weight);
+  const auto col_bounds = half_sweep_bounds(lanes, total_obs, rank, col_weight);
 
   // Per-solve convergence stats, written by index during the parallel phase
   // and reduced serially in index order afterwards — the sweep result and
@@ -152,16 +170,35 @@ MatrixCompletion::Fit MatrixCompletion::fit(
   std::vector<double> solve_delta(std::max(m, n), 0.0);
   std::vector<double> solve_factor(std::max(m, n), 0.0);
 
+  // One RidgeSolver workspace per chunk, allocated once per fit before the
+  // sweeps, so no half-sweep allocates inside its parallel phase. (Built
+  // inside each chunk instead, they left the 10,000-cell training
+  // benchmark's peak RSS ~10 MB higher in most runs: glibc heap layout.)
+  std::vector<RidgeSolver> workspaces(
+      std::max(row_bounds.size(), col_bounds.size()) - 1, RidgeSolver(rank));
+
   // One ALS half-sweep: for every index i, ridge-solve dst's row i against
   // the src-side factors of its observed entries. Solves are independent
   // (dst rows are disjoint, src is read-only during the phase), so chunks of
   // them run concurrently; each chunk owns one RidgeSolver workspace that
-  // reads the src rows in place across all of its solves.
+  // reads the src rows in place across all of its solves. A chunk factors
+  // the Gram only when an index's observation list differs from the list it
+  // last factored, and reuses the held factor otherwise; every index still
+  // accumulates its own right-hand side and runs its own substitutions.
+  // Equal lists give bit-equal Grams and factors (linalg/solvers.h), so the
+  // sharing changes no output byte. It pays because windows are mostly
+  // fully observed warm-start cycles: runs of neighbouring cells observe the
+  // same cycles, and so do the warm-start columns.
   const auto half_sweep = [&](const std::vector<std::size_t>& bounds,
                               Matrix& dst, const Matrix& src,
                               auto&& obs_list, auto&& obs_value) {
+    const std::span<const double> src_data = src.data();
+    const auto src_row = [&](std::size_t j) {
+      return src_data.subspan(j * rank, rank);
+    };
     pool.parallel_for(bounds.size() - 1, [&](std::size_t chunk) {
-      RidgeSolver solver(rank);
+      RidgeSolver& solver = workspaces[chunk];
+      const std::vector<std::size_t>* factored = nullptr;
       for (std::size_t i = bounds[chunk]; i < bounds[chunk + 1]; ++i) {
         const std::vector<std::size_t>& obs = obs_list(i);
         if (obs.empty()) {
@@ -171,14 +208,21 @@ MatrixCompletion::Fit MatrixCompletion::fit(
           solve_max[i] = solve_delta[i] = solve_factor[i] = 0.0;
           continue;
         }
-        solver.reset();
-        for (std::size_t j : obs)
-          solver.add_row(src.row(j), obs_value(i, j) - mu);
-        // Weighted-lambda ALS (Zhou et al.): scaling the ridge by the number
-        // of observations keeps sparsely observed rows from blowing up to
-        // compensate for small factors on the other side.
-        const auto x =
-            solver.solve(options_.lambda * static_cast<double>(obs.size()));
+        if (factored != nullptr && *factored == obs) {
+          solver.reset_rhs();
+          for (std::size_t j : obs)
+            solver.add_rhs_row(src_row(j), obs_value(i, j) - mu);
+        } else {
+          solver.reset();
+          for (std::size_t j : obs)
+            solver.add_row(src_row(j), obs_value(i, j) - mu);
+          // Weighted-lambda ALS (Zhou et al.): scaling the ridge by the
+          // number of observations keeps sparsely observed rows from
+          // blowing up to compensate for small factors on the other side.
+          solver.factor(options_.lambda * static_cast<double>(obs.size()));
+          factored = &obs;
+        }
+        const auto x = solver.solve_factored();
         double mx = 0.0, dsq = 0.0, fsq = 0.0;
         for (std::size_t k = 0; k < rank; ++k) {
           const double d = dst(i, k) - x[k];
@@ -194,6 +238,9 @@ MatrixCompletion::Fit MatrixCompletion::fit(
     });
   };
 
+  // The observation lists name only observed entries, so the sweeps read
+  // the values unchecked.
+  const Matrix& values = observed.raw_values();
   const auto run_sweeps = [&](std::size_t budget) {
     for (std::size_t it = 0; it < budget; ++it) {
       double max_change = 0.0;
@@ -206,7 +253,7 @@ MatrixCompletion::Fit MatrixCompletion::fit(
           [&](std::size_t r) -> const std::vector<std::size_t>& {
             return observed.observed_cols_in_row(r);
           },
-          [&](std::size_t r, std::size_t c) { return observed.value(r, c); });
+          [&](std::size_t r, std::size_t c) { return values(r, c); });
       for (std::size_t r = 0; r < m; ++r) {
         max_change = std::max(max_change, solve_max[r]);
         delta_sq += solve_delta[r];
@@ -218,7 +265,7 @@ MatrixCompletion::Fit MatrixCompletion::fit(
           [&](std::size_t c) -> const std::vector<std::size_t>& {
             return observed.observed_rows_in_col(c);
           },
-          [&](std::size_t c, std::size_t r) { return observed.value(r, c); });
+          [&](std::size_t c, std::size_t r) { return values(r, c); });
       for (std::size_t c = 0; c < n; ++c) {
         max_change = std::max(max_change, solve_max[c]);
         delta_sq += solve_delta[c];

@@ -30,6 +30,9 @@
 //    affect load balance, never arithmetic: each unit (a ridge solve) reads
 //    shared state that is immutable during the phase and writes exclusively
 //    to its own output index.
+//  * Work a chunk shares between its units (the Gram factorisation its ALS
+//    solves hold across equal observation lists) is bit-identical to
+//    recomputing it per unit, so where the chunks are cut stays invisible.
 //  * Cross-unit reductions (convergence stats, RMSE sums) are written per
 //    index during the parallel phase and reduced serially in ascending index
 //    order afterwards — never accumulated in claim order.

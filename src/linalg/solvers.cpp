@@ -17,8 +17,10 @@ RidgeSolver::RidgeSolver(std::size_t n)
 
 void RidgeSolver::reset() {
   std::fill(gram_.begin(), gram_.end(), 0.0);
-  std::fill(rhs_.begin(), rhs_.end(), 0.0);
+  reset_rhs();
 }
+
+void RidgeSolver::reset_rhs() { std::fill(rhs_.begin(), rhs_.end(), 0.0); }
 
 void RidgeSolver::add_row(std::span<const double> row, double b) {
   DRCELL_DCHECK(row.size() == n_);
@@ -34,7 +36,7 @@ void RidgeSolver::add_row(std::span<const double> row, double b) {
   }
 }
 
-std::span<const double> RidgeSolver::solve(double lambda) {
+void RidgeSolver::factor(double lambda) {
   DRCELL_CHECK(lambda >= 0.0);
   double* g = gram_.data();
   for (std::size_t i = 0; i < n_; ++i) g[i * n_ + i] += lambda;
@@ -51,6 +53,9 @@ std::span<const double> RidgeSolver::solve(double lambda) {
     factored = kernels::cholesky_factor(g, factor_.data(), n_);
   }
   DRCELL_CHECK_MSG(factored, "matrix is not positive definite");
+}
+
+std::span<const double> RidgeSolver::solve_factored() {
   kernels::cholesky_forward(factor_.data(), rhs_.data(), y_.data(), n_);
   kernels::cholesky_back(factor_.data(), y_.data(), x_.data(), n_);
   return x_;

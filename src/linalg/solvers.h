@@ -8,6 +8,14 @@
 // nothing from a tuned GEMM). Its factorisation is the one Cholesky kernel
 // of linalg/decompositions.h, so ridge_solve, Cholesky and the ALS engine
 // share one arithmetic, identical under every DRCELL_BACKEND.
+//
+// The factor step and the right-hand-side step are separate, so one
+// factorisation serves many right-hand sides. An ALS half-sweep uses that
+// to factor once per run of equal observation lists instead of once per row
+// or column: two indices that observe the same list accumulate the same
+// design rows in the same order, with the same zero skip and the same ridge
+// weight, so their Gram, jitter-ladder path and factor are the same bits —
+// sharing the factor changes no output byte.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +31,14 @@ namespace drcell {
 ///   for each observation: solver.add_row(a_row, b);
 ///   x = solver.solve(lambda);
 /// solves (AᵀA + λI) x = Aᵀb for the rows added since the last reset.
+/// solve() is factor() followed by solve_factored(); calling the two steps
+/// directly reuses one factorisation for more right-hand sides over the
+/// same rows:
+///   x1 = solver.solve(lambda);  // or factor(lambda), solve_factored()
+///   solver.reset_rhs();
+///   for each observation: solver.add_rhs_row(a_row, b2);
+///   x2 = solver.solve_factored();
+/// which is bitwise equal to a fresh solve() of the second system.
 ///
 /// Arithmetic contract (bit-identical to forming the Gram with
 /// kernels::matmul_transposed_self_add and factoring it with Cholesky):
@@ -31,7 +47,7 @@ namespace drcell {
 /// right-hand side accumulates with no skip. A Gram that is numerically
 /// semidefinite gets a scale-aware jitter of 1e-12·max(trace/n, 1) on the
 /// diagonal, escalated ×100 for up to 8 retries; if the 9th factorisation
-/// still fails (e.g. a non-finite row), solve() throws CheckError.
+/// still fails (e.g. a non-finite row), factor() throws CheckError.
 /// Not thread-safe: give each thread (pool chunk) its own solver.
 class RidgeSolver {
  public:
@@ -39,17 +55,34 @@ class RidgeSolver {
 
   /// Zeroes the accumulated Gram and right-hand side.
   void reset();
+  /// Zeroes only the right-hand side, keeping the held factor.
+  void reset_rhs();
 
   /// Accumulates one observation: a design row of n entries and its
   /// target. The row is read, never retained.
   void add_row(std::span<const double> row, double b);
+  /// Accumulates only the right-hand side of an observation, for a new
+  /// right-hand side over the rows of the held factor.
+  void add_rhs_row(std::span<const double> row, double b) {
+    DRCELL_DCHECK(row.size() == n_);
+    for (std::size_t i = 0; i < n_; ++i) rhs_[i] += row[i] * b;
+  }
 
-  /// Solves the accumulated system with ridge weight lambda >= 0. The solve
-  /// consumes the system (lambda and any jitter land on the stored Gram), so
-  /// reset() before accumulating the next one. The returned view stays valid
-  /// until the next solve(). Requires lambda > 0 or full column rank (up to
-  /// the jitter ladder).
-  std::span<const double> solve(double lambda);
+  /// Factors the accumulated Gram with ridge weight lambda >= 0 and holds
+  /// the factor until the next factor(). Consumes the Gram (lambda and any
+  /// jitter land on it), so reset() before accumulating the next one.
+  /// Requires lambda > 0 or full column rank (up to the jitter ladder).
+  void factor(double lambda);
+
+  /// Solves the held factor against the accumulated right-hand side. The
+  /// returned view stays valid until the next solve.
+  std::span<const double> solve_factored();
+
+  /// factor(lambda), then solve_factored().
+  std::span<const double> solve(double lambda) {
+    factor(lambda);
+    return solve_factored();
+  }
 
  private:
   std::size_t n_;

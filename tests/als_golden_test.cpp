@@ -27,6 +27,7 @@
 #include "cs/partial_matrix.h"
 #include "data/datasets.h"
 #include "util/checksum.h"
+#include "util/thread_pool.h"
 
 namespace drcell::cs {
 namespace {
@@ -72,6 +73,72 @@ TEST(AlsGolden, InferAndLooBytesArePinned) {
   EXPECT_EQ(crc_of(engine.loo_column_predictions(window, kCurrent)),
             2794626313u)
       << "LOO after the warm polish";
+}
+
+// The slid window the serving workload's LOO gate fits once its 12-cycle
+// warm start has rolled forward: 8 warm cycles, 3 past cycles sensed at 64
+// cells each, the current cycle at 40 cells, plus a next cycle with nothing
+// sensed yet (an empty column). Ten "dead" cells were never sensed (empty
+// rows). Six cells each missed one warm cycle, so their rows' observation
+// lists, and those six warm columns' lists, are shared with no other index.
+// Most cells observe exactly the warm cycles, and the last two warm columns
+// observe the same cells. The ALS half-sweeps share one factorisation
+// across equal lists; that must leave these bytes unchanged at any worker
+// count, including the 3-worker pool, whose chunk bounds cut through runs
+// of equal lists in both half-sweeps.
+TEST(AlsGolden, MixedPatternWindowIsPinnedAtAnyWorkerCount) {
+  constexpr std::size_t kCells = 1000, kCycles = 13, kWarm = 8,
+                        kCurrent = 11, kEmpty = 12;
+  const Matrix truth =
+      data::make_city_scale_task(25, 40, kCycles, 1000).ground_truth();
+  const auto dead = [](std::size_t cell) { return cell % 97 == 13; };
+
+  PartialMatrix window(kCells, kCycles);
+  for (std::size_t c = 0; c < kWarm; ++c)
+    for (std::size_t r = 0; r < kCells; ++r)
+      if (!dead(r)) window.set(r, c, truth(r, c));
+  for (std::size_t k = 0; k < 6; ++k) {
+    const std::size_t cell = 50 + 131 * k;
+    ASSERT_FALSE(dead(cell));
+    window.clear(cell, k % kWarm);
+  }
+  // Strided picks (stride coprime to 1000, so distinct cells per cycle);
+  // dead cells stay unsensed.
+  const auto sense = [&](PartialMatrix& w, std::size_t col, std::size_t offset,
+                         std::size_t stride, std::size_t count) {
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::size_t cell = (offset + stride * k) % kCells;
+      if (!dead(cell)) w.set(cell, col, truth(cell, col));
+    }
+  };
+  for (std::size_t p = 0; p < 3; ++p)
+    sense(window, kWarm + p, 7 + 17 * p, 31, 64);
+  sense(window, kCurrent, 3, 37, 40);
+  ASSERT_EQ(window.observed_count_in_col(kEmpty), 0u);
+
+  const auto run = [&](std::size_t workers) {
+    util::ThreadPool pool(workers);
+    MatrixCompletion engine;
+    engine.set_thread_pool(&pool);
+    std::vector<std::uint32_t> crcs;
+    crcs.push_back(crc_of(engine.infer(window).data()));  // cold fit
+    for (std::size_t col : {kCurrent, kWarm + 1, std::size_t{0}})
+      crcs.push_back(crc_of(engine.loo_column_predictions(window, col)));
+    EXPECT_TRUE(engine.loo_column_predictions(window, kEmpty).empty());
+    PartialMatrix grown = window;  // 8 more cells sensed this cycle
+    sense(grown, kCurrent, 3 + 37 * 40, 37, 8);
+    crcs.push_back(crc_of(engine.infer(grown).data()));  // warm resume
+    crcs.push_back(crc_of(engine.loo_column_predictions(grown, kCurrent)));
+    return crcs;
+  };
+
+  // Cold infer; LOO of the current, a past and a warm cycle; warm infer
+  // over the grown window; LOO of its current cycle.
+  const std::vector<std::uint32_t> pinned{1381493075u, 1001746074u,
+                                          1084339220u, 4249897029u,
+                                          1514539908u, 1623765483u};
+  EXPECT_EQ(run(0), pinned) << "serial pool";
+  EXPECT_EQ(run(3), pinned) << "3-worker pool";
 }
 
 }  // namespace

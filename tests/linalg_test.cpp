@@ -423,6 +423,82 @@ TEST(RidgeSolver, NonFiniteRowThrowsAfterTheLadder) {
   expect_matches_oracle(solver, ok, b, 0.1);
 }
 
+// Factors A once through the split path (factor(), then solve_factored()),
+// then solves three more right-hand sides against the held factor with
+// RHS-only accumulation, checking each bit for bit against a fresh fused
+// solve() of the same system.
+void expect_split_matches_fused(const Matrix& a, double lambda, Rng& rng) {
+  const std::size_t n = a.cols();
+  RidgeSolver split(n), fused(n);
+  for (int rhs = 0; rhs < 4; ++rhs) {
+    SCOPED_TRACE(rhs);
+    std::vector<double> b(a.rows());
+    for (auto& v : b) v = rng.normal();
+    fused.reset();
+    for (std::size_t r = 0; r < a.rows(); ++r) fused.add_row(a.row(r), b[r]);
+    const auto fused_x = fused.solve(lambda);
+    const std::vector<double> want(fused_x.begin(), fused_x.end());
+    if (rhs == 0) {
+      split.reset();
+      for (std::size_t r = 0; r < a.rows(); ++r) split.add_row(a.row(r), b[r]);
+      split.factor(lambda);
+    } else {
+      split.reset_rhs();
+      for (std::size_t r = 0; r < a.rows(); ++r)
+        split.add_rhs_row(a.row(r), b[r]);
+    }
+    expect_same_bits(split.solve_factored(), want);
+  }
+}
+
+TEST(RidgeSolver, FactorOnceSolveManyMatchesFusedAcrossRanks) {
+  Rng rng(43);
+  for (std::size_t rank = 1; rank <= 8; ++rank) {
+    SCOPED_TRACE(rank);
+    for (std::size_t rows : {std::size_t{1}, rank, 3 * rank + 2}) {
+      Matrix a = random_normal_matrix(rows, rank, rng);
+      for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t c = 0; c < rank; ++c)
+          if ((r + c) % 3 == 1 || r == rows / 2) a(r, c) = 0.0;
+      expect_split_matches_fused(a, 0.005 * static_cast<double>(rows), rng);
+    }
+  }
+  // The zero skip is observable with an infinite entry: the Gram factors,
+  // with non-finite solutions, only because the skip keeps 0·inf out.
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_split_matches_fused(Matrix{{inf, 0.0}, {1.0, 2.0}}, 0.1, rng);
+}
+
+TEST(RidgeSolver, FactorOnceSolveManyAfterTheJitterLadder) {
+  // Duplicated columns at lambda = 0: the held factor is the one the
+  // jitter ladder produced.
+  const Matrix a{{2.0, 2.0, 0.5}, {1.0, 1.0, 0.0}, {2.0, 2.0, -1.0},
+                 {0.0, 0.0, 3.0}, {4.0, 4.0, 1.0}};
+  int retries = 0;
+  ridge_solve_oracle(a, std::vector<double>(a.rows(), 1.0), 0.0, &retries);
+  ASSERT_GE(retries, 1);
+  Rng rng(44);
+  expect_split_matches_fused(a, 0.0, rng);
+}
+
+TEST(RidgeSolver, FactorStepThrowsOnNonFiniteRow) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Matrix a{{1.0, 0.5, -1.0}, {nan, 2.0, 0.0}, {0.0, 1.0, 1.0}};
+  const std::vector<double> b{1.0, 2.0, 3.0};
+  RidgeSolver solver(3);
+  solver.reset();
+  for (std::size_t r = 0; r < a.rows(); ++r) solver.add_row(a.row(r), b[r]);
+  EXPECT_THROW(solver.factor(0.1), CheckError);
+  // The workspace stays usable after the failure.
+  const Matrix ok{{1.0, 0.0, 2.0}, {0.0, 1.0, -1.0}, {3.0, 1.0, 0.0}};
+  solver.reset();
+  for (std::size_t r = 0; r < ok.rows(); ++r) solver.add_row(ok.row(r), b[r]);
+  solver.factor(0.1);
+  expect_same_bits(solver.solve_factored(), ridge_solve_oracle(ok, b, 0.1));
+  Rng rng(45);
+  expect_split_matches_fused(ok, 0.1, rng);
+}
+
 TEST(Solvers, RidgeShrinksTowardsZero) {
   Rng rng(13);
   const Matrix a = random_normal_matrix(20, 3, rng);
