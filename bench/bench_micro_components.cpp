@@ -5,9 +5,8 @@
 // steps, dataset generation.
 //
 // The optimised hot paths are measured against the retained naive reference
-// implementations (compiled under DRCELL_ENABLE_REFERENCE_KERNELS), and
-// `--json [path]` writes the BENCH_micro.json perf baseline that later PRs
-// are compared against.
+// implementations, and `--json [path]` writes the BENCH_micro.json perf
+// baseline that later PRs are compared against.
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -155,7 +154,6 @@ void bench_sparse_observation_paths(bench::JsonReporter& report, bool quick) {
     fast_lists();
   };
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   // Seed behaviour: every path scans the dense rows x cols grid.
   const auto dense_fingerprint = [&] {
     window.set(0, 0, toggle = -toggle);
@@ -246,11 +244,6 @@ void bench_sparse_observation_paths(bench::JsonReporter& report, bool quick) {
   add_pair("sparse_observed_rmse_1000x48", fast_rmse, dense_rmse);
   add_pair("sparse_observation_lists_1000x48", fast_lists, dense_lists);
   add_pair("sparse_observation_paths_1000x48", fast_all, dense_all);
-#else
-  const auto f = bench::measure_ms(fast_all, target, 20000);
-  report.add("sparse_observation_paths_1000x48", f.wall_ms, f.iterations,
-             1e3 / f.wall_ms);
-#endif
   if (sink == 42.123456789) std::cout << "";  // keep `sink` observable
 }
 
@@ -264,7 +257,6 @@ void bench_matmul(bench::JsonReporter& report, bool quick) {
   Matrix out;
   const auto fast = bench::measure_ms(
       [&] { a.matmul_into(b, out); }, quick ? 120.0 : 400.0);
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   const auto naive = bench::measure_ms([&] { (void)a.matmul_naive(b); },
                                        quick ? 120.0 : 400.0, 50);
   report.add_with_reference("matmul_" + std::to_string(n), fast.wall_ms,
@@ -283,10 +275,6 @@ void bench_matmul(bench::JsonReporter& report, bool quick) {
             << format_double(unblocked.wall_ms, 3) << " ms, naive "
             << format_double(naive.wall_ms, 3) << " ms, speedup vs naive "
             << format_double(naive.wall_ms / fast.wall_ms, 2) << "x\n";
-#else
-  report.add("matmul_" + std::to_string(n), fast.wall_ms, fast.iterations,
-             1e3 / fast.wall_ms);
-#endif
 
   // The DRQN head shape (batch x features times features x cells) for
   // context on the sizes the trainer actually runs.
@@ -507,7 +495,6 @@ void bench_lstm_gate(bench::JsonReporter& report, bool quick) {
       [&] { nn::lstm_gate_forward(z, &c_prev, gates, c, tanh_c, h); }, target,
       200000);
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   // Numeric-divergence self-check before timing: the fused pass must track
   // the std:: reference within the fastmath tolerance on every tensor.
   {
@@ -556,10 +543,6 @@ void bench_lstm_gate(bench::JsonReporter& report, bool quick) {
   report.add_with_reference("lstm_gate_backward_pass", bwd.wall_ms,
                             bwd.iterations, 1e3 / bwd.wall_ms,
                             bwd_ref.wall_ms, bwd_ref.iterations);
-#else
-  report.add("lstm_gate_pass", fwd.wall_ms, fwd.iterations,
-             1e3 / fwd.wall_ms);
-#endif
 }
 
 /// Paper-scale DRQN trainer (57 cells, k = 2, 64 LSTM units, batch 32 —
@@ -572,11 +555,7 @@ rl::DqnTrainer make_paper_scale_trainer(std::uint64_t net_seed,
   rl::DqnOptions options;
   options.batch_size = 32;
   options.min_replay = 32;
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   options.reference_gate_kernel = reference_gates;
-#else
-  (void)reference_gates;
-#endif
   rl::DqnTrainer trainer(
       std::make_unique<rl::DrqnQNetwork>(57, 2, 64, 0, net_rng), options, 7);
   Rng fill(3);
@@ -616,7 +595,6 @@ void bench_rl(bench::JsonReporter& report, bool quick) {
   report.add("drqn_forward_batch32", fwd_batch.wall_ms, fwd_batch.iterations,
              1e3 / fwd_batch.wall_ms);
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   // Parameter self-checks before timing anything, so a perf run can never
   // report a speedup for a path that silently diverged. Two contracts:
   //  - batched engine with the std:: gate kernel vs the per-sample
@@ -663,8 +641,6 @@ void bench_rl(bench::JsonReporter& report, bool quick) {
     }
   }
 
-#endif
-
   // The headline measurement: one batched minibatch update at the
   // paper-scale DRQN config. The batched engine turns 3x32 skinny B=1
   // forwards plus 32 backwards into three [32 x F] GEMM passes and one
@@ -676,7 +652,6 @@ void bench_rl(bench::JsonReporter& report, bool quick) {
   report.add("dqn_train_step", train.wall_ms, train.iterations,
              1e3 / train.wall_ms);
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   // Paired against the retained per-sample reference update. Hard >=3x
   // self-gate below; also gated in CI against the committed baseline ratio.
   rl::DqnTrainer ref_trainer = make_paper_scale_trainer(2);
@@ -707,7 +682,6 @@ void bench_rl(bench::JsonReporter& report, bool quick) {
             << format_double(train.wall_ms, 3) << " ms, std:: gates "
             << format_double(train_std.wall_ms, 3) << " ms, speedup "
             << format_double(train_std.wall_ms / train.wall_ms, 2) << "x\n";
-#endif
 }
 
 /// Faithful copy of the pre-chunked ThreadPool dispatch: one index claimed
@@ -902,7 +876,6 @@ int main(int argc, char** argv) {
   // perf regression.
   const int exit_code = bench::finish_report(report, json, total);
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   // The perf gates: the optimised matmul, the warm-started ALS, the batched
   // train step and the fused LSTM gate pass must stay >= 3x ahead of their
   // retained references, and the sparse observation paths >= 5x ahead of
@@ -930,15 +903,12 @@ int main(int argc, char** argv) {
               << format_double(gather_speedup, 2) << "x (must be >= 5x)\n";
     return 1;
   }
-#endif
 
   // Dispatch-overhead gate: chunked atomic claiming must hold >= 2x over
   // the mutex-per-index claim on ~1µs tasks. Only armed with enough workers
   // for the mutex path to actually contend (>= 3 workers / 4 lanes); below
   // that bench_pool_dispatch prints the documented UNGATED line instead —
-  // on 1-core hardware both strategies run the same serial loop. Gated
-  // independently of the reference-kernel build: the pair needs no retained
-  // kernels, only the pool itself.
+  // on 1-core hardware both strategies run the same serial loop.
   const double dispatch_speedup = report.speedup("pool_dispatch_fine_grain");
   if (!no_gate && util::ThreadPool::default_worker_count() >= 3 &&
       dispatch_speedup < 2.0) {

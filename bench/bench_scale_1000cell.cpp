@@ -316,7 +316,6 @@ void bench_train_step(std::size_t cells, bench::JsonReporter& report,
   rl::DqnTrainer batched = make_trainer();
   const auto run = bench::measure_ms([&] { (void)batched.train_step(); },
                                      target, 500);
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   rl::DqnTrainer reference = make_trainer();
   const auto ref_run = bench::measure_ms(
       [&] { (void)reference.train_step_reference(); }, target, 500);
@@ -327,12 +326,6 @@ void bench_train_step(std::size_t cells, bench::JsonReporter& report,
             << format_double(run.wall_ms, 2) << " ms, per-sample reference "
             << format_double(ref_run.wall_ms, 2) << " ms, speedup "
             << format_double(ref_run.wall_ms / run.wall_ms, 2) << "x\n";
-#else
-  report.add("scale_train_step_1000cell", run.wall_ms, run.iterations,
-             1e3 / run.wall_ms);
-  std::cout << "1000-cell DRQN train step: batched "
-            << format_double(run.wall_ms, 2) << " ms\n";
-#endif
 }
 
 }  // namespace

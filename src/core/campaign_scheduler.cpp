@@ -130,7 +130,7 @@ bool CampaignScheduler::decide_batched(const std::vector<std::size_t>& active) {
   for (std::size_t g = 0; g < groups.size(); ++g) {
     rl::QNetwork& net = *networks[g];
     const std::vector<std::size_t>& members = groups[g];
-    const auto decide_group = [&] {
+    try {
       std::vector<const std::vector<double>*> states;
       states.reserve(members.size());
       for (const std::size_t i : members) {
@@ -156,22 +156,14 @@ bool CampaignScheduler::decide_batched(const std::vector<std::size_t>& active) {
         slot.pending_action =
             rl::masked_argmax_row(q, r, slot.env->action_mask());
       }
-    };
-    if (options_.fault.isolate) {
-      try {
-        decide_group();
-      } catch (const std::exception& e) {
-        // The whole group's decision failed; the caller re-decides its
-        // members serially, each in its own fault domain. Greedy selects
-        // are draw-free, so the serial re-decide is bit-identical.
-        note_incident("", "decide-fault",
-                      "batched forward failed, falling back to serial "
-                      "selects: " +
-                          std::string(e.what()));
-        all_ok = false;
-      }
-    } else {
-      decide_group();
+    } catch (const std::exception& e) {
+      // The whole group's decision failed; the caller re-decides its
+      // members serially, each in its own fault domain. Greedy selects are
+      // draw-free, so the serial re-decide is bit-identical.
+      note_incident("", "decide-fault",
+                    "batched forward failed, falling back to serial selects: " +
+                        std::string(e.what()));
+      all_ok = false;
     }
   }
   return all_ok;
@@ -289,7 +281,6 @@ std::size_t CampaignScheduler::step_wave() {
       active.push_back(i);
   if (active.empty()) return 0;
 
-  const bool isolate = options_.fault.isolate;
   // Per-campaign wave bookkeeping: which phase each campaign reached, and
   // the first fault attributed to it.
   std::vector<std::uint8_t> decided(active.size(), 0);
@@ -309,11 +300,6 @@ std::size_t CampaignScheduler::step_wave() {
       decided[k] = 1;
       continue;
     }
-    if (!isolate) {
-      slot.pending_action = slot.selector->select(*slot.env);
-      decided[k] = 1;
-      continue;
-    }
     try {
       slot.pending_action = slot.selector->select(*slot.env);
       decided[k] = 1;
@@ -328,9 +314,9 @@ std::size_t CampaignScheduler::step_wave() {
 
   // STEP — the expensive phase (inference + gate) fans out over the pool.
   // Index-exclusive writes per slot keep it bit-identical for any worker
-  // count. StepResults are recorded for the OBSERVE phase. With isolation
-  // on, a throwing step is captured per-campaign instead of unwinding the
-  // wave through the pool's aggregate-and-rethrow.
+  // count. StepResults are recorded for the OBSERVE phase. A throwing step
+  // is captured per-campaign instead of unwinding the wave through the
+  // pool's aggregate-and-rethrow.
   util::ThreadPool& pool =
       options_.pool != nullptr ? *options_.pool : util::ThreadPool::global();
   std::vector<mcs::StepResult> results(active.size());
@@ -338,13 +324,6 @@ std::size_t CampaignScheduler::step_wave() {
   pool.parallel_for(active.size(), [&](std::size_t k) {
     if (!decided[k]) return;
     Slot& slot = slots_[active[k]];
-    if (!isolate) {
-      results[k] = slot.env->step(slot.pending_action);
-      slot.action_log.push_back(
-          static_cast<std::uint32_t>(slot.pending_action));
-      stepped[k] = 1;
-      return;
-    }
     try {
       results[k] = slot.env->step(slot.pending_action);
       slot.action_log.push_back(
@@ -359,29 +338,26 @@ std::size_t CampaignScheduler::step_wave() {
   // SAME action on the still-unmutated environment (the env.step fault site
   // precedes all mutation), so a recovered campaign's trajectory is
   // bit-identical to one that never faulted.
-  if (isolate) {
-    for (std::size_t k = 0; k < active.size(); ++k) {
-      if (!decided[k] || stepped[k]) continue;
-      Slot& slot = slots_[active[k]];
-      for (std::size_t attempt = 0;
-           attempt < options_.fault.step_retries && !stepped[k]; ++attempt) {
-        try {
-          results[k] = slot.env->step(slot.pending_action);
-          slot.action_log.push_back(
-              static_cast<std::uint32_t>(slot.pending_action));
-          stepped[k] = 1;
-          note_incident(slot.id, "retry-recovered",
-                        "step retry succeeded after: " +
-                            what_of(step_errors[k]));
-          step_errors[k] = nullptr;
-        } catch (...) {
-          step_errors[k] = std::current_exception();
-        }
+  for (std::size_t k = 0; k < active.size(); ++k) {
+    if (!decided[k] || stepped[k]) continue;
+    Slot& slot = slots_[active[k]];
+    for (std::size_t attempt = 0;
+         attempt < options_.fault.step_retries && !stepped[k]; ++attempt) {
+      try {
+        results[k] = slot.env->step(slot.pending_action);
+        slot.action_log.push_back(
+            static_cast<std::uint32_t>(slot.pending_action));
+        stepped[k] = 1;
+        note_incident(slot.id, "retry-recovered",
+                      "step retry succeeded after: " + what_of(step_errors[k]));
+        step_errors[k] = nullptr;
+      } catch (...) {
+        step_errors[k] = std::current_exception();
       }
-      if (!stepped[k]) {
-        fault_kind[k] = "step-fault";
-        fault_what[k] = what_of(step_errors[k]);
-      }
+    }
+    if (!stepped[k]) {
+      fault_kind[k] = "step-fault";
+      fault_what[k] = what_of(step_errors[k]);
     }
   }
 
@@ -389,10 +365,6 @@ std::size_t CampaignScheduler::step_wave() {
   for (std::size_t k = 0; k < active.size(); ++k) {
     if (!stepped[k]) continue;
     Slot& slot = slots_[active[k]];
-    if (!isolate) {
-      slot.selector->on_step(*slot.env, slot.pending_action, results[k]);
-      continue;
-    }
     try {
       slot.selector->on_step(*slot.env, slot.pending_action, results[k]);
     } catch (const std::exception& e) {
@@ -405,20 +377,18 @@ std::size_t CampaignScheduler::step_wave() {
 
   // Fault accounting: a clean wave resets the streak; a faulted one
   // extends it and quarantines the campaign past the threshold.
-  if (isolate) {
-    for (std::size_t k = 0; k < active.size(); ++k) {
-      Slot& slot = slots_[active[k]];
-      if (fault_kind[k].empty()) {
-        slot.consecutive_faults = 0;
-        continue;
-      }
-      ++slot.consecutive_faults;
-      note_incident(slot.id, fault_kind[k], fault_what[k]);
-      if (slot.consecutive_faults >= options_.fault.quarantine_after)
-        quarantine(active[k], fault_kind[k] + " x" +
-                                  std::to_string(slot.consecutive_faults) +
-                                  ": " + fault_what[k]);
+  for (std::size_t k = 0; k < active.size(); ++k) {
+    Slot& slot = slots_[active[k]];
+    if (fault_kind[k].empty()) {
+      slot.consecutive_faults = 0;
+      continue;
     }
+    ++slot.consecutive_faults;
+    note_incident(slot.id, fault_kind[k], fault_what[k]);
+    if (slot.consecutive_faults >= options_.fault.quarantine_after)
+      quarantine(active[k], fault_kind[k] + " x" +
+                                std::to_string(slot.consecutive_faults) +
+                                ": " + fault_what[k]);
   }
 
   ++waves_;

@@ -30,7 +30,7 @@
 //   3. OBSERVE — serial, ascending: selector on_step hooks (online
 //      training). Serial because campaigns may share a trainable agent.
 //
-// Fault tolerance (FaultToleranceOptions, default ON). Every phase runs
+// Fault tolerance (FaultToleranceOptions). Every phase runs
 // each campaign inside its own fault domain: a throw out of DECIDE, STEP or
 // OBSERVE (an injected fault, an engine CheckError, anything) is caught,
 // attributed to that campaign and never unwinds the wave. A failed STEP is
@@ -120,10 +120,10 @@ class CampaignScheduler {
   using FallbackFactory = std::function<std::shared_ptr<baselines::CellSelector>(
       const std::string& id, std::size_t slot)>;
 
+  /// Tuning of the per-campaign fault domains (see the file comment):
+  /// step retries, the quarantine threshold, the rollback ring and the
+  /// degraded-mode fallback.
   struct FaultToleranceOptions {
-    /// Per-campaign fault domains in DECIDE/STEP/OBSERVE. Off = the legacy
-    /// behaviour: the first campaign exception unwinds step_wave.
-    bool isolate = true;
     /// In-wave retries of a failed environment step (same action; a
     /// transient fault recovered this way keeps the trajectory
     /// bit-identical). DECIDE/OBSERVE faults retry on the next wave
@@ -228,8 +228,8 @@ class CampaignScheduler {
     std::size_t consecutive_faults = 0;
   };
 
-  /// Returns false when a batched forward threw (isolated mode only); the
-  /// caller then re-decides those campaigns serially per-campaign.
+  /// Returns false when a batched forward threw; the caller then
+  /// re-decides those campaigns serially per-campaign.
   bool decide_batched(const std::vector<std::size_t>& active);
   void note_incident(std::string campaign, std::string kind,
                      std::string detail);

@@ -1,5 +1,6 @@
 #include "core/checkpoint.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -17,7 +18,6 @@ namespace drcell::core {
 namespace {
 
 constexpr char kMagic[4] = {'D', 'R', 'C', 'K'};
-constexpr std::uint32_t kVersionLegacy = 1;
 constexpr std::uint32_t kVersion = 2;
 
 using nn::SerializationError;
@@ -76,11 +76,11 @@ std::vector<DrCellAgent*> collect_agents(
 }  // namespace
 
 /// Private-state accessor: the one friend of CampaignScheduler the
-/// checkpoint layer goes through. Bodies are version-parameterised so the
-/// v1 and v2 writers/readers share one definition of the record layout.
+/// checkpoint layer goes through. The body is the payload inside the
+/// envelope (see checkpoint.h).
 struct CheckpointAccess {
-  static void write_body(const CampaignScheduler& scheduler, std::ostream& out,
-                         std::uint32_t version) {
+  static void write_body(const CampaignScheduler& scheduler,
+                         std::ostream& out) {
     std::vector<std::shared_ptr<baselines::CellSelector>> selectors;
     selectors.reserve(scheduler.slots_.size());
     for (const auto& slot : scheduler.slots_)
@@ -115,16 +115,13 @@ struct CheckpointAccess {
       out.write(reinterpret_cast<const char*>(words.data()),
                 static_cast<std::streamsize>(words.size() *
                                              sizeof(std::uint64_t)));
-      if (version >= 2) {
-        write_pod<std::uint8_t>(
-            out, slot.state == CampaignState::kQuarantined ? 1 : 0);
-        write_string(out, slot.quarantine_reason);
-      }
+      write_pod<std::uint8_t>(
+          out, slot.state == CampaignState::kQuarantined ? 1 : 0);
+      write_string(out, slot.quarantine_reason);
     }
   }
 
-  static void read_body(CampaignScheduler& scheduler, std::istream& in,
-                        std::uint32_t version) {
+  static void read_body(CampaignScheduler& scheduler, std::istream& in) {
     const auto waves = read_pod<std::uint64_t>(in);
     const auto campaign_count = read_pod<std::uint64_t>(in);
     if (campaign_count != scheduler.slots_.size())
@@ -163,7 +160,7 @@ struct CheckpointAccess {
     // before the replay fan-out below so stream errors surface first.
     std::vector<std::vector<std::uint32_t>> logs(scheduler.slots_.size());
     std::vector<std::uint64_t> cycles(scheduler.slots_.size());
-    std::vector<std::uint8_t> states(scheduler.slots_.size(), 0);
+    std::vector<std::uint8_t> states(scheduler.slots_.size());
     std::vector<std::string> reasons(scheduler.slots_.size());
     for (std::size_t i = 0; i < scheduler.slots_.size(); ++i) {
       auto& slot = scheduler.slots_[i];
@@ -198,13 +195,11 @@ struct CheckpointAccess {
                                            sizeof(std::uint64_t)));
       if (!in) throw CheckpointCorruptionError("truncated checkpoint stream");
       slot.selector->restore_state_words(words);
-      if (version >= 2) {
-        states[i] = read_pod<std::uint8_t>(in);
-        if (states[i] > 1)
-          throw CheckpointCorruptionError(
-              "invalid campaign state byte in checkpoint");
-        reasons[i] = read_string(in, 4096, "quarantine reason");
-      }
+      states[i] = read_pod<std::uint8_t>(in);
+      if (states[i] > 1)
+        throw CheckpointCorruptionError(
+            "invalid campaign state byte in checkpoint");
+      reasons[i] = read_string(in, 4096, "quarantine reason");
     }
 
     // Replay: fresh engine, logged actions, in order (see header). The
@@ -254,7 +249,7 @@ void save_checkpoint(const CampaignScheduler& scheduler, std::ostream& out) {
   // Serialise the body first so the envelope can carry its exact size and
   // CRC; a reader can then tell truncation/bit-rot from registry mismatch.
   std::ostringstream body(std::ios::binary);
-  CheckpointAccess::write_body(scheduler, body, kVersion);
+  CheckpointAccess::write_body(scheduler, body);
   const std::string payload = std::move(body).str();
 
   out.write(kMagic, sizeof(kMagic));
@@ -265,14 +260,6 @@ void save_checkpoint(const CampaignScheduler& scheduler, std::ostream& out) {
   if (!out) throw SerializationError("failed to write checkpoint stream");
 }
 
-void save_checkpoint_v1(const CampaignScheduler& scheduler,
-                        std::ostream& out) {
-  out.write(kMagic, sizeof(kMagic));
-  write_pod<std::uint32_t>(out, kVersionLegacy);
-  CheckpointAccess::write_body(scheduler, out, kVersionLegacy);
-  if (!out) throw SerializationError("failed to write checkpoint stream");
-}
-
 void load_checkpoint(CampaignScheduler& scheduler, std::istream& in) {
   DRCELL_FAULT_SITE("ckpt.load", "");
   char magic[4];
@@ -280,31 +267,36 @@ void load_checkpoint(CampaignScheduler& scheduler, std::istream& in) {
   if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
     throw CheckpointCorruptionError(
         "bad magic: not a DR-Cell checkpoint stream");
+  // Until the CRC check passes the envelope is all this reader can vouch
+  // for, so a version it does not write is damage, not a fleet mismatch.
   const auto version = read_pod<std::uint32_t>(in);
-  if (version == kVersionLegacy) {
-    // Legacy stream: no envelope; the body is parsed straight off the
-    // stream, truncation surfacing as CheckpointCorruptionError.
-    CheckpointAccess::read_body(scheduler, in, version);
-    return;
-  }
   if (version != kVersion)
-    throw SerializationError("unsupported checkpoint version " +
-                             std::to_string(version));
+    throw CheckpointCorruptionError("unsupported checkpoint version " +
+                                    std::to_string(version));
 
   const auto payload_size = read_pod<std::uint64_t>(in);
   if (payload_size > std::uint64_t{1} << 33)
     throw CheckpointCorruptionError("implausible payload size in checkpoint");
   const auto stored_crc = read_pod<std::uint32_t>(in);
-  std::string payload(static_cast<std::size_t>(payload_size), '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (!in || static_cast<std::uint64_t>(in.gcount()) != payload_size)
-    throw CheckpointCorruptionError(
-        "truncated checkpoint stream (payload shorter than header claims)");
+  // Read in bounded chunks: a damaged size field then costs only the bytes
+  // the stream really holds, not a zero-filled buffer of the claimed size.
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 20;
+  std::string payload;
+  while (payload.size() < payload_size) {
+    const std::size_t offset = payload.size();
+    const auto n = static_cast<std::size_t>(
+        std::min(kChunk, payload_size - offset));
+    payload.resize(offset + n);
+    in.read(payload.data() + offset, static_cast<std::streamsize>(n));
+    if (!in)
+      throw CheckpointCorruptionError(
+          "truncated checkpoint stream (payload shorter than header claims)");
+  }
   if (util::crc32(payload.data(), payload.size()) != stored_crc)
     throw CheckpointCorruptionError(
         "checkpoint CRC mismatch (bit-rot or torn write)");
   std::istringstream body(payload, std::ios::binary);
-  CheckpointAccess::read_body(scheduler, body, version);
+  CheckpointAccess::read_body(scheduler, body);
 }
 
 void save_checkpoint_file(const CampaignScheduler& scheduler,

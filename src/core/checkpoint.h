@@ -1,7 +1,7 @@
 // Scheduler checkpoint/resume — the stop/restart contract of the
 // multi-campaign serving engine (core/campaign_scheduler.h).
 //
-// Format (v2, current): magic "DRCK", u32 version = 2, u64 payload size,
+// Format (v2): magic "DRCK", u32 version = 2, u64 payload size,
 // u32 CRC-32 of the payload (util/checksum.h), then the payload:
 //   u64 waves_completed, u64 campaign count, u64 agent count;
 //   per agent: u64 env_steps, u64 train_steps (the trainer counters that
@@ -15,14 +15,17 @@
 //     (CellSelector::checkpoint_state_words — RNG streams), u8 campaign
 //     state (0 = active, 1 = quarantined) + quarantine reason string.
 //
-// v1 streams (no size/CRC header, no quarantine state) are still read;
-// save_checkpoint_v1 still writes them for compatibility tooling.
+// Version rule: the reader accepts exactly the version it writes. Any other
+// version — including the retired v1 layout, which had no size/CRC header —
+// throws CheckpointCorruptionError: before the CRC check the envelope is
+// all the reader can vouch for.
 //
 // Error taxonomy — the load path distinguishes DAMAGED BYTES from a VALID
 // STREAM THAT DOESN'T FIT this scheduler:
-//   CheckpointCorruptionError — bad magic, truncated stream, payload-size /
-//     CRC mismatch, implausible lengths. The file is damaged; retrying with
-//     another replica (e.g. an older checkpoint-ring entry) is appropriate.
+//   CheckpointCorruptionError — bad magic, unsupported version, truncated
+//     stream, payload-size / CRC mismatch, implausible lengths. The file
+//     is damaged; retrying with another replica (e.g. an older
+//     checkpoint-ring entry) is appropriate.
 //   CheckpointMismatchError — counts, campaign ids, agent wiring or the
 //     replayed trajectory disagree with the populated scheduler registry.
 //     The bytes are fine; the registry is wrong (or the checkpoint is from
@@ -64,7 +67,8 @@ namespace drcell::core {
 
 class CampaignScheduler;
 
-/// The checkpoint bytes are damaged (bad magic, truncation, CRC mismatch).
+/// The checkpoint bytes are damaged (bad magic, unsupported version,
+/// truncation, CRC mismatch).
 class CheckpointCorruptionError : public nn::SerializationError {
  public:
   using nn::SerializationError::SerializationError;
@@ -78,9 +82,6 @@ class CheckpointMismatchError : public nn::SerializationError {
 };
 
 void save_checkpoint(const CampaignScheduler& scheduler, std::ostream& out);
-/// Legacy v1 writer (no CRC envelope, no quarantine state) — kept so the
-/// v1 read path stays exercised by tests and old tooling can be fed.
-void save_checkpoint_v1(const CampaignScheduler& scheduler, std::ostream& out);
 void load_checkpoint(CampaignScheduler& scheduler, std::istream& in);
 
 /// File-path convenience wrappers.

@@ -40,8 +40,7 @@ mcs::SparseMcsEnvironment make_training_environment(
 /// update: the replay buffer assembles a timestep-major [batch x cells]
 /// window batch from its encoded-sequence cache and the whole
 /// forward/loss/backward pipeline runs as batch-level GEMMs (see
-/// rl/dqn_trainer.h; config.dqn.reference_path routes it through the
-/// retained per-sample reference instead, bit-identically).
+/// rl/dqn_trainer.h).
 TrainingResult train_agent(DrCellAgent& agent, mcs::SparseMcsEnvironment& env,
                            std::size_t episodes);
 

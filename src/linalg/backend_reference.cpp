@@ -1,8 +1,8 @@
-// The "reference" compute backend: the retained pre-optimisation kernels,
-// promoted out of DRCELL_ENABLE_REFERENCE_KERNELS into an always-built
-// backend. Dense matmul is the seed's unblocked ikj loop; the transposed
-// forms are plain per-element loop nests; the sparse pair is the j-outer
-// gather; the LSTM gates are the scalar std::tanh / nn::sigmoid passes.
+// The "reference" compute backend: the retained pre-optimisation kernels
+// behind the backend interface. Dense matmul is the seed's unblocked ikj
+// loop; the transposed forms are plain per-element loop nests; the sparse
+// pair is the j-outer gather; the LSTM gates are the scalar std::tanh /
+// nn::sigmoid passes.
 //
 // Every matrix kernel here upholds the exact-arithmetic contract
 // (linalg/backend.h): per output element the additions run in ascending-k

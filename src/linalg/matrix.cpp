@@ -202,7 +202,6 @@ void matmul_blocked_into(const Matrix& a_m, const Matrix& b_m, Matrix& out) {
 
 }  // namespace kernels
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
 Matrix Matrix::matmul_naive(const Matrix& other) const {
   DRCELL_CHECK_MSG(cols_ == other.rows_, "matmul shape mismatch");
   Matrix out(rows_, other.cols_);
@@ -229,7 +228,6 @@ Matrix Matrix::matmul_unblocked(const Matrix& other) const {
   }
   return out;
 }
-#endif
 
 Matrix Matrix::matmul_transposed_self(const Matrix& other) const {
   Matrix out(cols_, other.cols());

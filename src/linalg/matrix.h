@@ -133,7 +133,6 @@ class Matrix {
   /// Matrix product written into `out`, reusing its storage when already
   /// correctly shaped. `out` must not alias either operand.
   void matmul_into(const Matrix& other, Matrix& out) const;
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   /// Benchmark floor: textbook i-j-k product through the always-checked
   /// accessor (strided B walk, bounds check per element). This is the
   /// unoptimised-scalar lower bound the perf gate compares against, NOT the
@@ -143,7 +142,6 @@ class Matrix {
   /// raw pointers and the zero-skip, unblocked. Retained so the report can
   /// show the blocked kernel's gain over what the repo really shipped.
   Matrix matmul_unblocked(const Matrix& other) const;
-#endif
   /// thisᵀ * other without materialising the transpose.
   Matrix matmul_transposed_self(const Matrix& other) const;
   /// out += thisᵀ * other, accumulating directly into `out` (must already be

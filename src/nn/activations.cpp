@@ -74,7 +74,6 @@ const Matrix& Sigmoid::backward(const Matrix& grad_output) {
   return grad_in_ws_;
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
 Matrix Tanh::forward_reference(const Matrix& input) {
   cached_output_ = input;
   cached_output_.apply([](double x) { return std::tanh(x); });
@@ -106,6 +105,5 @@ Matrix Sigmoid::backward_reference(const Matrix& grad_output) {
         grad_output.data()[i] * dsigmoid_from_output(cached_output_.data()[i]);
   return grad_in;
 }
-#endif
 
 }  // namespace drcell::nn

@@ -5,9 +5,8 @@
 // array kernels (util/fastmath.h). Numeric-divergence contract: fastmath
 // matches std:: within 1e-12 relative on [-40, 40] (measured ≲ 1e-15 —
 // tests/fastmath_test.cpp), so outputs differ from the retained std::-based
-// reference path (forward_reference/backward_reference, compiled under
-// DRCELL_ENABLE_REFERENCE_KERNELS) at the last bits. See
-// docs/ARCHITECTURE.md ("Fastmath and the fused LSTM gate kernel").
+// reference path (forward_reference/backward_reference) at the last bits.
+// See docs/ARCHITECTURE.md ("Fastmath and the fused LSTM gate kernel").
 #pragma once
 
 #include "nn/layer.h"
@@ -36,13 +35,11 @@ class Tanh : public Layer {
  public:
   const Matrix& forward(const Matrix& input) override;
   const Matrix& backward(const Matrix& grad_output) override;
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   /// The pre-fastmath std::tanh path (diverges from forward() by the
   /// documented ≤1e-12 relative bound, unlike the bit-identical default
   /// reference delegation of the other layers).
   Matrix forward_reference(const Matrix& input) override;
   Matrix backward_reference(const Matrix& grad_output) override;
-#endif
   std::string name() const override { return "Tanh"; }
 
  private:
@@ -54,11 +51,9 @@ class Sigmoid : public Layer {
  public:
   const Matrix& forward(const Matrix& input) override;
   const Matrix& backward(const Matrix& grad_output) override;
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   /// The pre-fastmath nn::sigmoid path (same divergence contract as Tanh).
   Matrix forward_reference(const Matrix& input) override;
   Matrix backward_reference(const Matrix& grad_output) override;
-#endif
   std::string name() const override { return "Sigmoid"; }
 
  private:

@@ -121,7 +121,6 @@ const Matrix& Dense::backward_columns(const Matrix& grad_columns,
   return grad_in_ws_;
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
 Matrix Dense::forward_reference(const Matrix& input) {
   DRCELL_CHECK_MSG(input.cols() == w_.value.rows(),
                    "Dense: input feature mismatch");
@@ -142,6 +141,5 @@ Matrix Dense::backward_reference(const Matrix& grad_output) {
       b_.grad(0, c) += grad_output(r, c);
   return grad_output.matmul(w_.value.transposed());
 }
-#endif
 
 }  // namespace drcell::nn

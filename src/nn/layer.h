@@ -53,7 +53,6 @@ class Layer {
   virtual const Matrix& forward(const Matrix& input) = 0;
   virtual const Matrix& backward(const Matrix& grad_output) = 0;
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   /// Retained pre-workspace reference path (benchmark floor of the batched
   /// training engine, per the repo's retained-naive-reference convention):
   /// value-returning calls that allocate fresh outputs and, where the
@@ -68,7 +67,6 @@ class Layer {
   virtual Matrix backward_reference(const Matrix& grad_output) {
     return backward(grad_output);
   }
-#endif
 
   /// Trainable parameters (empty for activations).
   virtual std::vector<Parameter*> parameters() { return {}; }

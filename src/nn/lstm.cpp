@@ -202,7 +202,6 @@ void Lstm::finish_step(std::size_t t) {
   Matrix& ht = h_[t];
   ht.resize_overwrite(batch_, hidden);
   const Matrix* c_prev = t > 0 ? &c_[t - 1] : nullptr;
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   if (reference_gate_kernel_) {
     // Forced std:: gates (the bit-identity test machinery) bypass the
     // backend so both sides of a batched-vs-per-sample comparison share one
@@ -210,7 +209,6 @@ void Lstm::finish_step(std::size_t t) {
     lstm_gate_forward_reference(z, c_prev, gates, ct, tct, ht);
     return;
   }
-#endif
   BackendRegistry::active().lstm_gate_forward(z, c_prev, gates, ct, tct, ht);
 }
 
@@ -318,12 +316,10 @@ const std::vector<Matrix>& Lstm::backward_sequence(
     dz.resize_overwrite(batch_, 4 * hidden);
     dc_prev_ws_.resize_overwrite(batch_, hidden);
     const Matrix* c_prev = t > 0 ? &c_[t - 1] : nullptr;
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
     if (reference_gate_kernel_)
       lstm_gate_backward_reference(gates, tct, c_prev, dh_ws_, dc_next_ws_,
                                    dz, dc_prev_ws_);
     else
-#endif
       BackendRegistry::active().lstm_gate_backward(gates, tct, c_prev, dh_ws_,
                                                    dc_next_ws_, dz,
                                                    dc_prev_ws_);
@@ -403,7 +399,6 @@ const std::vector<Matrix>& Lstm::backward_sequence(
   return grad_x_;
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
 Matrix Lstm::forward_reference(const std::vector<Matrix>& steps) {
   // The pre-refactor forward: per-step products and gate blocks allocated
   // fresh every call, the zero initial hidden state multiplied through.
@@ -519,6 +514,5 @@ std::vector<Matrix> Lstm::backward_reference(const Matrix& grad_last_hidden) {
   }
   return grad_x;
 }
-#endif
 
 }  // namespace drcell::nn

@@ -65,9 +65,7 @@ void lstm_gate_backward(const Matrix& gates, const Matrix& tanh_c,
 /// The retained pre-fastmath gate passes (std::tanh / nn::sigmoid, scalar
 /// per-element loop) — the benchmark floor of `lstm_gate_pass`, the gate
 /// kernel driven by Lstm::set_reference_gate_kernel(true), and the gate
-/// implementation of the always-built "reference" compute backend
-/// (linalg/backend.h), which is why they are no longer gated behind
-/// DRCELL_ENABLE_REFERENCE_KERNELS.
+/// implementation of the "reference" compute backend (linalg/backend.h).
 void lstm_gate_forward_reference(const Matrix& z, const Matrix* c_prev,
                                  Matrix& gates, Matrix& c, Matrix& tanh_c,
                                  Matrix& h);
@@ -119,7 +117,6 @@ class Lstm {
       const std::vector<Matrix>& grad_hidden_per_step,
       bool compute_input_grads = true);
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   /// Retained pre-refactor cell (the benchmark floor of the batched
   /// engine): fresh per-step allocations, Wxᵀ/Whᵀ materialised every step
   /// of the backward recursion, parameter gradients accumulated per step,
@@ -139,7 +136,6 @@ class Lstm {
   /// sides on std:: arithmetic).
   void set_reference_gate_kernel(bool on) { reference_gate_kernel_ = on; }
   bool reference_gate_kernel() const { return reference_gate_kernel_; }
-#endif
 
   std::vector<Parameter*> parameters() { return {&wx_, &wh_, &b_}; }
 
@@ -158,9 +154,7 @@ class Lstm {
   /// step-t caches.
   void finish_step(std::size_t t);
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   bool reference_gate_kernel_ = false;
-#endif
   // Forward caches (one entry per time step; storage reused across calls).
   std::vector<Matrix> x_;       // inputs (dense path)
   std::vector<SparseRowMatrix> sx_;  // inputs (sparse path)

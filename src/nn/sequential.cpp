@@ -23,7 +23,6 @@ const Matrix& Sequential::backward(const Matrix& grad_output) {
   return *g;
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
 Matrix Sequential::forward_reference(const Matrix& input) {
   DRCELL_CHECK_MSG(!layers_.empty(), "empty Sequential");
   Matrix x = input;
@@ -38,7 +37,6 @@ Matrix Sequential::backward_reference(const Matrix& grad_output) {
     g = (*it)->backward_reference(g);
   return g;
 }
-#endif
 
 std::vector<Parameter*> Sequential::parameters() {
   std::vector<Parameter*> all;

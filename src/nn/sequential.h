@@ -27,12 +27,10 @@ class Sequential {
   const Matrix& forward(const Matrix& input);
   const Matrix& backward(const Matrix& grad_output);
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   /// Chains the layers' retained pre-workspace reference calls (fresh
   /// allocations per call). Bit-identical to forward()/backward().
   Matrix forward_reference(const Matrix& input);
   Matrix backward_reference(const Matrix& grad_output);
-#endif
 
   std::vector<Parameter*> parameters();
   std::size_t layer_count() const { return layers_.size(); }

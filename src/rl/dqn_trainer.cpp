@@ -23,12 +23,10 @@ DqnTrainer::DqnTrainer(QNetworkPtr online, DqnOptions options,
   DRCELL_CHECK(options_.target_sync_interval > 0);
   DRCELL_CHECK(options_.min_replay >= options_.batch_size);
   target_ = online_->clone_architecture(rng_);
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   if (options_.reference_gate_kernel) {
     online_->set_reference_gate_kernel(true);
     target_->set_reference_gate_kernel(true);
   }
-#endif
   sync_target();
   optimizer_ = std::make_unique<nn::Adam>(online_->parameters(),
                                           options_.learning_rate);
@@ -171,22 +169,14 @@ double DqnTrainer::train_step() {
   DRCELL_FAULT_SITE("train.step", "");
   if (replay_.size() < options_.min_replay) return 0.0;
   const auto batch = replay_.sample_indices(options_.batch_size, rng_);
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-  if (options_.reference_path) return train_step_reference_on_indices(batch);
-#else
-  DRCELL_CHECK_MSG(!options_.reference_path,
-                   "reference_path requires DRCELL_REFERENCE_KERNELS");
-#endif
   return train_step_on_indices(batch);
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
 double DqnTrainer::train_step_reference() {
   if (replay_.size() < options_.min_replay) return 0.0;
   const auto batch = replay_.sample_indices(options_.batch_size, rng_);
   return train_step_reference_on_indices(batch);
 }
-#endif
 
 double DqnTrainer::train_step_on_indices(
     std::span<const std::size_t> indices) {
@@ -409,7 +399,6 @@ std::size_t DqnTrainer::greedy_action_candidates(
   return candidates[candidate_argmax(state_ones, candidates)];
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
 std::vector<Matrix> DqnTrainer::to_reference_sequence(
     const SparseRowMatrix& s) const {
   // Fresh per-call allocations on purpose — this feeds the retained
@@ -474,7 +463,6 @@ double DqnTrainer::train_step_reference_on_indices(
   }
   return finish_update(raw_loss_sum, normalizer);
 }
-#endif
 
 void DqnTrainer::sync_target() {
   nn::copy_parameters(online_->parameters(), target_->parameters());

@@ -38,13 +38,6 @@ struct DqnOptions {
   double grad_clip_norm = 5.0;        ///< global-norm clipping; 0 disables
   double huber_delta = 1.0;           ///< TD-error robustness threshold
   bool double_dqn = false;            ///< Hasselt-style target (extension)
-  /// Route train_step() through the retained per-sample reference path
-  /// instead of the batched engine. Debug/verification only: the two paths
-  /// are bit-identical by contract (given the same gate kernel, see
-  /// reference_gate_kernel below), the reference is just slower. Requires
-  /// a build with DRCELL_REFERENCE_KERNELS (the default).
-  bool reference_path = false;
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   /// Run the batched engine's *recurrent* (LSTM) gate nonlinearities
   /// (online and target networks) through the retained std::-based kernels
   /// instead of the fused fastmath pass. Verification/benchmark only: with
@@ -59,7 +52,6 @@ struct DqnOptions {
   /// from its std:: reference path by the same fastmath bound even with
   /// this flag set.
   bool reference_gate_kernel = false;
-#endif
   /// Train on candidate action subsets (metro tier): the minibatch is
   /// assembled sparse, the online Q head is evaluated only at each
   /// transition's taken action and the bootstrap argmax only over its
@@ -132,15 +124,13 @@ class DqnTrainer {
   void observe(Experience e);
 
   /// One batched minibatch update; returns the TD loss, or 0 while the
-  /// pool is below the warm-up threshold. (With options().reference_path
-  /// the update runs through train_step_reference() instead.)
+  /// pool is below the warm-up threshold.
   double train_step();
 
   /// The batched update core on a caller-chosen minibatch (exposed so
   /// tests and the bench can drive both paths over the identical batch).
   double train_step_on_indices(std::span<const std::size_t> indices);
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   /// The retained per-sample reference update (benchmark floor, same
   /// convention as Matrix::matmul_naive): samples the same draw stream,
   /// then forwards/backpropagates each transition as its own B=1 sequence
@@ -152,7 +142,6 @@ class DqnTrainer {
   double train_step_reference();
   double train_step_reference_on_indices(
       std::span<const std::size_t> indices);
-#endif
 
   /// Copies the online parameters into the fixed-target network.
   void sync_target();
@@ -190,11 +179,9 @@ class DqnTrainer {
   /// DqnOptions::candidate_training).
   double train_step_candidates_on_indices(
       std::span<const std::size_t> indices);
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   /// Densifies one cached sparse encoding into the B=1 timestep-major
   /// sequence the reference implementations consume.
   std::vector<Matrix> to_reference_sequence(const SparseRowMatrix& s) const;
-#endif
 
   QNetworkPtr online_;
   QNetworkPtr target_;

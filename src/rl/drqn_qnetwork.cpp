@@ -66,7 +66,6 @@ void DrqnQNetwork::backward_columns(const Matrix& grad_columns,
   lstm_.backward(*g, /*compute_input_grads=*/false);
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
 Matrix DrqnQNetwork::forward_reference(const std::vector<Matrix>& sequence) {
   DRCELL_CHECK_MSG(sequence.size() == history_steps_,
                    "sequence length mismatch");
@@ -80,7 +79,6 @@ void DrqnQNetwork::backward_reference(const Matrix& grad_q) {
   const Matrix grad_hidden = head_.backward_reference(grad_q);
   (void)lstm_.backward_reference(grad_hidden);
 }
-#endif
 
 std::vector<nn::Parameter*> DrqnQNetwork::parameters() {
   auto ps = lstm_.parameters();

@@ -33,13 +33,11 @@ class DrqnQNetwork final : public QNetwork {
       const ActionColumns& columns) override;
   void backward_columns(const Matrix& grad_columns,
                         const ActionColumns& columns) override;
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   Matrix forward_reference(const std::vector<Matrix>& sequence) override;
   void backward_reference(const Matrix& grad_q) override;
   void set_reference_gate_kernel(bool on) override {
     lstm_.set_reference_gate_kernel(on);
   }
-#endif
   std::vector<nn::Parameter*> parameters() override;
   std::unique_ptr<QNetwork> clone_architecture(Rng& rng) const override;
   std::size_t num_actions() const override { return num_cells_; }

@@ -43,7 +43,6 @@ const Matrix& MlpQNetwork::forward_batch(
 
 void MlpQNetwork::backward(const Matrix& grad_q) { net_.backward(grad_q); }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
 Matrix MlpQNetwork::forward_reference(const std::vector<Matrix>& sequence) {
   // Pre-refactor behaviour: the flattened window is a fresh allocation per
   // call, and every layer allocates its output.
@@ -54,7 +53,6 @@ Matrix MlpQNetwork::forward_reference(const std::vector<Matrix>& sequence) {
 void MlpQNetwork::backward_reference(const Matrix& grad_q) {
   (void)net_.backward_reference(grad_q);
 }
-#endif
 
 std::vector<nn::Parameter*> MlpQNetwork::parameters() {
   return net_.parameters();

@@ -17,10 +17,8 @@ class MlpQNetwork final : public QNetwork {
   const Matrix& forward_batch(
       const std::vector<Matrix>& timestep_major_batch) override;
   void backward(const Matrix& grad_q) override;
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   Matrix forward_reference(const std::vector<Matrix>& sequence) override;
   void backward_reference(const Matrix& grad_q) override;
-#endif
   std::vector<nn::Parameter*> parameters() override;
   std::unique_ptr<QNetwork> clone_architecture(Rng& rng) const override;
   std::size_t num_actions() const override { return num_cells_; }

@@ -87,7 +87,6 @@ class QNetwork {
                                    name() + " has no candidate-column path");
   }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
   /// Retained pre-batching reference path (the benchmark floor the batched
   /// engine is gated against, per the repo's retained-naive-reference
   /// convention): value-returning forward through the pre-workspace layer
@@ -102,7 +101,6 @@ class QNetwork {
   /// the retained std::-based kernels instead of the fused fastmath ones
   /// (see nn/lstm.h). No-op for networks without such kernels (MLP).
   virtual void set_reference_gate_kernel(bool /*on*/) {}
-#endif
 
   virtual std::vector<nn::Parameter*> parameters() = 0;
 

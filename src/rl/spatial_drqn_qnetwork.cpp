@@ -201,7 +201,6 @@ void SpatialDrqnQNetwork::backward_columns(const Matrix& grad_columns,
   lstm_.backward(query_.backward(dquery_ws_), /*compute_input_grads=*/false);
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
 Matrix SpatialDrqnQNetwork::forward_reference(
     const std::vector<Matrix>& sequence) {
   DRCELL_CHECK_MSG(sequence.size() == history_steps_,
@@ -221,7 +220,6 @@ void SpatialDrqnQNetwork::backward_reference(const Matrix& grad_q) {
   const Matrix grad_hidden = query_.backward_reference(dquery);
   (void)lstm_.backward_reference(grad_hidden);
 }
-#endif
 
 std::vector<nn::Parameter*> SpatialDrqnQNetwork::parameters() {
   auto ps = lstm_.parameters();

@@ -351,7 +351,6 @@ TEST_F(BackendConformance, LstmGradientsMatchCentralDifferences) {
   }
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
 TEST_F(BackendConformance, BatchedTrainStepMatchesPerSample) {
   // Batched-vs-per-sample train-step equivalence at B in {1, 7, 32}: two
   // identically seeded DRQN trainers, one batched and one through the
@@ -415,7 +414,6 @@ TEST_F(BackendConformance, BatchedTrainStepMatchesPerSample) {
     }
   }
 }
-#endif  // DRCELL_ENABLE_REFERENCE_KERNELS
 
 TEST_F(BackendConformance, TrainStepWorkerCountInvariance) {
   // The batched trainer's results must not depend on how many pool workers

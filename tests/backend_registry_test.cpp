@@ -139,7 +139,6 @@ TEST_F(BackendRegistryTest, RegisterCustomBackendAndDuplicateNameThrows) {
       CheckError);
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
 TEST_F(BackendRegistryTest, NativeMatmulPinnedToPreRegistrySeedKernel) {
   // The native-pin regression: the registry-dispatched matmul must stay
   // bit-identical to matmul_unblocked, the retained seed kernel that never
@@ -155,7 +154,6 @@ TEST_F(BackendRegistryTest, NativeMatmulPinnedToPreRegistrySeedKernel) {
         << s[0] << "x" << s[1] << "x" << s[2];
   }
 }
-#endif
 
 TEST_F(BackendRegistryTest, DirectKernelCallsMatchDispatchedMethods) {
   // kernels:: free functions (what the native backend forwards to) vs the

@@ -224,7 +224,6 @@ rl::QNetworkPtr make_qnet(bool drqn, std::size_t cells, std::size_t k,
                                            std::vector<std::size_t>{16}, rng);
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
 /// Two identically seeded trainers, one driven batched and one through the
 /// retained per-sample reference path (B=1 sequences through the networks'
 /// pre-refactor reference implementations) over the same minibatches, must
@@ -291,34 +290,6 @@ TEST(BatchedTrainStep, DoubleDqnMatchesReferenceBitIdentically) {
   expect_train_step_matches_reference(true, true, 3);
 }
 
-TEST(BatchedTrainStep, ReferencePathOptionRoutesTrainStep) {
-  // options.reference_path must drive train_step() through the per-sample
-  // core while consuming the same sample draw — end state bit-identical.
-  const std::size_t cells = 5, k = 2;
-  rl::DqnOptions opt;
-  opt.batch_size = 4;
-  opt.min_replay = 4;
-  opt.replay_capacity = 32;
-  opt.reference_gate_kernel = true;  // both sides on std:: gate arithmetic
-  rl::DqnOptions ref_opt = opt;
-  ref_opt.reference_path = true;
-
-  rl::DqnTrainer batched(make_qnet(true, cells, k, 21), opt, 31);
-  rl::DqnTrainer reference(make_qnet(true, cells, k, 21), ref_opt, 31);
-  Rng fill(3);
-  for (int i = 0; i < 16; ++i) {
-    rl::Experience e = random_experience(cells, k, fill);
-    rl::Experience copy = e;
-    batched.observe(std::move(e));
-    reference.observe(std::move(copy));
-  }
-  for (int step = 0; step < 6; ++step)
-    ASSERT_EQ(batched.train_step(), reference.train_step()) << step;
-  const auto pa = batched.online().parameters();
-  const auto pb = reference.online().parameters();
-  for (std::size_t i = 0; i < pa.size(); ++i)
-    EXPECT_EQ(pa[i]->value, pb[i]->value) << "param " << i;
-}
 TEST(BatchedTrainStep, FastmathGateKernelTracksReferenceWithinTolerance) {
   // The production DRQN path (fused fastmath gate kernel) vs the per-sample
   // std:: reference: no longer bit-identical — every gate activation may
@@ -362,7 +333,6 @@ TEST(BatchedTrainStep, FastmathGateKernelTracksReferenceWithinTolerance) {
     EXPECT_LT(max_abs, 1e-8) << "param " << i;
   }
 }
-#endif  // DRCELL_ENABLE_REFERENCE_KERNELS
 
 TEST(FillTimestepMajor, MatchesManualAssemblyAndReusesCache) {
   const std::size_t cells = 4, k = 3;

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -589,7 +591,7 @@ TEST(SchedulerFaults, QuarantineStateSurvivesCheckpointRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint integrity: corruption vs mismatch, v1 compatibility
+// Checkpoint integrity: corruption vs mismatch
 
 TEST(CheckpointIntegrity, TruncationAndBitFlipAreCorruption) {
   const ToyFleet fleet;
@@ -600,26 +602,33 @@ TEST(CheckpointIntegrity, TruncationAndBitFlipAreCorruption) {
   core::save_checkpoint(burst, out);
   const std::string bytes = out.str();
 
-  {
+  const auto expect_corruption = [](const std::string& stream,
+                                    const std::string& what) {
+    SCOPED_TRACE(what);
     const ToyFleet fresh_fleet;
     core::CampaignScheduler fresh;
     fresh_fleet.populate(fresh);
-    std::istringstream in(bytes.substr(0, bytes.size() - 7),
-                          std::ios::binary);
+    std::istringstream in(stream, std::ios::binary);
     EXPECT_THROW(core::load_checkpoint(fresh, in),
                  core::CheckpointCorruptionError);
-  }
-  {
+  };
+  const auto flip = [&bytes](std::size_t at) {
     std::string flipped = bytes;
-    flipped[flipped.size() / 2] =
-        static_cast<char>(flipped[flipped.size() / 2] ^ 0x01);
-    const ToyFleet fresh_fleet;
-    core::CampaignScheduler fresh;
-    fresh_fleet.populate(fresh);
-    std::istringstream in(flipped, std::ios::binary);
-    EXPECT_THROW(core::load_checkpoint(fresh, in),
-                 core::CheckpointCorruptionError);
-  }
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x01);
+    return flipped;
+  };
+
+  expect_corruption(bytes.substr(0, bytes.size() - 7), "truncated");
+  expect_corruption(flip(bytes.size() / 2), "payload bit flip");
+  // Envelope header: magic [0, 4), u32 version [4, 8), u64 payload size
+  // [8, 16), u32 CRC [16, 20). Every bit flip there is damage too.
+  for (std::size_t at = 0; at < 20; ++at)
+    expect_corruption(flip(at), "header byte " + std::to_string(at));
+  // A retired or unknown format version is not a fleet mismatch.
+  std::string v1 = bytes;
+  const std::uint32_t version1 = 1;
+  std::memcpy(v1.data() + 4, &version1, sizeof(version1));
+  expect_corruption(v1, "version 1");
 }
 
 TEST(CheckpointIntegrity, WrongFleetIsMismatchNotCorruption) {
@@ -640,29 +649,6 @@ TEST(CheckpointIntegrity, WrongFleetIsMismatchNotCorruption) {
   std::istringstream in(out.str(), std::ios::binary);
   EXPECT_THROW(core::load_checkpoint(other, in),
                core::CheckpointMismatchError);
-}
-
-TEST(CheckpointIntegrity, LegacyV1StreamStillResumesBitIdentically) {
-  const ToyFleet clean;
-  core::CampaignScheduler uninterrupted;
-  clean.populate(uninterrupted);
-  uninterrupted.run();
-
-  const ToyFleet burst_fleet;
-  core::CampaignScheduler burst;
-  burst_fleet.populate(burst);
-  burst.run(/*max_waves=*/6);
-  std::ostringstream out(std::ios::binary);
-  core::save_checkpoint_v1(burst, out);  // legacy writer, no CRC envelope
-
-  const ToyFleet resumed_fleet;
-  core::CampaignScheduler resumed;
-  resumed_fleet.populate(resumed);
-  std::istringstream in(out.str(), std::ios::binary);
-  core::load_checkpoint(resumed, in);
-  resumed.run();
-  for (std::size_t slot = 0; slot < 4; ++slot)
-    expect_campaign_identical(uninterrupted, resumed, slot);
 }
 
 // ---------------------------------------------------------------------------

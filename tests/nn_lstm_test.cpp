@@ -109,7 +109,6 @@ TEST(LstmGateKernel, FusedGradientCheckAtBatch1And32) {
   }
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
 TEST(LstmGateKernel, FusedMatchesStdReferenceWithinFastmathTolerance) {
   // Fused fastmath vs the retained std:: gate kernel, B ∈ {1, 32}: hidden
   // states and accumulated parameter gradients agree within the fastmath
@@ -146,7 +145,6 @@ TEST(LstmGateKernel, FusedMatchesStdReferenceWithinFastmathTolerance) {
             << "batch=" << batch << " param=" << p;
   }
 }
-#endif
 
 TEST(Lstm, GradientWrtParametersMatchesFiniteDifferences) {
   Rng rng(9);

@@ -29,7 +29,6 @@ double max_abs_diff(const Matrix& a, const Matrix& b) {
   return worst;
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
 TEST(BlockedMatmul, MatchesNaiveReferenceOnRandomShapes) {
   // Shapes straddle the tile boundaries (32/128): smaller, exact multiples,
   // and non-multiples in every dimension.
@@ -50,7 +49,6 @@ TEST(BlockedMatmul, MatchesNaiveReferenceOnRandomShapes) {
         << "shape " << s[0] << "x" << s[1] << "x" << s[2];
   }
 }
-#endif
 
 TEST(BlockedMatmul, MatmulIntoReusesStorageAndMatchesMatmul) {
   Rng rng(7);
