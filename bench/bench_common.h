@@ -21,6 +21,7 @@
 #include "cs/matrix_completion.h"
 #include "data/datasets.h"
 #include "linalg/backend.h"
+#include "util/isa.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
 
@@ -119,6 +120,10 @@ class JsonReporter {
         << (quick_ ? "true" : "false");
     if (!backend_.empty()) out << ",\n  \"backend\": \"" << backend_ << "\"";
     if (cores_ > 0) out << ",\n  \"hardware_concurrency\": " << cores_;
+    // The ISA variant the dispatched kernels ran (util/isa.h): ratios such
+    // as matmul_320 roughly double under AVX2, so reports are only
+    // comparable at equal kernel_isa.
+    out << ",\n  \"kernel_isa\": \"" << isa::name(isa::selected()) << "\"";
     out << ",\n  \"entries\": [\n";
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];

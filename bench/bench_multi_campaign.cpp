@@ -38,6 +38,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -554,6 +555,7 @@ int main(int argc, char** argv) {
   Stopwatch total;
   JsonReporter report("multi_campaign", quick);
   report.set_backend(backend);
+  report.set_hardware_concurrency(std::thread::hardware_concurrency());
   std::cout << "multi-campaign serving bench (" << (quick ? "quick" : "full")
             << " mode)\n\n";
 

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -248,6 +249,7 @@ int main(int argc, char** argv) {
       bench::json_path(argc, argv, "BENCH_scale_10000cell.json");
   bench::JsonReporter report("scale_10000cell", quick);
   report.set_backend(backend);
+  report.set_hardware_concurrency(std::thread::hardware_concurrency());
   Stopwatch total;
 
   std::cout << "generating 10000-cell metro-scale task (100 x 100 grid, "

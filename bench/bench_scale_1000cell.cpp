@@ -10,6 +10,7 @@
 //   ./build/bench_scale_1000cell [--quick] [--json [path]]
 #include <cstdlib>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -337,6 +338,7 @@ int main(int argc, char** argv) {
       bench::json_path(argc, argv, "BENCH_scale_1000cell.json");
   bench::JsonReporter report("scale_1000cell", quick);
   report.set_backend(backend);
+  report.set_hardware_concurrency(std::thread::hardware_concurrency());
   Stopwatch total;
 
   std::cout << "generating 1000-cell city-scale task (25 x 40 grid)...\n";

@@ -1,32 +1,35 @@
-// The native kernel bodies behind the "native" compute backend — the tuned
-// implementations that used to live inline in Matrix / SparseRowMatrix.
-// They are plain free functions so the native backend, the conformance
-// suite, and the native-pin regression test can call them without going
-// through the registry. Precondition checking and output sizing are the
-// callers' job (the Matrix/SparseRowMatrix methods validate before
-// dispatch); kernels assume validated operands and the output conventions
-// documented on ComputeBackend (linalg/backend.h).
+// The native kernel bodies behind the "native" compute backend
+// (linalg/kernels.cpp). They are plain free functions so the native backend,
+// the conformance suite, and the native-pin regression test can call them
+// without going through the registry; each forwards to the ISA variant
+// selected once per process (util/isa.h). Precondition checking and output
+// sizing are the callers' job (the Matrix/SparseRowMatrix methods validate
+// before dispatch); kernels assume validated operands and the output
+// conventions documented on ComputeBackend (linalg/backend.h).
 #pragma once
+
+#include <span>
 
 #include "linalg/matrix.h"
 #include "linalg/sparse_matrix.h"
+#include "util/isa.h"
 
 namespace drcell::kernels {
 
-/// Cache-blocked matmul with the 8-wide register-blocked inner tile.
+/// Cache-blocked matmul with 16-wide register strips inside each tile.
 /// Accumulates into a zeroed, pre-sized `out`. Per output element the
 /// additions run in ascending-k order with the aik == 0.0 skip, and each
 /// output row depends only on its own input row (the batched-determinism
 /// contract).
 void matmul_blocked_into(const Matrix& a, const Matrix& b, Matrix& out);
 
-/// out(i,j) = dot(row_i(a), row_j(b)) — a·bᵀ without materialising the
-/// transpose, 4 dots sharing one pass over the A row. Assigns every element
-/// of the pre-sized `out`.
+/// out(i,j) = dot(row_i(a), row_j(b)) — a·bᵀ through the blocked body over
+/// bᵀ blocks packed into a per-call stack panel, so the caller never holds
+/// the transpose. Assigns every element of the pre-sized `out`.
 void matmul_transposed_other_into(const Matrix& a, const Matrix& b,
                                   Matrix& out);
 
-/// out += aᵀ·b, k-outer over ascending rows of `a` with the zero skip —
+/// out += aᵀ·b, ascending rows of `a` per element with the zero skip —
 /// the gradient-determinism primitive (stacked per-sample rows replay a
 /// per-sample accumulation loop addition for addition).
 void matmul_transposed_self_add(const Matrix& a, const Matrix& b, Matrix& out);
@@ -42,5 +45,23 @@ void sparse_gather_matmul_into(const SparseRowMatrix& a, const Matrix& b,
 /// parameter-gradient pass, same bit-identity argument.
 void sparse_gather_transposed_self_add(const SparseRowMatrix& a,
                                        const Matrix& b, Matrix& out);
+
+/// One ISA build of the five kernels above (same signatures). Every
+/// variant is bit-identical to every other; they differ in vector width.
+struct GemmVariant {
+  isa::Isa isa;
+  void (*matmul_blocked_into)(const Matrix&, const Matrix&, Matrix&);
+  void (*matmul_transposed_other_into)(const Matrix&, const Matrix&, Matrix&);
+  void (*matmul_transposed_self_add)(const Matrix&, const Matrix&, Matrix&);
+  void (*sparse_gather_matmul_into)(const SparseRowMatrix&, const Matrix&,
+                                    Matrix&);
+  void (*sparse_gather_transposed_self_add)(const SparseRowMatrix&,
+                                            const Matrix&, Matrix&);
+};
+
+/// The variants this host can run, baseline first (AVX2 second when
+/// supported). The free functions above call the isa::selected() one; the
+/// kernel property tests call each of these directly.
+std::span<const GemmVariant> gemm_variants();
 
 }  // namespace drcell::kernels

@@ -6,20 +6,9 @@
 #include <sstream>
 
 #include "linalg/backend.h"
-#include "linalg/kernels.h"
 #include "util/rng.h"
 
 namespace drcell {
-
-namespace {
-// Cache-blocking tiles for the matmul kernel. The combined footprint is
-// ~72 KiB (8 KiB A panel + 32 KiB B stripe + 32 KiB C stripe) — sized for
-// L2 residency, with the single B row and C row the inner loop touches
-// (kTileJ doubles = 1 KiB each) staying hot in L1.
-constexpr std::size_t kTileI = 32;
-constexpr std::size_t kTileK = 32;
-constexpr std::size_t kTileJ = 128;
-}  // namespace
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
@@ -128,80 +117,6 @@ void Matrix::matmul_into(const Matrix& other, Matrix& out) const {
   BackendRegistry::active().matmul_into(*this, other, out);
 }
 
-namespace kernels {
-
-void matmul_blocked_into(const Matrix& a_m, const Matrix& b_m, Matrix& out) {
-  const std::size_t rows = a_m.rows();
-  const std::size_t cols = a_m.cols();
-  const std::size_t n = b_m.cols();
-  const double* a = a_m.data().data();
-  const double* b = b_m.data().data();
-  double* c = out.data().data();
-  // Blocked kernel with an 8-wide register-blocked inner tile: for each
-  // 8-column C strip the 8 partial sums live in registers across the whole
-  // k-tile (SIMD-friendly: two 4-wide FMA lanes), so C is loaded and stored
-  // once per k-tile instead of once per k. Per output element the additions
-  // still run in ascending k order — tiles in kk order, k ascending within a
-  // tile — so the result is bit-identical to the plain ikj loop and, because
-  // each output row depends only on its own input row, independent of the
-  // batch size stacked into `this` (the batched-training determinism
-  // contract; see docs/ARCHITECTURE.md). The aik == 0 skip is kept because
-  // the RL state sequences are near-one-hot.
-  for (std::size_t ii = 0; ii < rows; ii += kTileI) {
-    const std::size_t i_end = std::min(rows, ii + kTileI);
-    for (std::size_t kk = 0; kk < cols; kk += kTileK) {
-      const std::size_t k_end = std::min(cols, kk + kTileK);
-      for (std::size_t jj = 0; jj < n; jj += kTileJ) {
-        const std::size_t j_end = std::min(n, jj + kTileJ);
-        const std::size_t j_end8 = jj + (j_end - jj) / 8 * 8;
-        for (std::size_t i = ii; i < i_end; ++i) {
-          const double* arow = a + i * cols;
-          double* crow = c + i * n;
-          for (std::size_t j = jj; j < j_end8; j += 8) {
-            double c0 = crow[j], c1 = crow[j + 1];
-            double c2 = crow[j + 2], c3 = crow[j + 3];
-            double c4 = crow[j + 4], c5 = crow[j + 5];
-            double c6 = crow[j + 6], c7 = crow[j + 7];
-            for (std::size_t k = kk; k < k_end; ++k) {
-              const double aik = arow[k];
-              if (aik == 0.0) continue;
-              const double* brow = b + k * n + j;
-              c0 += aik * brow[0];
-              c1 += aik * brow[1];
-              c2 += aik * brow[2];
-              c3 += aik * brow[3];
-              c4 += aik * brow[4];
-              c5 += aik * brow[5];
-              c6 += aik * brow[6];
-              c7 += aik * brow[7];
-            }
-            crow[j] = c0;
-            crow[j + 1] = c1;
-            crow[j + 2] = c2;
-            crow[j + 3] = c3;
-            crow[j + 4] = c4;
-            crow[j + 5] = c5;
-            crow[j + 6] = c6;
-            crow[j + 7] = c7;
-          }
-          // Sub-8 right edge of the tile: the original scalar loop.
-          if (j_end8 < j_end) {
-            for (std::size_t k = kk; k < k_end; ++k) {
-              const double aik = arow[k];
-              if (aik == 0.0) continue;
-              const double* brow = b + k * n;
-              for (std::size_t j = j_end8; j < j_end; ++j)
-                crow[j] += aik * brow[j];
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-}  // namespace kernels
-
 Matrix Matrix::matmul_naive(const Matrix& other) const {
   DRCELL_CHECK_MSG(cols_ == other.rows_, "matmul shape mismatch");
   Matrix out(rows_, other.cols_);
@@ -246,30 +161,6 @@ void Matrix::matmul_transposed_self_add(const Matrix& other,
   BackendRegistry::active().matmul_transposed_self_add(*this, other, out);
 }
 
-namespace kernels {
-
-void matmul_transposed_self_add(const Matrix& a_m, const Matrix& b_m,
-                                Matrix& out) {
-  const std::size_t rows = a_m.rows();
-  const std::size_t cols = a_m.cols();
-  const std::size_t n = b_m.cols();
-  const double* a = a_m.data().data();
-  const double* b = b_m.data().data();
-  double* o = out.data().data();
-  for (std::size_t k = 0; k < rows; ++k) {
-    const double* arow = a + k * cols;
-    const double* brow = b + k * n;
-    for (std::size_t i = 0; i < cols; ++i) {
-      const double aki = arow[i];
-      if (aki == 0.0) continue;
-      double* orow = o + i * n;
-      for (std::size_t j = 0; j < n; ++j) orow[j] += aki * brow[j];
-    }
-  }
-}
-
-}  // namespace kernels
-
 Matrix Matrix::matmul_transposed_other(const Matrix& other) const {
   Matrix out;
   matmul_transposed_other_into(other, out);
@@ -286,59 +177,6 @@ void Matrix::matmul_transposed_other_into(const Matrix& other,
   out.resize_overwrite(rows_, other.rows_);  // every element is assigned
   BackendRegistry::active().matmul_transposed_other_into(*this, other, out);
 }
-
-namespace kernels {
-
-void matmul_transposed_other_into(const Matrix& a_m, const Matrix& b_m,
-                                  Matrix& out) {
-  const std::size_t rows = a_m.rows();
-  const std::size_t n = b_m.rows();
-  const std::size_t depth = a_m.cols();
-  const double* a = a_m.data().data();
-  const double* b = b_m.data().data();
-  double* c = out.data().data();
-  // out(i,j) = dot(row_i(a), row_j(b)): both walks are contiguous, so no Wᵀ
-  // is ever materialised. Four dots share one pass over the A row
-  // (independent accumulators -> ILP); per element the additions run in
-  // ascending k order and depend only on that output's own pair of rows, so
-  // the result is batch-size independent like the matmul kernel.
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double* arow = a + i * depth;
-    double* crow = c + i * n;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const double* b0 = b + j * depth;
-      const double* b1 = b0 + depth;
-      const double* b2 = b1 + depth;
-      const double* b3 = b2 + depth;
-      double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0;
-      for (std::size_t k = 0; k < depth; ++k) {
-        const double aik = arow[k];
-        if (aik == 0.0) continue;
-        c0 += aik * b0[k];
-        c1 += aik * b1[k];
-        c2 += aik * b2[k];
-        c3 += aik * b3[k];
-      }
-      crow[j] = c0;
-      crow[j + 1] = c1;
-      crow[j + 2] = c2;
-      crow[j + 3] = c3;
-    }
-    for (; j < n; ++j) {
-      const double* brow = b + j * depth;
-      double s = 0.0;
-      for (std::size_t k = 0; k < depth; ++k) {
-        const double aik = arow[k];
-        if (aik == 0.0) continue;
-        s += aik * brow[k];
-      }
-      crow[j] = s;
-    }
-  }
-}
-
-}  // namespace kernels
 
 Matrix Matrix::hadamard(const Matrix& other) const {
   DRCELL_CHECK(rows_ == other.rows_ && cols_ == other.cols_);

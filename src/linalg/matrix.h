@@ -150,9 +150,9 @@ class Matrix {
   /// bit-identical to a per-sample loop: stacking per-sample rows and calling
   /// this replays exactly the additions the per-sample path would perform.
   void matmul_transposed_self_add(const Matrix& other, Matrix& out) const;
-  /// this * otherᵀ without materialising the transpose. Both operands are
-  /// walked along contiguous rows (out(i,j) = dot(row_i, other row_j), k
-  /// ascending), so backward passes no longer build Wᵀ every step.
+  /// this * otherᵀ without materialising the transpose: out(i,j) =
+  /// dot(row_i, other row_j), k ascending. The kernel packs otherᵀ in small
+  /// per-call blocks, so backward passes never build Wᵀ.
   Matrix matmul_transposed_other(const Matrix& other) const;
   /// this * otherᵀ written into `out`, reusing its storage when already
   /// correctly shaped. `out` must not alias either operand.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "linalg/backend.h"
-#include "linalg/kernels.h"
 
 namespace drcell {
 
@@ -86,43 +85,5 @@ void SparseRowMatrix::matmul_transposed_self_add(const Matrix& other,
   BackendRegistry::active().sparse_matmul_transposed_self_add(*this, other,
                                                               out);
 }
-
-namespace kernels {
-
-void sparse_gather_matmul_into(const SparseRowMatrix& a, const Matrix& b,
-                               Matrix& out) {
-  const std::size_t n = b.cols();
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const auto cols = a.row_indices(r);
-    const auto vals = a.row_values(r);
-    double* orow = out.row(r).data();
-    for (std::size_t e = 0; e < cols.size(); ++e) {
-      const double v = vals[e];
-      // The dense kernel skips aik == 0.0 terms; an explicitly stored zero
-      // must be skipped too, or ±0.0 additions could diverge.
-      if (v == 0.0) continue;
-      const double* brow = b.row(cols[e]).data();
-      for (std::size_t j = 0; j < n; ++j) orow[j] += v * brow[j];
-    }
-  }
-}
-
-void sparse_gather_transposed_self_add(const SparseRowMatrix& a,
-                                       const Matrix& b, Matrix& out) {
-  const std::size_t n = b.cols();
-  for (std::size_t k = 0; k < a.rows(); ++k) {
-    const auto cols = a.row_indices(k);
-    const auto vals = a.row_values(k);
-    const double* brow = b.row(k).data();
-    for (std::size_t e = 0; e < cols.size(); ++e) {
-      const double v = vals[e];
-      if (v == 0.0) continue;
-      double* orow = out.row(cols[e]).data();
-      for (std::size_t j = 0; j < n; ++j) orow[j] += v * brow[j];
-    }
-  }
-}
-
-}  // namespace kernels
 
 }  // namespace drcell

@@ -100,6 +100,7 @@ void DqnTrainer::observe(Experience e) {
     DRCELL_CHECK(e.state.size() == encoder_.state_size());
     DRCELL_CHECK(e.next_state.size() == encoder_.state_size());
   }
+  check_candidate_ids(e.next_candidates);
   if (e.next_candidates.empty()) {
     // Full-action bootstrap needs the mask (terminal transitions never
     // bootstrap, so theirs may stay empty).
@@ -339,17 +340,34 @@ double DqnTrainer::train_step_candidates_on_indices(
   return finish_update(loss.raw_sum, loss.normalizer);
 }
 
-std::vector<double> DqnTrainer::candidate_q_values(
+void DqnTrainer::check_candidate_ids(
+    std::span<const std::uint32_t> candidates) const {
+  // The restricted forwards and the bootstrap index weight and Q columns by
+  // these ids; their own range checks are DCHECKs, so Release builds rely
+  // on this one.
+  const std::size_t actions = online_->num_actions();
+  for (const std::uint32_t a : candidates)
+    DRCELL_CHECK_MSG(a < actions, "candidate action id out of range");
+}
+
+const Matrix& DqnTrainer::candidate_forward(
     std::span<const std::uint32_t> state_ones,
     std::span<const std::uint32_t> candidates) {
   DRCELL_CHECK_MSG(!candidates.empty(), "no candidate actions");
+  check_candidate_ids(candidates);
   const std::size_t k = encoder_.history_cycles();
   sel_seq_ws_.resize(k);
   for (auto& step : sel_seq_ws_) step.reset(1, encoder_.cells());
   encoder_.ones_to_sequence_row(state_ones, 0, sel_seq_ws_);
   sel_cols_ws_.resize(1);
   sel_cols_ws_[0].assign(candidates.begin(), candidates.end());
-  const Matrix& q = online_->forward_batch_columns(sel_seq_ws_, sel_cols_ws_);
+  return online_->forward_batch_columns(sel_seq_ws_, sel_cols_ws_);
+}
+
+std::vector<double> DqnTrainer::candidate_q_values(
+    std::span<const std::uint32_t> state_ones,
+    std::span<const std::uint32_t> candidates) {
+  const Matrix& q = candidate_forward(state_ones, candidates);
   std::vector<double> out(candidates.size());
   for (std::size_t j = 0; j < candidates.size(); ++j) out[j] = q(0, j);
   return out;
@@ -358,14 +376,7 @@ std::vector<double> DqnTrainer::candidate_q_values(
 std::size_t DqnTrainer::candidate_argmax(
     std::span<const std::uint32_t> state_ones,
     std::span<const std::uint32_t> candidates) {
-  DRCELL_CHECK_MSG(!candidates.empty(), "no candidate actions");
-  const std::size_t k = encoder_.history_cycles();
-  sel_seq_ws_.resize(k);
-  for (auto& step : sel_seq_ws_) step.reset(1, encoder_.cells());
-  encoder_.ones_to_sequence_row(state_ones, 0, sel_seq_ws_);
-  sel_cols_ws_.resize(1);
-  sel_cols_ws_[0].assign(candidates.begin(), candidates.end());
-  const Matrix& q = online_->forward_batch_columns(sel_seq_ws_, sel_cols_ws_);
+  const Matrix& q = candidate_forward(state_ones, candidates);
   std::size_t best = 0;
   double best_q = -std::numeric_limits<double>::infinity();
   for (std::size_t j = 0; j < candidates.size(); ++j) {
@@ -380,9 +391,10 @@ std::size_t DqnTrainer::candidate_argmax(
 std::size_t DqnTrainer::select_action_candidates(
     std::span<const std::uint32_t> state_ones,
     std::span<const std::uint32_t> candidates) {
+  // Score first, so a rejected candidate list leaves the schedule as it was.
+  const std::size_t best = candidate_argmax(state_ones, candidates);
   const double eps = current_epsilon();
   ++env_steps_;
-  const std::size_t best = candidate_argmax(state_ones, candidates);
   // Same δ-greedy draw pattern as select_action: explore only when an
   // alternative exists, drawing uniformly from the non-greedy candidates.
   if (candidates.size() > 1 && rng_.bernoulli(eps)) {

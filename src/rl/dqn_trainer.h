@@ -171,6 +171,12 @@ class DqnTrainer {
   /// Shared epilogue of both update paths: clip, optimiser step, target
   /// sync cadence.
   double finish_update(double raw_loss_sum, double normalizer);
+  /// DRCELL_CHECKs that every id is < num_actions().
+  void check_candidate_ids(std::span<const std::uint32_t> candidates) const;
+  /// The B=1 sparse column-restricted forward of `candidates` (checked);
+  /// returns the 1 x |candidates| Q row.
+  const Matrix& candidate_forward(std::span<const std::uint32_t> state_ones,
+                                  std::span<const std::uint32_t> candidates);
   /// Position (not cell id) of the greedy candidate in `candidates` after
   /// one B=1 sparse column-restricted forward.
   std::size_t candidate_argmax(std::span<const std::uint32_t> state_ones,

@@ -5,22 +5,13 @@
 #include <cstdint>
 #include <limits>
 
-// The array kernels are cloned per ISA (AVX2 + baseline) so the one shipped
-// binary vectorises 4-wide where the hardware allows without baking an -march
-// into the build. Every clone runs the identical IEEE-754 expression graph
-// (this file is compiled with -ffp-contract=off — see CMakeLists.txt), so
-// the variants are bit-identical; the clone only changes vector width.
-// target_clones needs ifunc dispatch, i.e. an x86-64 ELF target (GCC, or
-// Clang >= 14); elsewhere the kernels compile as the single baseline-ISA
-// path with the same bit-exact results — only the lstm_gate_pass speedup
-// margin shrinks (use --no-perf-gate on such hosts, bench/README.md).
-#if defined(__x86_64__) && defined(__ELF__) && \
-    (defined(__clang__) ? (__clang_major__ >= 14) : defined(__GNUC__))
-#define DRCELL_FASTMATH_CLONES \
-  __attribute__((target_clones("avx2", "default")))
-#else
-#define DRCELL_FASTMATH_CLONES
-#endif
+// The array kernels are built twice from one body — baseline ISA and AVX2
+// (util/isa.h) — and picked once per process from a function-local static
+// table, so the one shipped binary runs 4-wide where the hardware allows
+// without baking an -march into the build and without ifunc. Every variant
+// runs the identical IEEE-754 expression graph (this file is compiled with
+// -ffp-contract=off and -fno-trapping-math — see CMakeLists.txt), so the
+// variants are bit-identical; only the vector width differs.
 
 namespace drcell::fastmath {
 
@@ -145,38 +136,109 @@ inline double sigmoid_one(double x) {
   return num / (1.0 + e);
 }
 
+DRCELL_KERNEL_INLINE void exp_body(const double* src, double* dst,
+                                   std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] = exp_one(src[i]);
+}
+
+DRCELL_KERNEL_INLINE void tanh_body(const double* src, double* dst,
+                                    std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] = tanh_one(src[i]);
+}
+
+DRCELL_KERNEL_INLINE void sigmoid_body(const double* src, double* dst,
+                                       std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] = sigmoid_one(src[i]);
+}
+
+DRCELL_KERNEL_INLINE void dtanh_body(const double* y, const double* grad,
+                                     double* dst, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] = grad[i] * (1.0 - y[i] * y[i]);
+}
+
+DRCELL_KERNEL_INLINE void dsigmoid_body(const double* y, const double* grad,
+                                        double* dst, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    dst[i] = grad[i] * (y[i] * (1.0 - y[i]));
+}
+
+// One function per (kernel, ISA): the baseline build and the AVX2 build of
+// the same inlined body.
+#define DRCELL_FASTMATH_VARIANT(suffix, attr)                                 \
+  attr void exp_##suffix(const double* src, double* dst, std::size_t n) {     \
+    exp_body(src, dst, n);                                                    \
+  }                                                                           \
+  attr void tanh_##suffix(const double* src, double* dst, std::size_t n) {    \
+    tanh_body(src, dst, n);                                                   \
+  }                                                                           \
+  attr void sigmoid_##suffix(const double* src, double* dst,                  \
+                             std::size_t n) {                                 \
+    sigmoid_body(src, dst, n);                                                \
+  }                                                                           \
+  attr void dtanh_##suffix(const double* y, const double* grad, double* dst,  \
+                           std::size_t n) {                                   \
+    dtanh_body(y, grad, dst, n);                                              \
+  }                                                                           \
+  attr void dsigmoid_##suffix(const double* y, const double* grad,            \
+                              double* dst, std::size_t n) {                   \
+    dsigmoid_body(y, grad, dst, n);                                           \
+  }
+
+DRCELL_FASTMATH_VARIANT(baseline, )
+#if DRCELL_HAVE_AVX2_VARIANT
+DRCELL_FASTMATH_VARIANT(avx2, DRCELL_TARGET_AVX2)
+#endif
+#undef DRCELL_FASTMATH_VARIANT
+
+constexpr ArrayVariant kVariants[] = {
+    {isa::Isa::kBaseline, exp_baseline, tanh_baseline, sigmoid_baseline,
+     dtanh_baseline, dsigmoid_baseline},
+#if DRCELL_HAVE_AVX2_VARIANT
+    {isa::Isa::kAvx2, exp_avx2, tanh_avx2, sigmoid_avx2, dtanh_avx2,
+     dsigmoid_avx2},
+#endif
+};
+
 }  // namespace
 
 double exp(double x) { return exp_one(x); }
 double tanh(double x) { return tanh_one(x); }
 double sigmoid(double x) { return sigmoid_one(x); }
 
-DRCELL_FASTMATH_CLONES
+std::span<const ArrayVariant> array_variants() {
+  return isa::host_variants(kVariants);
+}
+
+namespace {
+
+/// The selected variant: the last one the host supports.
+const ArrayVariant& selected_variant() {
+  static const ArrayVariant& variant = array_variants().back();
+  return variant;
+}
+
+}  // namespace
+
 void exp_array(const double* src, double* dst, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = exp_one(src[i]);
+  selected_variant().exp_array(src, dst, n);
 }
 
-DRCELL_FASTMATH_CLONES
 void tanh_array(const double* src, double* dst, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = tanh_one(src[i]);
+  selected_variant().tanh_array(src, dst, n);
 }
 
-DRCELL_FASTMATH_CLONES
 void sigmoid_array(const double* src, double* dst, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = sigmoid_one(src[i]);
+  selected_variant().sigmoid_array(src, dst, n);
 }
 
-DRCELL_FASTMATH_CLONES
 void dtanh_from_output_array(const double* y, const double* grad, double* dst,
                              std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = grad[i] * (1.0 - y[i] * y[i]);
+  selected_variant().dtanh_from_output_array(y, grad, dst, n);
 }
 
-DRCELL_FASTMATH_CLONES
 void dsigmoid_from_output_array(const double* y, const double* grad,
                                 double* dst, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i)
-    dst[i] = grad[i] * (y[i] * (1.0 - y[i]));
+  selected_variant().dsigmoid_from_output_array(y, grad, dst, n);
 }
 
 }  // namespace drcell::fastmath

@@ -32,16 +32,18 @@
 //
 // Determinism: every kernel performs the same IEEE-754 double operations per
 // element regardless of vector width, and the translation unit is compiled
-// with -ffp-contract=off, so the target_clones SIMD variants (AVX2 and
-// baseline; emitted on x86-64 ELF with GCC or Clang >= 14, single baseline
-// path elsewhere) produce bit-identical results on every machine. Results
-// differ from std:: by the documented bound — the numeric-divergence
-// contract of the fused LSTM gate kernel (docs/ARCHITECTURE.md) is stated
-// against this layer.
+// with -ffp-contract=off, so the array kernels' ISA variants (AVX2 and
+// baseline on x86-64 with GCC or Clang, selected once at run time by
+// util/isa.h; a single baseline build elsewhere) produce bit-identical
+// results on every machine. Results differ from std:: by the documented
+// bound — the numeric-divergence contract of the fused LSTM gate kernel
+// (docs/ARCHITECTURE.md) is stated against this layer.
 #pragma once
 
 #include <cstddef>
 #include <span>
+
+#include "util/isa.h"
 
 namespace drcell::fastmath {
 
@@ -78,5 +80,23 @@ void dtanh_from_output_array(const double* y, const double* grad, double* dst,
                              std::size_t n);
 void dsigmoid_from_output_array(const double* y, const double* grad,
                                 double* dst, std::size_t n);
+
+/// One ISA build of the five array kernels above (same signatures). Every
+/// variant is bit-identical to every other; they differ in vector width.
+struct ArrayVariant {
+  isa::Isa isa;
+  void (*exp_array)(const double*, double*, std::size_t);
+  void (*tanh_array)(const double*, double*, std::size_t);
+  void (*sigmoid_array)(const double*, double*, std::size_t);
+  void (*dtanh_from_output_array)(const double*, const double*, double*,
+                                  std::size_t);
+  void (*dsigmoid_from_output_array)(const double*, const double*, double*,
+                                     std::size_t);
+};
+
+/// The variants this host can run, baseline first (AVX2 second when
+/// supported). The array functions above call the isa::selected() one; the
+/// kernel property tests call each of these directly.
+std::span<const ArrayVariant> array_variants();
 
 }  // namespace drcell::fastmath

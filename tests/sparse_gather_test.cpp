@@ -653,6 +653,47 @@ TEST(CandidateActions, CandidateQValuesMatchFullForwardAndGreedyArgmax) {
   }
 }
 
+TEST(CandidateActions, OutOfRangeCandidateIdsAreRejected) {
+  // Candidate ids index the Q head's weight columns and the bootstrap's Q
+  // rows; the kernels behind them only DCHECK the range, so the trainer's
+  // entry points must reject ids >= num_actions() in every build.
+  const std::size_t cells = 14, k = 2;
+  rl::DqnOptions opt;
+  rl::DqnTrainer trainer(make_drqn(cells, k, 35), opt, 49);
+  const std::vector<std::uint32_t> ones = {3, cells + 5};
+  const std::vector<std::uint32_t> bad = {2, 7, cells};
+  EXPECT_THROW(trainer.candidate_q_values(ones, bad), CheckError);
+  EXPECT_THROW(trainer.greedy_action_candidates(ones, bad), CheckError);
+  const std::size_t steps = trainer.env_steps();
+  EXPECT_THROW(trainer.select_action_candidates(ones, bad), CheckError);
+  EXPECT_EQ(trainer.env_steps(), steps);
+  const std::vector<std::uint32_t> good = {2, 7, cells - 1};
+  EXPECT_EQ(trainer.candidate_q_values(ones, good).size(), good.size());
+
+  Rng rng(57);
+  rl::Experience e = random_sparse_experience(cells, k, rng);
+  e.next_candidates = {1, static_cast<std::uint32_t>(cells + 3)};
+  EXPECT_THROW(trainer.observe(e), CheckError);
+  e.next_candidates = {1, static_cast<std::uint32_t>(cells - 1)};
+  EXPECT_NO_THROW(trainer.observe(e));
+}
+
+TEST(SpatialDrqn, TrainerRejectsOutOfRangeCandidateIds) {
+  // The spatial head indexes its per-cell feature rows by candidate id.
+  rl::DqnOptions opt;
+  Rng net_rng(71);
+  rl::DqnTrainer trainer(
+      std::make_unique<rl::SpatialDrqnQNetwork>(6, 6, 2, 8, 2, 0, net_rng),
+      opt, 73);
+  const std::vector<std::uint32_t> ones = {4, 40};
+  EXPECT_THROW(trainer.candidate_q_values(ones, std::vector<std::uint32_t>{
+                                                    5, 36}),
+               CheckError);
+  EXPECT_THROW(trainer.greedy_action_candidates(
+                   ones, std::vector<std::uint32_t>{1000}),
+               CheckError);
+}
+
 // --- SpatialDrqnQNetwork: the metro-tier action-embedding head ---------
 
 TEST(SpatialDrqn, FeatureMatrixShapeAndCountColumn) {
