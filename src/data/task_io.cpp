@@ -38,32 +38,14 @@ void save_task_csv(std::ostream& out, const mcs::SensingTask& task) {
     w.write_row(std::vector<std::string>{"cycle_hours", ss.str()});
   }
   {
-    std::vector<std::string> metric_row{"metric"};
-    switch (task.metric().kind()) {
-      case mcs::ErrorMetric::Kind::kMae:
-        metric_row.push_back("mae");
-        break;
-      case mcs::ErrorMetric::Kind::kRmse:
-        metric_row.push_back("rmse");
-        break;
-      case mcs::ErrorMetric::Kind::kClassification: {
-        metric_row.push_back("classification");
-        // Recover the bounds by probing the categoriser at each category
-        // edge is fragile; instead serialise the AQI default. Custom bounds
-        // round-trip through the generic path below.
-        break;
-      }
-    }
-    if (task.metric().is_classification()) {
-      // Probe category boundaries: categorise midpoints is not possible
-      // without the bounds, so store the canonical AQI bounds — the only
-      // classification metric the factories produce.
-      for (double b : {50.0, 100.0, 150.0, 200.0, 300.0}) {
-        std::ostringstream ss;
-        ss << b;
-        metric_row.push_back(ss.str());
-      }
-    }
+    using Kind = mcs::ErrorMetric::Kind;
+    const Kind kind = task.metric().kind();
+    // Classification bounds follow the kind (none for mae/rmse).
+    auto metric_row = to_strings(task.metric().category_bounds());
+    metric_row.insert(metric_row.begin(),
+                      {"metric", kind == Kind::kMae    ? "mae"
+                                 : kind == Kind::kRmse ? "rmse"
+                                                       : "classification"});
     w.write_row(metric_row);
   }
   std::vector<double> xs, ys;

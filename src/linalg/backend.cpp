@@ -9,21 +9,14 @@
 namespace drcell {
 
 // Built-in backend factories (defined in backend_native.cpp /
-// backend_reference.cpp / backend_blas.cpp). Explicit factory calls instead
+// backend_reference.cpp). Explicit factory calls instead
 // of static self-registration: drcell is a static library, and a
 // self-registering TU with no referenced symbol would be dead-stripped by
 // the linker.
 std::unique_ptr<ComputeBackend> make_native_backend();
 std::unique_ptr<ComputeBackend> make_reference_backend();
-#ifdef DRCELL_WITH_BLAS
-std::unique_ptr<ComputeBackend> make_blas_backend();
-#endif
 
 namespace {
-
-#ifndef DRCELL_DEFAULT_BACKEND_NAME
-#define DRCELL_DEFAULT_BACKEND_NAME "native"
-#endif
 
 struct Registry {
   std::mutex mu;
@@ -39,9 +32,6 @@ Registry& registry() {
     auto* reg = new Registry();
     reg->backends.push_back(make_native_backend());
     reg->backends.push_back(make_reference_backend());
-#ifdef DRCELL_WITH_BLAS
-    reg->backends.push_back(make_blas_backend());
-#endif
     return reg;
   }();
   return *r;
@@ -69,20 +59,18 @@ const ComputeBackend& BackendRegistry::active() {
   Registry& r = registry();
   const ComputeBackend* a = r.active.load(std::memory_order_acquire);
   if (a != nullptr) return *a;
-  // First dispatch: resolve the env var / compile-time default under the
+  // First dispatch: resolve the env var / "native" default under the
   // lock (set_active may race; whoever stores first wins, both are valid
   // selections of registered backends).
   std::lock_guard<std::mutex> lock(r.mu);
   a = r.active.load(std::memory_order_acquire);
   if (a != nullptr) return *a;
   const char* env = std::getenv("DRCELL_BACKEND");
-  const std::string name = env != nullptr && env[0] != '\0'
-                               ? env
-                               : DRCELL_DEFAULT_BACKEND_NAME;
+  const std::string name =
+      env != nullptr && env[0] != '\0' ? env : "native";
   const ComputeBackend* chosen = find_locked(r, name);
-  DRCELL_CHECK_MSG(chosen != nullptr,
-                   "unknown compute backend '" + name +
-                       "' (DRCELL_BACKEND / compile-time default)");
+  DRCELL_CHECK_MSG(chosen != nullptr, "unknown compute backend '" + name +
+                                          "' (DRCELL_BACKEND)");
   r.active.store(chosen, std::memory_order_release);
   return *chosen;
 }
@@ -109,10 +97,6 @@ std::vector<std::string> BackendRegistry::names() {
   out.reserve(r.backends.size());
   for (const auto& b : r.backends) out.emplace_back(b->name());
   return out;
-}
-
-const char* BackendRegistry::default_backend_name() {
-  return DRCELL_DEFAULT_BACKEND_NAME;
 }
 
 }  // namespace drcell

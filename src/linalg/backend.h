@@ -4,28 +4,28 @@
 // Everything above this layer — `Matrix`, `SparseRowMatrix`, `nn::Lstm`,
 // and therefore every Q-network, trainer, and campaign — routes through the
 // active backend, so a deployment can swap kernel implementations (native
-// tuned loops, the retained naive reference, a BLAS build) without forking
-// src/linalg or src/nn.
+// tuned loops, the retained naive reference, or one registered at startup)
+// without forking src/linalg or src/nn.
 //
 // Contract tiers (pinned per backend by tests/backend_conformance.inc.cc,
 // compiled once per registered backend):
 //
-//  * exact-contract backends (`native`, `reference`) promise the repo's
-//    exact-arithmetic rules: per output element the additions run in
-//    ascending-k order, aik == 0.0 terms are skipped, contributions
-//    accumulate directly into the output (no per-element temporaries), and
-//    each output row depends only on its own input row. Those four rules
-//    are what make sparse-vs-dense gather bit-identity, batched-vs-
-//    per-sample training bit-identity, and worker-count invariance hold —
-//    see docs/ARCHITECTURE.md.
-//  * tolerance backends (`blas`) make no accumulation-order promise and are
-//    instead held to `tolerance_vs_native()` (≤1e-10 max-abs on the
-//    conformance workloads) against the native kernels.
+//  * exact-contract backends (both built-ins, `native` and `reference`)
+//    promise the repo's exact-arithmetic rules: per output element the
+//    additions run in ascending-k order, aik == 0.0 terms are skipped,
+//    contributions accumulate directly into the output (no per-element
+//    temporaries), and each output row depends only on its own input row.
+//    Those four rules are what make sparse-vs-dense gather bit-identity,
+//    batched-vs-per-sample training bit-identity, and worker-count
+//    invariance hold — see docs/ARCHITECTURE.md.
+//  * tolerance backends (a registered backend whose exact_contract() is
+//    false, e.g. one built on a vendor GEMM) make no accumulation-order
+//    promise and are instead held to `tolerance_vs_native()` against the
+//    native kernels on the conformance workloads.
 //
 // Selection order: BackendRegistry::set_active() > the DRCELL_BACKEND
-// environment variable (read once, at the first active() call) > the
-// compile-time default (CMake cache variable DRCELL_DEFAULT_BACKEND,
-// "native" unless overridden). Unknown names fail loudly via DRCELL_CHECK.
+// environment variable (read once, at the first active() call) > "native".
+// Unknown names fail loudly via DRCELL_CHECK.
 #pragma once
 
 #include <memory>
@@ -45,7 +45,7 @@ class ComputeBackend {
  public:
   virtual ~ComputeBackend() = default;
 
-  /// Registry key ("native", "reference", "blas", ...).
+  /// Registry key ("native", "reference", ...).
   virtual const char* name() const = 0;
 
   /// True when the backend upholds the exact-arithmetic contract above.
@@ -94,11 +94,11 @@ class ComputeBackend {
                                   Matrix& dc_prev) const = 0;
 };
 
-/// Process-wide backend registry. The built-in backends ("native",
-/// "reference", and "blas" when compiled with -DDRCELL_WITH_BLAS) register
-/// themselves on first use; additional backends can be registered at
-/// startup. active() is a lock-free atomic read after initialisation, so
-/// hot kernel dispatch costs one load plus a virtual call.
+/// Process-wide backend registry. The built-in backends ("native" and
+/// "reference") register themselves on first use; additional backends can
+/// be registered at startup. active() is a lock-free atomic read after
+/// initialisation, so hot kernel dispatch costs one load plus a virtual
+/// call.
 class BackendRegistry {
  public:
   /// Registers `backend` under backend->name(). Names must be unique;
@@ -107,7 +107,7 @@ class BackendRegistry {
 
   /// The currently selected backend. On the first call the selection order
   /// documented above is applied (explicit set_active wins, then the
-  /// DRCELL_BACKEND env var, then the compile-time default).
+  /// DRCELL_BACKEND env var, then "native").
   static const ComputeBackend& active();
 
   /// Selects a registered backend by name (DRCELL_CHECKs that it exists).
@@ -118,9 +118,6 @@ class BackendRegistry {
 
   /// Names of all registered backends, in registration order.
   static std::vector<std::string> names();
-
-  /// The compile-time default backend name (CMake: DRCELL_DEFAULT_BACKEND).
-  static const char* default_backend_name();
 };
 
 }  // namespace drcell

@@ -1,6 +1,5 @@
-// Matrix decompositions: Cholesky, Householder QR and one-sided Jacobi SVD.
-// These back the GP dataset generator (Cholesky of covariance kernels), the
-// ridge solvers used by ALS matrix completion, and spectral diagnostics.
+// The Cholesky decomposition behind the GP dataset generator (Cholesky of
+// covariance kernels) and the ridge solves of ALS matrix completion.
 #pragma once
 
 #include <cstddef>
@@ -42,32 +41,6 @@ struct Cholesky {
   std::vector<double> forward(std::span<const double> b) const;
 
   Matrix l;  ///< lower-triangular factor
-};
-
-/// Householder QR factorisation A = Q R (A is rows x cols, rows >= cols).
-struct QR {
-  explicit QR(const Matrix& a);
-
-  /// Least-squares solution of min ||A x - b||₂ via R x = Qᵀ b.
-  std::vector<double> solve(std::span<const double> b) const;
-
-  Matrix q;  ///< rows x cols with orthonormal columns (thin Q)
-  Matrix r;  ///< cols x cols upper triangular
-};
-
-/// Thin singular value decomposition A = U diag(s) Vᵀ via one-sided Jacobi
-/// rotations. Singular values are returned in descending order.
-struct SVD {
-  explicit SVD(const Matrix& a, int max_sweeps = 60, double tol = 1e-12);
-
-  Matrix u;                       ///< rows x k, orthonormal columns
-  std::vector<double> singular;   ///< k singular values, descending
-  Matrix v;                       ///< cols x k, orthonormal columns
-
-  /// Effective numerical rank at the given relative threshold.
-  std::size_t rank(double rel_tol = 1e-10) const;
-  /// Reconstructs U diag(s) Vᵀ (for testing).
-  Matrix reconstruct() const;
 };
 
 }  // namespace drcell

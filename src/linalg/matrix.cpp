@@ -64,16 +64,6 @@ std::vector<double> Matrix::col(std::size_t c) const {
   return out;
 }
 
-ColumnView Matrix::col_view(std::size_t c) {
-  DRCELL_CHECK(c < cols_);
-  return {data_.data() + c, rows_, cols_};
-}
-
-ConstColumnView Matrix::col_view(std::size_t c) const {
-  DRCELL_CHECK(c < cols_);
-  return {data_.data() + c, rows_, cols_};
-}
-
 void Matrix::set_col(std::size_t c, std::span<const double> values) {
   DRCELL_CHECK(c < cols_ && values.size() == rows_);
   for (std::size_t r = 0; r < rows_; ++r) data_[r * cols_ + c] = values[r];
@@ -250,14 +240,5 @@ double dot(std::span<const double> a, std::span<const double> b) {
 }
 
 double norm2(std::span<const double> v) { return std::sqrt(dot(v, v)); }
-
-double dot(ConstColumnView a, ConstColumnView b) {
-  DRCELL_CHECK(a.size() == b.size());
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
-}
-
-double norm2(ConstColumnView v) { return std::sqrt(dot(v, v)); }
 
 }  // namespace drcell

@@ -19,45 +19,6 @@ namespace drcell {
 
 class Rng;
 
-/// Read-only strided view of one matrix column. Lets column-oriented
-/// algorithms (Gram–Schmidt, ALS gathers) walk a column without copying it
-/// into a fresh std::vector per visit.
-class ConstColumnView {
- public:
-  ConstColumnView(const double* first, std::size_t size, std::size_t stride)
-      : first_(first), size_(size), stride_(stride) {}
-
-  std::size_t size() const { return size_; }
-  double operator[](std::size_t i) const {
-    DRCELL_DCHECK(i < size_);
-    return first_[i * stride_];
-  }
-
- private:
-  const double* first_;
-  std::size_t size_;
-  std::size_t stride_;
-};
-
-/// Mutable strided view of one matrix column.
-class ColumnView {
- public:
-  ColumnView(double* first, std::size_t size, std::size_t stride)
-      : first_(first), size_(size), stride_(stride) {}
-
-  std::size_t size() const { return size_; }
-  double& operator[](std::size_t i) const {
-    DRCELL_DCHECK(i < size_);
-    return first_[i * stride_];
-  }
-  operator ConstColumnView() const { return {first_, size_, stride_}; }
-
- private:
-  double* first_;
-  std::size_t size_;
-  std::size_t stride_;
-};
-
 class Matrix {
  public:
   /// Empty 0x0 matrix.
@@ -109,9 +70,6 @@ class Matrix {
   std::span<const double> row(std::size_t r) const;
   /// Copy of column c.
   std::vector<double> col(std::size_t c) const;
-  /// Strided no-copy views of column c.
-  ColumnView col_view(std::size_t c);
-  ConstColumnView col_view(std::size_t c) const;
   void set_col(std::size_t c, std::span<const double> values);
 
   std::span<double> data() { return data_; }
@@ -191,9 +149,7 @@ Matrix random_normal_matrix(std::size_t rows, std::size_t cols, Rng& rng);
 std::vector<double> matvec(const Matrix& a, std::span<const double> x);
 /// Dot product. Sizes must match.
 double dot(std::span<const double> a, std::span<const double> b);
-double dot(ConstColumnView a, ConstColumnView b);
 /// Euclidean norm.
 double norm2(std::span<const double> v);
-double norm2(ConstColumnView v);
 
 }  // namespace drcell

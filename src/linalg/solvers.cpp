@@ -1,7 +1,6 @@
 #include "linalg/solvers.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "linalg/decompositions.h"
 
@@ -59,50 +58,6 @@ std::span<const double> RidgeSolver::solve_factored() {
   kernels::cholesky_forward(factor_.data(), rhs_.data(), y_.data(), n_);
   kernels::cholesky_back(factor_.data(), y_.data(), x_.data(), n_);
   return x_;
-}
-
-std::vector<double> ridge_solve(const Matrix& a, std::span<const double> b,
-                                double lambda) {
-  DRCELL_CHECK(a.rows() == b.size());
-  RidgeSolver solver(a.cols());
-  for (std::size_t r = 0; r < a.rows(); ++r) solver.add_row(a.row(r), b[r]);
-  const auto x = solver.solve(lambda);
-  return {x.begin(), x.end()};
-}
-
-std::vector<double> spd_solve(const Matrix& a, std::span<const double> b) {
-  return Cholesky(a).solve(b);
-}
-
-std::vector<double> lu_solve(Matrix a, std::vector<double> b) {
-  DRCELL_CHECK_MSG(a.rows() == a.cols(), "lu_solve requires a square matrix");
-  DRCELL_CHECK(a.rows() == b.size());
-  const std::size_t n = a.rows();
-  for (std::size_t k = 0; k < n; ++k) {
-    // Partial pivoting.
-    std::size_t piv = k;
-    for (std::size_t i = k + 1; i < n; ++i)
-      if (std::fabs(a(i, k)) > std::fabs(a(piv, k))) piv = i;
-    DRCELL_CHECK_MSG(std::fabs(a(piv, k)) > 1e-300, "singular matrix");
-    if (piv != k) {
-      for (std::size_t j = 0; j < n; ++j) std::swap(a(k, j), a(piv, j));
-      std::swap(b[k], b[piv]);
-    }
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double f = a(i, k) / a(k, k);
-      a(i, k) = 0.0;
-      if (f == 0.0) continue;
-      for (std::size_t j = k + 1; j < n; ++j) a(i, j) -= f * a(k, j);
-      b[i] -= f * b[k];
-    }
-  }
-  std::vector<double> x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = b[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) s -= a(ii, j) * x[j];
-    x[ii] = s / a(ii, ii);
-  }
-  return x;
 }
 
 }  // namespace drcell

@@ -1,13 +1,13 @@
-// Linear solvers built on the decompositions. The ALS matrix-completion
-// engine runs thousands of rank-r ridge solves per sensing cycle (its
-// half-sweeps and its leave-one-out re-solves), so the normal equations +
-// Cholesky path is the hot one. It lives in RidgeSolver: a workspace sized
+// The ridge solver behind ALS matrix completion. The ALS engine runs
+// thousands of rank-r ridge solves per sensing cycle (its half-sweeps and
+// its leave-one-out re-solves), so the normal equations + Cholesky path is
+// the hot one. It lives in RidgeSolver: a workspace sized
 // once to the rank that accumulates the Gram and right-hand side straight
 // from caller-owned rows and factors in place — no design-matrix copy, no
 // per-solve allocation, no compute-backend dispatch (a sub-tile Gram gains
 // nothing from a tuned GEMM). Its factorisation is the one Cholesky kernel
-// of linalg/decompositions.h, so ridge_solve, Cholesky and the ALS engine
-// share one arithmetic, identical under every DRCELL_BACKEND.
+// of linalg/decompositions.h, so Cholesky and the ALS engine share one
+// arithmetic, identical under every DRCELL_BACKEND.
 //
 // The factor step and the right-hand-side step are separate, so one
 // factorisation serves many right-hand sides. An ALS half-sweep uses that
@@ -92,20 +92,5 @@ class RidgeSolver {
   std::vector<double> y_;       // forward-substitution result
   std::vector<double> x_;       // solution
 };
-
-/// Solves the ridge-regularised least squares problem
-///   min_x ||A x - b||² + lambda ||x||²
-/// via the normal equations (Aᵀ A + λ I) x = Aᵀ b with Cholesky — one
-/// RidgeSolver pass over A's rows in ascending order.
-/// Requires lambda > 0 or A of full column rank.
-std::vector<double> ridge_solve(const Matrix& a, std::span<const double> b,
-                                double lambda);
-
-/// Solves a symmetric positive-definite system A x = b.
-std::vector<double> spd_solve(const Matrix& a, std::span<const double> b);
-
-/// Solves a general square system A x = b by partially pivoted LU.
-/// Throws CheckError if the matrix is numerically singular.
-std::vector<double> lu_solve(Matrix a, std::vector<double> b);
 
 }  // namespace drcell

@@ -12,6 +12,10 @@ ErrorMetric::ErrorMetric(Kind kind, std::vector<double> bounds)
   if (kind_ == Kind::kClassification) {
     DRCELL_CHECK_MSG(!category_bounds_.empty(),
                      "classification metric needs category bounds");
+    DRCELL_CHECK_MSG(std::all_of(category_bounds_.begin(),
+                                 category_bounds_.end(),
+                                 [](double b) { return std::isfinite(b); }),
+                     "category bounds must be finite");
     DRCELL_CHECK_MSG(
         std::is_sorted(category_bounds_.begin(), category_bounds_.end()),
         "category bounds must be ascending");

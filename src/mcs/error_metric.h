@@ -15,7 +15,8 @@ class ErrorMetric {
 
   static ErrorMetric mae();
   static ErrorMetric rmse();
-  /// Classification error with category upper bounds (ascending). A value v
+  /// Classification error with finite category upper bounds (ascending;
+  /// CheckError otherwise). A value v
   /// falls in the first category whose bound is >= v; values above the last
   /// bound fall in category bounds.size().
   static ErrorMetric classification(std::vector<double> category_bounds);
@@ -27,6 +28,11 @@ class ErrorMetric {
   Kind kind() const { return kind_; }
   bool is_classification() const { return kind_ == Kind::kClassification; }
   std::string name() const;
+
+  /// The category upper bounds (empty unless is_classification()).
+  const std::vector<double>& category_bounds() const {
+    return category_bounds_;
+  }
 
   /// Category index of a raw value (classification metrics only).
   int categorize(double value) const;

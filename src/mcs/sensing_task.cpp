@@ -1,5 +1,7 @@
 #include "mcs/sensing_task.h"
 
+#include <cmath>
+
 namespace drcell::mcs {
 
 SensingTask::SensingTask(std::string name, Matrix ground_truth,
@@ -16,7 +18,11 @@ SensingTask::SensingTask(std::string name, Matrix ground_truth,
                    "one coordinate per cell required");
   DRCELL_CHECK_MSG(!ground_truth_.has_non_finite(),
                    "ground truth contains non-finite values");
-  DRCELL_CHECK(cycle_hours_ > 0.0);
+  for (const auto& c : coords_)
+    DRCELL_CHECK_MSG(std::isfinite(c.x) && std::isfinite(c.y),
+                     "cell coordinates must be finite");
+  DRCELL_CHECK_MSG(std::isfinite(cycle_hours_) && cycle_hours_ > 0.0,
+                   "cycle_hours must be finite and positive");
 }
 
 SensingTask SensingTask::slice_cycles(std::size_t first,

@@ -12,14 +12,4 @@ void xavier_uniform(Matrix& w, std::size_t fan_in, std::size_t fan_out,
   for (double& x : w.data()) x = rng.uniform(-a, a);
 }
 
-void he_normal(Matrix& w, std::size_t fan_in, Rng& rng) {
-  DRCELL_CHECK(fan_in > 0);
-  const double sd = std::sqrt(2.0 / static_cast<double>(fan_in));
-  for (double& x : w.data()) x = rng.normal(0.0, sd);
-}
-
-void constant_fill(Matrix& w, double value) {
-  for (double& x : w.data()) x = value;
-}
-
 }  // namespace drcell::nn

@@ -11,10 +11,4 @@ namespace drcell::nn {
 void xavier_uniform(Matrix& w, std::size_t fan_in, std::size_t fan_out,
                     Rng& rng);
 
-/// He/Kaiming normal: N(0, 2 / fan_in). Suited to ReLU layers.
-void he_normal(Matrix& w, std::size_t fan_in, Rng& rng);
-
-/// Fills with a constant (used for biases; LSTM forget-gate bias uses 1).
-void constant_fill(Matrix& w, double value);
-
 }  // namespace drcell::nn

@@ -7,78 +7,12 @@
 
 namespace drcell::nn {
 
-Optimizer::Optimizer(std::vector<Parameter*> params)
-    : params_(std::move(params)) {
-  DRCELL_CHECK_MSG(!params_.empty(), "optimizer needs at least one parameter");
-  for (auto* p : params_) DRCELL_CHECK(p != nullptr);
-}
-
-void Optimizer::zero_grad() {
-  for (auto* p : params_) p->zero_grad();
-}
-
-Sgd::Sgd(std::vector<Parameter*> params, double learning_rate, double momentum)
-    : Optimizer(std::move(params)), lr_(learning_rate), momentum_(momentum) {
-  DRCELL_CHECK(lr_ > 0.0 && momentum_ >= 0.0 && momentum_ < 1.0);
-  velocity_.reserve(params_.size());
-  for (auto* p : params_)
-    velocity_.emplace_back(p->value.rows(), p->value.cols());
-}
-
-// The update loops below spell out __restrict pointers and hoist the
-// scalar hyper-parameters into locals. Without this the compiler must
-// assume the value/grad/moment arrays (and the member doubles reachable
-// through `this`) alias each other and emits a scalar loop; with it the
-// loops vectorise. The per-element arithmetic is unchanged — elementwise
-// mul/add/div/sqrt with no reassociation — so the update is bit-identical
-// to the scalar form, it just runs several lanes at a time (at the
-// 10,000-cell metro tier the optimiser pass covers ~3.2M parameters and
-// dominated the train step before this).
-
-void Sgd::step(util::ThreadPool* /*pool*/) {
-  const double momentum = momentum_, lr = lr_;
-  for (std::size_t k = 0; k < params_.size(); ++k) {
-    auto& p = *params_[k];
-    const std::size_t n = p.value.data().size();
-    double* __restrict v = velocity_[k].data().data();
-    double* __restrict x = p.value.data().data();
-    const double* __restrict g = p.grad.data().data();
-    for (std::size_t i = 0; i < n; ++i) {
-      v[i] = momentum * v[i] - lr * g[i];
-      x[i] += v[i];
-    }
-  }
-}
-
-RmsProp::RmsProp(std::vector<Parameter*> params, double learning_rate,
-                 double decay, double epsilon)
-    : Optimizer(std::move(params)), lr_(learning_rate), decay_(decay),
-      eps_(epsilon) {
-  DRCELL_CHECK(lr_ > 0.0 && decay_ > 0.0 && decay_ < 1.0 && eps_ > 0.0);
-  mean_square_.reserve(params_.size());
-  for (auto* p : params_)
-    mean_square_.emplace_back(p->value.rows(), p->value.cols());
-}
-
-void RmsProp::step(util::ThreadPool* /*pool*/) {
-  const double decay = decay_, lr = lr_, eps = eps_;
-  for (std::size_t k = 0; k < params_.size(); ++k) {
-    auto& p = *params_[k];
-    const std::size_t n = p.value.data().size();
-    double* __restrict ms = mean_square_[k].data().data();
-    double* __restrict x = p.value.data().data();
-    const double* __restrict g = p.grad.data().data();
-    for (std::size_t i = 0; i < n; ++i) {
-      ms[i] = decay * ms[i] + (1.0 - decay) * g[i] * g[i];
-      x[i] -= lr * g[i] / (std::sqrt(ms[i]) + eps);
-    }
-  }
-}
-
 Adam::Adam(std::vector<Parameter*> params, double learning_rate, double beta1,
            double beta2, double epsilon)
-    : Optimizer(std::move(params)), lr_(learning_rate), beta1_(beta1),
+    : params_(std::move(params)), lr_(learning_rate), beta1_(beta1),
       beta2_(beta2), eps_(epsilon) {
+  DRCELL_CHECK_MSG(!params_.empty(), "optimizer needs at least one parameter");
+  for (auto* p : params_) DRCELL_CHECK(p != nullptr);
   DRCELL_CHECK(lr_ > 0.0);
   DRCELL_CHECK(beta1_ >= 0.0 && beta1_ < 1.0);
   DRCELL_CHECK(beta2_ >= 0.0 && beta2_ < 1.0);
@@ -89,6 +23,16 @@ Adam::Adam(std::vector<Parameter*> params, double learning_rate, double beta1,
     v_.emplace_back(p->value.rows(), p->value.cols());
   }
 }
+
+// The update loop below spells out __restrict pointers and hoists the
+// scalar hyper-parameters into locals. Without this the compiler must
+// assume the value/grad/moment arrays (and the member doubles reachable
+// through `this`) alias each other and emits a scalar loop; with it the
+// loop vectorises. The per-element arithmetic is unchanged — elementwise
+// mul/add/div/sqrt with no reassociation — so the update is bit-identical
+// to the scalar form, it just runs several lanes at a time (at the
+// 10,000-cell metro tier the optimiser pass covers ~3.2M parameters and
+// dominated the train step before this).
 
 void Adam::step(util::ThreadPool* pool) {
   ++t_;
@@ -133,6 +77,10 @@ void Adam::step(util::ThreadPool* pool) {
   }
   for (std::size_t k = 0; k < params_.size(); ++k)
     update(k, 0, params_[k]->value.data().size());
+}
+
+void Adam::zero_grad() {
+  for (auto* p : params_) p->zero_grad();
 }
 
 double clip_grad_norm(const std::vector<Parameter*>& params, double max_norm) {

@@ -1,4 +1,4 @@
-// First-order optimisers over a flat list of Parameters, plus global-norm
+// The Adam optimiser over a flat list of Parameters, plus global-norm
 // gradient clipping (standard stabilisation for recurrent Q-networks).
 #pragma once
 
@@ -13,71 +13,30 @@ class ThreadPool;
 
 namespace drcell::nn {
 
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Parameter*> params);
-  virtual ~Optimizer() = default;
-
-  /// Applies one update using the accumulated gradients. A non-null `pool`
-  /// lets the optimiser fan the elementwise update over the ThreadPool in
-  /// index-exclusive parameter ranges — per thread_pool.h's determinism
-  /// contract the result is bit-identical to the serial pass for any
-  /// worker count (the update touches each element exactly once, with no
-  /// cross-element arithmetic).
-  virtual void step(util::ThreadPool* pool = nullptr) = 0;
-  /// Clears all gradients.
-  void zero_grad();
-
-  const std::vector<Parameter*>& params() const { return params_; }
-
- protected:
-  std::vector<Parameter*> params_;
-};
-
-/// Stochastic gradient descent with optional classical momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Parameter*> params, double learning_rate,
-      double momentum = 0.0);
-  /// Serial regardless of `pool` — SGD's two-op update is memory-bound at
-  /// sizes where the fan-out would pay for itself.
-  void step(util::ThreadPool* pool = nullptr) override;
-
- private:
-  double lr_;
-  double momentum_;
-  std::vector<Matrix> velocity_;
-};
-
-/// RMSProp (the optimiser of the original DQN paper).
-class RmsProp : public Optimizer {
- public:
-  RmsProp(std::vector<Parameter*> params, double learning_rate,
-          double decay = 0.99, double epsilon = 1e-8);
-  /// Serial regardless of `pool` (see Sgd::step).
-  void step(util::ThreadPool* pool = nullptr) override;
-
- private:
-  double lr_, decay_, eps_;
-  std::vector<Matrix> mean_square_;
-};
-
 /// Adam with bias correction.
-class Adam : public Optimizer {
+class Adam {
  public:
   Adam(std::vector<Parameter*> params, double learning_rate,
        double beta1 = 0.9, double beta2 = 0.999, double epsilon = 1e-8);
-  /// With a pool, the sqrt/div-heavy update runs as index-exclusive chunks
-  /// over the workers — bit-identical to serial, and the difference between
-  /// the optimiser pass *mattering* and not at the 10k-cell tier (~3.2M
-  /// parameters per step).
-  void step(util::ThreadPool* pool = nullptr) override;
+
+  /// Applies one update using the accumulated gradients. A non-null `pool`
+  /// fans the sqrt/div-heavy elementwise update over the ThreadPool in
+  /// index-exclusive parameter ranges — per thread_pool.h's determinism
+  /// contract the result is bit-identical to the serial pass for any
+  /// worker count (the update touches each element exactly once, with no
+  /// cross-element arithmetic). At the 10k-cell tier (~3.2M parameters per
+  /// step) that is the difference between the optimiser pass mattering and
+  /// not.
+  void step(util::ThreadPool* pool = nullptr);
+  /// Clears all gradients.
+  void zero_grad();
 
  private:
   struct Chunk {
     std::size_t tensor, lo, hi;
   };
 
+  std::vector<Parameter*> params_;
   double lr_, beta1_, beta2_, eps_;
   long t_ = 0;
   std::vector<Matrix> m_, v_;

@@ -3,11 +3,19 @@
 #include <limits>
 
 #include "nn/loss.h"
-#include "nn/optimizer.h"
 #include "nn/serialize.h"
 #include "util/fault_injection.h"
 
 namespace drcell::rl {
+
+namespace {
+
+std::vector<nn::Parameter*> parameters_of(QNetwork* net) {
+  DRCELL_CHECK(net != nullptr);
+  return net->parameters();
+}
+
+}  // namespace
 
 DqnTrainer::DqnTrainer(QNetworkPtr online, DqnOptions options,
                        std::uint64_t seed)
@@ -16,8 +24,8 @@ DqnTrainer::DqnTrainer(QNetworkPtr online, DqnOptions options,
       replay_(options.replay_capacity),
       encoder_(online_ ? online_->num_actions() : 1,
                online_ ? online_->history_steps() : 1),
+      optimizer_(parameters_of(online_.get()), options_.learning_rate),
       rng_(seed) {
-  DRCELL_CHECK(online_ != nullptr);
   DRCELL_CHECK(options_.gamma >= 0.0 && options_.gamma <= 1.0);
   DRCELL_CHECK(options_.batch_size > 0);
   DRCELL_CHECK(options_.target_sync_interval > 0);
@@ -28,8 +36,6 @@ DqnTrainer::DqnTrainer(QNetworkPtr online, DqnOptions options,
     target_->set_reference_gate_kernel(true);
   }
   sync_target();
-  optimizer_ = std::make_unique<nn::Adam>(online_->parameters(),
-                                          options_.learning_rate);
 }
 
 double DqnTrainer::current_epsilon() const {
@@ -157,7 +163,7 @@ double DqnTrainer::finish_update(double raw_loss_sum, double normalizer) {
     nn::clip_grad_norm(online_->parameters(), options_.grad_clip_norm);
   // Pooled elementwise update — bit-identical to serial for any worker
   // count (optimizer.h), and the dominant per-step cost at the metro tier.
-  optimizer_->step(pool_ ? pool_ : &util::ThreadPool::global());
+  optimizer_.step(pool_ ? pool_ : &util::ThreadPool::global());
   ++train_steps_;
   if (train_steps_ % options_.target_sync_interval == 0) sync_target();
   return raw_loss_sum / normalizer;
@@ -246,7 +252,7 @@ double DqnTrainer::train_step_on_indices(
 
   const auto loss = nn::masked_huber_loss(*q_pred, targets_ws_, mask_ws_,
                                           options_.huber_delta);
-  optimizer_->zero_grad();
+  optimizer_.zero_grad();
   online_->backward(loss.grad);
   return finish_update(loss.raw_sum, loss.normalizer);
 }
@@ -335,7 +341,7 @@ double DqnTrainer::train_step_candidates_on_indices(
   // full path's masked entries, nothing more.
   const auto loss = nn::masked_huber_loss(*q_pred, targets_ws_, mask_ws_,
                                           options_.huber_delta);
-  optimizer_->zero_grad();
+  optimizer_.zero_grad();
   online_->backward_columns(loss.grad, action_cols_ws_);
   return finish_update(loss.raw_sum, loss.normalizer);
 }
@@ -440,7 +446,7 @@ double DqnTrainer::train_step_reference_on_indices(
   const std::size_t actions = online_->num_actions();
   const double normalizer = static_cast<double>(b);
 
-  optimizer_->zero_grad();
+  optimizer_.zero_grad();
   double raw_loss_sum = 0.0;
   for (std::size_t i = 0; i < b; ++i) {
     const Experience& e = replay_.at(indices[i]);

@@ -46,11 +46,7 @@ struct DqnOptions {
   /// head, MLP = Dense/ReLU — the PR-4 contract); with the default
   /// fastmath kernel the two paths agree within the documented fastmath
   /// tolerance instead (docs/ARCHITECTURE.md,
-  /// tests/batched_training_test.cpp). NB the toggle does not reach
-  /// standalone nn::Tanh/nn::Sigmoid *layers* (always fastmath in
-  /// production) — a custom QNetwork using those in its head would diverge
-  /// from its std:: reference path by the same fastmath bound even with
-  /// this flag set.
+  /// tests/batched_training_test.cpp).
   bool reference_gate_kernel = false;
   /// Train on candidate action subsets (metro tier): the minibatch is
   /// assembled sparse, the online Q head is evaluated only at each
@@ -194,7 +190,7 @@ class DqnTrainer {
   DqnOptions options_;
   ReplayBuffer replay_;
   mcs::StateEncoder encoder_;
-  std::unique_ptr<nn::Optimizer> optimizer_;
+  nn::Adam optimizer_;
   Rng rng_;
   util::ThreadPool* pool_ = nullptr;  // nullptr -> ThreadPool::global()
   std::size_t env_steps_ = 0;

@@ -151,17 +151,6 @@ DRCELL_KERNEL_INLINE void sigmoid_body(const double* src, double* dst,
   for (std::size_t i = 0; i < n; ++i) dst[i] = sigmoid_one(src[i]);
 }
 
-DRCELL_KERNEL_INLINE void dtanh_body(const double* y, const double* grad,
-                                     double* dst, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = grad[i] * (1.0 - y[i] * y[i]);
-}
-
-DRCELL_KERNEL_INLINE void dsigmoid_body(const double* y, const double* grad,
-                                        double* dst, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i)
-    dst[i] = grad[i] * (y[i] * (1.0 - y[i]));
-}
-
 // One function per (kernel, ISA): the baseline build and the AVX2 build of
 // the same inlined body.
 #define DRCELL_FASTMATH_VARIANT(suffix, attr)                                 \
@@ -174,14 +163,6 @@ DRCELL_KERNEL_INLINE void dsigmoid_body(const double* y, const double* grad,
   attr void sigmoid_##suffix(const double* src, double* dst,                  \
                              std::size_t n) {                                 \
     sigmoid_body(src, dst, n);                                                \
-  }                                                                           \
-  attr void dtanh_##suffix(const double* y, const double* grad, double* dst,  \
-                           std::size_t n) {                                   \
-    dtanh_body(y, grad, dst, n);                                              \
-  }                                                                           \
-  attr void dsigmoid_##suffix(const double* y, const double* grad,            \
-                              double* dst, std::size_t n) {                   \
-    dsigmoid_body(y, grad, dst, n);                                           \
   }
 
 DRCELL_FASTMATH_VARIANT(baseline, )
@@ -191,11 +172,9 @@ DRCELL_FASTMATH_VARIANT(avx2, DRCELL_TARGET_AVX2)
 #undef DRCELL_FASTMATH_VARIANT
 
 constexpr ArrayVariant kVariants[] = {
-    {isa::Isa::kBaseline, exp_baseline, tanh_baseline, sigmoid_baseline,
-     dtanh_baseline, dsigmoid_baseline},
+    {isa::Isa::kBaseline, exp_baseline, tanh_baseline, sigmoid_baseline},
 #if DRCELL_HAVE_AVX2_VARIANT
-    {isa::Isa::kAvx2, exp_avx2, tanh_avx2, sigmoid_avx2, dtanh_avx2,
-     dsigmoid_avx2},
+    {isa::Isa::kAvx2, exp_avx2, tanh_avx2, sigmoid_avx2},
 #endif
 };
 
@@ -229,16 +208,6 @@ void tanh_array(const double* src, double* dst, std::size_t n) {
 
 void sigmoid_array(const double* src, double* dst, std::size_t n) {
   selected_variant().sigmoid_array(src, dst, n);
-}
-
-void dtanh_from_output_array(const double* y, const double* grad, double* dst,
-                             std::size_t n) {
-  selected_variant().dtanh_from_output_array(y, grad, dst, n);
-}
-
-void dsigmoid_from_output_array(const double* y, const double* grad,
-                                double* dst, std::size_t n) {
-  selected_variant().dsigmoid_from_output_array(y, grad, dst, n);
 }
 
 }  // namespace drcell::fastmath

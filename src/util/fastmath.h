@@ -1,5 +1,5 @@
 // Vectorised elementwise transcendental kernels — the fastmath layer behind
-// the nn/ activations and the fused LSTM gate pass.
+// the fused LSTM gate pass and the GP kernel rows of the field generator.
 //
 // std::exp / std::tanh are scalar library calls: accurate to <1 ulp, but they
 // branch per element and never vectorise, and the LSTM gate nonlinearities
@@ -59,39 +59,18 @@ void exp_array(const double* src, double* dst, std::size_t n);
 void tanh_array(const double* src, double* dst, std::size_t n);
 void sigmoid_array(const double* src, double* dst, std::size_t n);
 
-/// In-place array forms.
-inline void exp_inplace(double* x, std::size_t n) { exp_array(x, x, n); }
-inline void tanh_inplace(double* x, std::size_t n) { tanh_array(x, x, n); }
-inline void sigmoid_inplace(double* x, std::size_t n) {
-  sigmoid_array(x, x, n);
-}
-inline void exp_inplace(std::span<double> x) { exp_inplace(x.data(), x.size()); }
-inline void tanh_inplace(std::span<double> x) {
-  tanh_inplace(x.data(), x.size());
-}
-inline void sigmoid_inplace(std::span<double> x) {
-  sigmoid_inplace(x.data(), x.size());
+/// In-place exp (the GP kernel rows of data/synthetic_field.cpp).
+inline void exp_inplace(std::span<double> x) {
+  exp_array(x.data(), x.data(), x.size());
 }
 
-/// Derivative-from-output array forms (exact elementwise arithmetic — no
-/// approximation): given y = tanh(x) (resp. sigmoid(x)) and the incoming
-/// gradient g, writes dst[i] = g[i] · (1 - y[i]²) (resp. g[i]·y[i]·(1-y[i])).
-void dtanh_from_output_array(const double* y, const double* grad, double* dst,
-                             std::size_t n);
-void dsigmoid_from_output_array(const double* y, const double* grad,
-                                double* dst, std::size_t n);
-
-/// One ISA build of the five array kernels above (same signatures). Every
+/// One ISA build of the three array kernels above (same signatures). Every
 /// variant is bit-identical to every other; they differ in vector width.
 struct ArrayVariant {
   isa::Isa isa;
   void (*exp_array)(const double*, double*, std::size_t);
   void (*tanh_array)(const double*, double*, std::size_t);
   void (*sigmoid_array)(const double*, double*, std::size_t);
-  void (*dtanh_from_output_array)(const double*, const double*, double*,
-                                  std::size_t);
-  void (*dsigmoid_from_output_array)(const double*, const double*, double*,
-                                     std::size_t);
 };
 
 /// The variants this host can run, baseline first (AVX2 second when

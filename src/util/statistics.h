@@ -46,9 +46,6 @@ double pearson_correlation(std::span<const double> xs,
 
 /// Standard normal CDF Φ(x).
 double normal_cdf(double x);
-/// Inverse standard normal CDF (Acklam's rational approximation,
-/// |relative error| < 1.15e-9). Requires p in (0, 1).
-double normal_quantile(double p);
 
 /// log Γ(x) for x > 0 (Lanczos approximation).
 double log_gamma(double x);

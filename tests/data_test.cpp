@@ -6,6 +6,7 @@
 #include "data/datasets.h"
 #include "data/synthetic_field.h"
 #include "data/task_io.h"
+#include "test_helpers.h"
 #include "util/statistics.h"
 
 namespace drcell::data {
@@ -198,6 +199,22 @@ TEST(TaskIo, RoundTripClassificationTask) {
             sliced.metric().categorize(75.0));
   EXPECT_EQ(loaded.metric().categorize(350.0),
             sliced.metric().categorize(350.0));
+}
+
+TEST(TaskIo, RoundTripCustomClassificationBounds) {
+  // Bounds other than the AQI defaults must survive the round trip: 15 is
+  // in category 1 under {10, 20} but would be category 0 under the AQI
+  // bounds.
+  const auto toy = testing::make_toy_task(3, 4);
+  const mcs::SensingTask task("custom", toy.ground_truth(), toy.coords(),
+                              mcs::ErrorMetric::classification({10.0, 20.0}));
+  std::stringstream ss;
+  save_task_csv(ss, task);
+  const auto loaded = load_task_csv(ss);
+  ASSERT_TRUE(loaded.metric().is_classification());
+  EXPECT_EQ(loaded.metric().category_bounds(),
+            (std::vector<double>{10.0, 20.0}));
+  EXPECT_EQ(loaded.metric().categorize(15.0), 1);
 }
 
 TEST(TaskIo, MalformedCsvThrows) {

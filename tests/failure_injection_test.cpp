@@ -185,6 +185,36 @@ TEST(FailureInjection, TaskCsvTruncatedHeaderThrows) {
   EXPECT_THROW(data::load_task_csv(ss), CheckError);
 }
 
+TEST(FailureInjection, TaskCsvWithNanCoordinateThrows) {
+  // A NaN coordinate would reach the KNN / QBC distances; it must be
+  // rejected when the task is loaded.
+  const auto task = testing::make_toy_task(3, 4);
+  std::stringstream ss;
+  data::save_task_csv(ss, task);
+  std::string text = ss.str();
+  const std::string clean_x = "coords_x,0,";
+  const auto at = text.find(clean_x);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, clean_x.size(), "coords_x,nan,");
+  std::stringstream corrupted(text);
+  EXPECT_THROW(data::load_task_csv(corrupted), CheckError);
+}
+
+TEST(FailureInjection, SensingTaskRejectsInfiniteCycleHours) {
+  const auto toy = testing::make_toy_task(3, 4);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(mcs::SensingTask("toy", toy.ground_truth(), toy.coords(),
+                                mcs::ErrorMetric::mae(), inf),
+               CheckError);
+}
+
+TEST(FailureInjection, ClassificationRejectsNanBounds) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(mcs::ErrorMetric::classification({10.0, nan, 20.0}),
+               CheckError);
+  EXPECT_THROW(mcs::ErrorMetric::classification({nan}), CheckError);
+}
+
 TEST(FailureInjection, AgentConfigValidation) {
   core::DrCellConfig config;
   config.history_cycles = 0;

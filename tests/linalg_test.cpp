@@ -239,73 +239,6 @@ TEST(Cholesky, RejectsNonSquare) {
   EXPECT_THROW(Cholesky{Matrix(2, 3)}, CheckError);
 }
 
-TEST(QRDecomposition, QHasOrthonormalColumns) {
-  Rng rng(6);
-  const Matrix a = random_normal_matrix(7, 4, rng);
-  const QR qr(a);
-  const Matrix qtq = qr.q.matmul_transposed_self(qr.q);
-  EXPECT_NEAR((qtq - Matrix::identity(4)).max_abs(), 0.0, 1e-10);
-}
-
-TEST(QRDecomposition, Reconstructs) {
-  Rng rng(7);
-  const Matrix a = random_normal_matrix(6, 3, rng);
-  const QR qr(a);
-  const Matrix rec = qr.q.matmul(qr.r);
-  EXPECT_NEAR((rec - a).max_abs(), 0.0, 1e-10);
-}
-
-TEST(QRDecomposition, LeastSquaresMatchesNormalEquations) {
-  Rng rng(8);
-  const Matrix a = random_normal_matrix(10, 3, rng);
-  std::vector<double> b(10);
-  for (auto& v : b) v = rng.normal();
-  const auto x_qr = QR(a).solve(b);
-  const auto x_ridge = ridge_solve(a, b, 0.0);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(x_qr[i], x_ridge[i], 1e-8);
-}
-
-TEST(SVDDecomposition, SingularValuesOfDiagonal) {
-  const std::vector<double> d{3.0, 1.0, 2.0};
-  const SVD svd(Matrix::diagonal(d));
-  ASSERT_EQ(svd.singular.size(), 3u);
-  EXPECT_NEAR(svd.singular[0], 3.0, 1e-10);
-  EXPECT_NEAR(svd.singular[1], 2.0, 1e-10);
-  EXPECT_NEAR(svd.singular[2], 1.0, 1e-10);
-}
-
-TEST(SVDDecomposition, ReconstructsTallMatrix) {
-  Rng rng(9);
-  const Matrix a = random_normal_matrix(8, 4, rng);
-  const SVD svd(a);
-  EXPECT_NEAR((svd.reconstruct() - a).max_abs(), 0.0, 1e-9);
-}
-
-TEST(SVDDecomposition, ReconstructsWideMatrix) {
-  Rng rng(10);
-  const Matrix a = random_normal_matrix(3, 7, rng);
-  const SVD svd(a);
-  EXPECT_NEAR((svd.reconstruct() - a).max_abs(), 0.0, 1e-9);
-}
-
-TEST(SVDDecomposition, OrthonormalFactors) {
-  Rng rng(11);
-  const Matrix a = random_normal_matrix(6, 4, rng);
-  const SVD svd(a);
-  const Matrix utu = svd.u.matmul_transposed_self(svd.u);
-  const Matrix vtv = svd.v.matmul_transposed_self(svd.v);
-  EXPECT_NEAR((utu - Matrix::identity(4)).max_abs(), 0.0, 1e-9);
-  EXPECT_NEAR((vtv - Matrix::identity(4)).max_abs(), 0.0, 1e-9);
-}
-
-TEST(SVDDecomposition, RankOfLowRankMatrix) {
-  Rng rng(12);
-  const Matrix u = random_normal_matrix(8, 2, rng);
-  const Matrix v = random_normal_matrix(5, 2, rng);
-  const Matrix low_rank = u.matmul(v.transposed());
-  EXPECT_EQ(SVD(low_rank).rank(), 2u);
-}
-
 // Reference ridge solve composed from the library's separate parts: the
 // Gram through the native kernel, Cholesky on the full matrix, and the
 // jitter ladder (escalated ×100 for up to 8 retries, the 9th failure
@@ -344,15 +277,22 @@ void expect_same_bits(std::span<const double> got,
             0);
 }
 
-// Runs the system through a reused RidgeSolver and through ridge_solve,
+// Accumulates every row of A (in ascending order) into `solver` and solves.
+std::span<const double> solve_rows(RidgeSolver& solver, const Matrix& a,
+                                   std::span<const double> b, double lambda) {
+  solver.reset();
+  for (std::size_t r = 0; r < a.rows(); ++r) solver.add_row(a.row(r), b[r]);
+  return solver.solve(lambda);
+}
+
+// Runs the system through a reused RidgeSolver and through a fresh one,
 // checking both against the oracle bit for bit.
 void expect_matches_oracle(RidgeSolver& solver, const Matrix& a,
                            std::span<const double> b, double lambda) {
   const auto want = ridge_solve_oracle(a, b, lambda);
-  solver.reset();
-  for (std::size_t r = 0; r < a.rows(); ++r) solver.add_row(a.row(r), b[r]);
-  expect_same_bits(solver.solve(lambda), want);
-  expect_same_bits(ridge_solve(a, b, lambda), want);
+  expect_same_bits(solve_rows(solver, a, b, lambda), want);
+  RidgeSolver fresh(a.cols());
+  expect_same_bits(solve_rows(fresh, a, b, lambda), want);
 }
 
 TEST(RidgeSolver, MatchesOracleBitwiseAcrossRanksWithZeroEntries) {
@@ -413,11 +353,8 @@ TEST(RidgeSolver, NonFiniteRowThrowsAfterTheLadder) {
   const Matrix a{{1.0, 0.5, -1.0}, {nan, 2.0, 0.0}, {0.0, 1.0, 1.0}};
   const std::vector<double> b{1.0, 2.0, 3.0};
   EXPECT_THROW(ridge_solve_oracle(a, b, 0.1), CheckError);
-  EXPECT_THROW(ridge_solve(a, b, 0.1), CheckError);
   RidgeSolver solver(3);
-  solver.reset();
-  for (std::size_t r = 0; r < a.rows(); ++r) solver.add_row(a.row(r), b[r]);
-  EXPECT_THROW(solver.solve(0.1), CheckError);
+  EXPECT_THROW(solve_rows(solver, a, b, 0.1), CheckError);
   // The workspace stays usable after the failure.
   const Matrix ok{{1.0, 0.0, 2.0}, {0.0, 1.0, -1.0}, {3.0, 1.0, 0.0}};
   expect_matches_oracle(solver, ok, b, 0.1);
@@ -504,8 +441,10 @@ TEST(Solvers, RidgeShrinksTowardsZero) {
   const Matrix a = random_normal_matrix(20, 3, rng);
   std::vector<double> b(20);
   for (auto& v : b) v = rng.normal();
-  const auto x0 = ridge_solve(a, b, 1e-9);
-  const auto x1 = ridge_solve(a, b, 100.0);
+  RidgeSolver solver(3);
+  const auto s0 = solve_rows(solver, a, b, 1e-9);
+  const std::vector<double> x0(s0.begin(), s0.end());
+  const auto x1 = solve_rows(solver, a, b, 100.0);
   EXPECT_LT(norm2(x1), norm2(x0));
 }
 
@@ -513,42 +452,10 @@ TEST(Solvers, RidgeHandlesUnderdeterminedWithRegularisation) {
   // 2 rows, 3 unknowns: only solvable thanks to lambda > 0.
   Matrix a{{1, 0, 1}, {0, 1, 1}};
   const std::vector<double> b{1.0, 2.0};
-  const auto x = ridge_solve(a, b, 0.1);
+  RidgeSolver solver(3);
+  const auto x = solve_rows(solver, a, b, 0.1);
   EXPECT_EQ(x.size(), 3u);
   for (double v : x) EXPECT_TRUE(std::isfinite(v));
-}
-
-TEST(Solvers, LuSolveMatchesKnownSolution) {
-  Matrix a{{2, 1, -1}, {-3, -1, 2}, {-2, 1, 2}};
-  const std::vector<double> b{8, -11, -3};
-  const auto x = lu_solve(a, b);
-  EXPECT_NEAR(x[0], 2.0, 1e-10);
-  EXPECT_NEAR(x[1], 3.0, 1e-10);
-  EXPECT_NEAR(x[2], -1.0, 1e-10);
-}
-
-TEST(Solvers, LuSolveNeedsPivoting) {
-  // Zero pivot in the (0,0) position requires row exchange.
-  Matrix a{{0, 1}, {1, 0}};
-  const std::vector<double> b{2, 3};
-  const auto x = lu_solve(a, b);
-  EXPECT_NEAR(x[0], 3.0, 1e-12);
-  EXPECT_NEAR(x[1], 2.0, 1e-12);
-}
-
-TEST(Solvers, LuSolveSingularThrows) {
-  Matrix a{{1, 2}, {2, 4}};
-  EXPECT_THROW(lu_solve(a, {1.0, 2.0}), CheckError);
-}
-
-TEST(Solvers, SpdSolveAgainstLu) {
-  Rng rng(14);
-  const Matrix a = random_spd(5, rng);
-  std::vector<double> b(5);
-  for (auto& v : b) v = rng.normal();
-  const auto x1 = spd_solve(a, b);
-  const auto x2 = lu_solve(a, b);
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(x1[i], x2[i], 1e-9);
 }
 
 }  // namespace

@@ -46,25 +46,6 @@ TEST(ReLULayer, BackwardGatesGradient) {
   EXPECT_EQ(dx(0, 1), 5.0);
 }
 
-TEST(TanhLayer, ForwardAndBackward) {
-  Tanh tanh_layer;
-  Matrix x{{0.5}};
-  const Matrix y = tanh_layer.forward(x);
-  EXPECT_NEAR(y(0, 0), std::tanh(0.5), 1e-12);
-  Matrix g{{1.0}};
-  const Matrix dx = tanh_layer.backward(g);
-  EXPECT_NEAR(dx(0, 0), 1.0 - std::pow(std::tanh(0.5), 2), 1e-12);
-}
-
-TEST(SigmoidLayer, BackwardMatchesDerivative) {
-  Sigmoid s;
-  Matrix x{{0.3}};
-  s.forward(x);
-  const Matrix dx = s.backward(Matrix{{1.0}});
-  const double y = sigmoid(0.3);
-  EXPECT_NEAR(dx(0, 0), y * (1 - y), 1e-12);
-}
-
 TEST(DenseLayer, ForwardMatchesManualComputation) {
   Rng rng(1);
   Dense d(2, 3, rng);
@@ -139,7 +120,7 @@ TEST(Sequential, ParameterCount) {
   Rng rng(5);
   Sequential net;
   net.emplace<Dense>(3, 4, rng);
-  net.emplace<Tanh>();
+  net.emplace<ReLU>();
   net.emplace<Dense>(4, 2, rng);
   EXPECT_EQ(net.parameters().size(), 4u);  // two weights + two biases
 }
@@ -153,7 +134,7 @@ TEST(Sequential, GradientThroughMlpMatchesFiniteDifferences) {
   Rng rng(6);
   Sequential net;
   net.emplace<Dense>(3, 5, rng);
-  net.emplace<Tanh>();
+  net.emplace<ReLU>();
   net.emplace<Dense>(5, 2, rng);
   Matrix x(4, 3);
   for (double& v : x.data()) v = rng.normal();
@@ -177,22 +158,6 @@ TEST(Init, XavierBoundsRespectFanInOut) {
   const double bound = std::sqrt(6.0 / 150.0);
   EXPECT_LE(w.max_abs(), bound);
   EXPECT_GT(w.max_abs(), bound * 0.5);  // actually fills the range
-}
-
-TEST(Init, HeNormalVariance) {
-  Rng rng(8);
-  Matrix w(200, 100);
-  he_normal(w, 200, rng);
-  double s = 0.0;
-  for (double v : w.data()) s += v * v;
-  const double var = s / static_cast<double>(w.size());
-  EXPECT_NEAR(var, 2.0 / 200.0, 2e-3);
-}
-
-TEST(Init, ConstantFill) {
-  Matrix w(2, 2);
-  constant_fill(w, 3.5);
-  EXPECT_EQ(w(1, 1), 3.5);
 }
 
 TEST(Loss, MseValueAndGradient) {

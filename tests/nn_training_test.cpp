@@ -29,41 +29,8 @@ struct Bowl {
 };
 
 TEST(Optimizer, RequiresParameters) {
-  EXPECT_THROW(Sgd({}, 0.1), CheckError);
-}
-
-TEST(Sgd, ConvergesOnQuadratic) {
-  Bowl bowl;
-  Sgd opt({&bowl.p}, 0.1);
-  for (int i = 0; i < 200; ++i) {
-    bowl.loss_and_grad();
-    opt.step();
-  }
-  EXPECT_NEAR(bowl.p.value(0, 0), 3.0, 1e-6);
-  EXPECT_NEAR(bowl.p.value(0, 1), -2.0, 1e-6);
-}
-
-TEST(Sgd, MomentumAcceleratesConvergence) {
-  Bowl plain_bowl, momentum_bowl;
-  Sgd plain({&plain_bowl.p}, 0.01);
-  Sgd momentum({&momentum_bowl.p}, 0.01, 0.9);
-  for (int i = 0; i < 50; ++i) {
-    plain_bowl.loss_and_grad();
-    plain.step();
-    momentum_bowl.loss_and_grad();
-    momentum.step();
-  }
-  EXPECT_LT(momentum_bowl.loss_and_grad(), plain_bowl.loss_and_grad());
-}
-
-TEST(RmsProp, ConvergesOnQuadratic) {
-  Bowl bowl;
-  RmsProp opt({&bowl.p}, 0.05);
-  for (int i = 0; i < 500; ++i) {
-    bowl.loss_and_grad();
-    opt.step();
-  }
-  EXPECT_NEAR(bowl.p.value(0, 0), 3.0, 1e-3);
+  EXPECT_THROW(Adam({}, 0.1), CheckError);
+  EXPECT_THROW(Adam({nullptr}, 0.1), CheckError);
 }
 
 TEST(Adam, ConvergesOnQuadratic) {
@@ -89,17 +56,18 @@ TEST(Adam, FirstStepIsBiasCorrectlySized) {
 
 TEST(Optimizer, ZeroGradClearsGradients) {
   Bowl bowl;
-  Sgd opt({&bowl.p}, 0.1);
+  Adam opt({&bowl.p}, 0.1);
   bowl.loss_and_grad();
   EXPECT_NE(bowl.p.grad.max_abs(), 0.0);
   opt.zero_grad();
   EXPECT_EQ(bowl.p.grad.max_abs(), 0.0);
 }
 
-TEST(Optimizer, SgdRejectsBadHyperparameters) {
+TEST(Optimizer, AdamRejectsBadHyperparameters) {
   Parameter p(1, 1);
-  EXPECT_THROW(Sgd({&p}, 0.0), CheckError);
-  EXPECT_THROW(Sgd({&p}, 0.1, 1.0), CheckError);
+  EXPECT_THROW(Adam({&p}, 0.0), CheckError);
+  EXPECT_THROW(Adam({&p}, 0.1, 1.0), CheckError);
+  EXPECT_THROW(Adam({&p}, 0.1, 0.9, -0.1), CheckError);
 }
 
 TEST(ClipGradNorm, LeavesSmallGradientsAlone) {
@@ -137,7 +105,7 @@ TEST(Training, MlpFitsXor) {
   Rng rng(21);
   Sequential net;
   net.emplace<Dense>(2, 8, rng);
-  net.emplace<Tanh>();
+  net.emplace<ReLU>();
   net.emplace<Dense>(8, 1, rng);
   Adam opt(net.parameters(), 0.03);
 
@@ -161,16 +129,19 @@ TEST(Training, MlpFitsXor) {
 
 TEST(Training, HuberIsRobustToOutlierTargets) {
   // With one absurd target, Huber-trained weights should move less than
-  // MSE-trained weights.
+  // MSE-trained weights. Adam's step is about lr whatever the gradient's
+  // scale, so the gap comes from direction alone: under Huber the growing
+  // inlier residuals soon offset the clipped outlier pull and slow the
+  // weight, while under MSE the outlier dominates every step.
   auto train = [](bool huber) {
     Rng rng(22);
     Dense d(1, 1, rng);
     d.weight().value(0, 0) = 1.0;
     d.bias().value(0, 0) = 0.0;
-    Sgd opt(d.parameters(), 0.01);
+    Adam opt(d.parameters(), 0.01);
     Matrix x{{1.0}, {2.0}, {3.0}};
     Matrix y{{1.0}, {2.0}, {1000.0}};  // outlier
-    for (int i = 0; i < 50; ++i) {
+    for (int i = 0; i < 300; ++i) {
       opt.zero_grad();
       const Matrix pred = d.forward(x);
       const auto l = huber ? huber_loss(pred, y, 1.0) : mse_loss(pred, y);

@@ -197,17 +197,6 @@ TEST(Statistics, NormalCdfKnownValues) {
   EXPECT_NEAR(normal_cdf(-1.96), 0.025, 1e-3);
 }
 
-TEST(Statistics, NormalQuantileInvertsCdf) {
-  for (double p : {0.01, 0.1, 0.25, 0.5, 0.9, 0.975, 0.999}) {
-    EXPECT_NEAR(normal_cdf(normal_quantile(p)), p, 1e-6) << "p=" << p;
-  }
-}
-
-TEST(Statistics, NormalQuantileDomain) {
-  EXPECT_THROW(normal_quantile(0.0), CheckError);
-  EXPECT_THROW(normal_quantile(1.0), CheckError);
-}
-
 TEST(Statistics, StudentTCdfKnownValues) {
   // t = 0 is the median for any dof.
   EXPECT_NEAR(student_t_cdf(0.0, 1.0), 0.5, 1e-12);
