@@ -547,15 +547,11 @@ void bench_lstm_gate(bench::JsonReporter& report, bool quick) {
 
 /// Paper-scale DRQN trainer (57 cells, k = 2, 64 LSTM units, batch 32 —
 /// the Sensor-Scope configuration of Sec. 5.3) over a 512-transition pool.
-/// `reference_gates` routes the batched engine's gate nonlinearities
-/// through the retained std:: kernels (the train_step_fastmath floor).
-rl::DqnTrainer make_paper_scale_trainer(std::uint64_t net_seed,
-                                        bool reference_gates = false) {
+rl::DqnTrainer make_paper_scale_trainer(std::uint64_t net_seed) {
   Rng net_rng(net_seed);
   rl::DqnOptions options;
   options.batch_size = 32;
   options.min_replay = 32;
-  options.reference_gate_kernel = reference_gates;
   rl::DqnTrainer trainer(
       std::make_unique<rl::DrqnQNetwork>(57, 2, 64, 0, net_rng), options, 7);
   Rng fill(3);
@@ -595,46 +591,33 @@ void bench_rl(bench::JsonReporter& report, bool quick) {
   report.add("drqn_forward_batch32", fwd_batch.wall_ms, fwd_batch.iterations,
              1e3 / fwd_batch.wall_ms);
 
-  // Parameter self-checks before timing anything, so a perf run can never
-  // report a speedup for a path that silently diverged. Two contracts:
-  //  - batched engine with the std:: gate kernel vs the per-sample
-  //    reference path: bit-identical (the PR-4 engine contract);
-  //  - production batched engine (fused fastmath gates) vs the per-sample
-  //    reference: equal within the documented fastmath end-to-end
-  //    tolerance (1e-8 max-abs after 5 shared minibatch updates —
-  //    docs/ARCHITECTURE.md, tests/batched_training_test.cpp).
+  // Parameter self-check before timing anything, so a perf run can never
+  // report a speedup for a path that silently diverged: the production
+  // batched engine vs the per-sample reference path, both on the active
+  // backend's kernels, after 5 shared minibatch updates. Bit-identical
+  // under exact-contract backends; a tolerance backend's per-sample path
+  // runs differently shaped GEMMs, so it is held to the documented 1e-8
+  // max-abs bound instead (docs/ARCHITECTURE.md).
   {
-    rl::DqnTrainer fastmath_batched = make_paper_scale_trainer(2);
-    rl::DqnTrainer std_batched = make_paper_scale_trainer(2, true);
+    rl::DqnTrainer batched = make_paper_scale_trainer(2);
     rl::DqnTrainer reference = make_paper_scale_trainer(2);
     Rng draw(11);
     for (int step = 0; step < 5; ++step) {
       std::vector<std::size_t> indices;
       for (int i = 0; i < 32; ++i) indices.push_back(draw.uniform_index(512));
-      (void)fastmath_batched.train_step_on_indices(indices);
-      (void)std_batched.train_step_on_indices(indices);
+      (void)batched.train_step_on_indices(indices);
       (void)reference.train_step_reference_on_indices(indices);
     }
-    const auto pf = fastmath_batched.online().parameters();
-    const auto ps = std_batched.online().parameters();
+    const auto pb = batched.online().parameters();
     const auto pr = reference.online().parameters();
-    // Bit-identity between the std::-gate batched engine and the per-sample
-    // reference holds only under exact-contract backends; tolerance
-    // backends (e.g. blas) are held to the documented 1e-8 bound instead.
     const bool exact = BackendRegistry::active().exact_contract();
-    for (std::size_t i = 0; i < pf.size(); ++i) {
-      const bool std_ok =
-          exact ? ps[i]->value == pr[i]->value
-                : (ps[i]->value - pr[i]->value).max_abs() <= 1e-8;
-      if (!std_ok) {
-        std::cerr << "FAIL: batched train step (std:: gate kernel) diverged "
-                     "from the per-sample reference path (parameter "
-                  << i << ")\n";
-        std::exit(1);
-      }
-      if ((pf[i]->value - pr[i]->value).max_abs() > 1e-8) {
-        std::cerr << "FAIL: fastmath batched train step drifted beyond the "
-                     "documented tolerance vs the reference path (parameter "
+    for (std::size_t i = 0; i < pb.size(); ++i) {
+      const bool ok = exact
+                          ? pb[i]->value == pr[i]->value
+                          : (pb[i]->value - pr[i]->value).max_abs() <= 1e-8;
+      if (!ok) {
+        std::cerr << "FAIL: batched train step diverged from the per-sample "
+                     "reference path (parameter "
                   << i << ")\n";
         std::exit(1);
       }
@@ -665,23 +648,6 @@ void bench_rl(bench::JsonReporter& report, bool quick) {
             << format_double(train.wall_ms, 3) << " ms, per-sample reference "
             << format_double(train_ref.wall_ms, 3) << " ms, speedup "
             << format_double(train_ref.wall_ms / train.wall_ms, 2) << "x\n";
-
-  // train_step_fastmath isolates the fastmath contribution: the identical
-  // batched engine with the std:: gate kernel is the floor, so the ratio
-  // reads what the fused gate pass buys end to end (the GEMMs and batch
-  // assembly are shared). The self-check above already verified the
-  // fastmath path's parameters against the reference within tolerance.
-  rl::DqnTrainer std_gate_trainer = make_paper_scale_trainer(2, true);
-  const auto train_std = bench::measure_ms(
-      [&] { (void)std_gate_trainer.train_step(); }, quick ? 150.0 : 400.0,
-      5000);
-  report.add_with_reference("train_step_fastmath", train.wall_ms,
-                            train.iterations, 1e3 / train.wall_ms,
-                            train_std.wall_ms, train_std.iterations);
-  std::cout << "dqn train step (paper-scale DRQN): fastmath gates "
-            << format_double(train.wall_ms, 3) << " ms, std:: gates "
-            << format_double(train_std.wall_ms, 3) << " ms, speedup "
-            << format_double(train_std.wall_ms / train.wall_ms, 2) << "x\n";
 }
 
 /// Faithful copy of the pre-chunked ThreadPool dispatch: one index claimed

@@ -5,8 +5,9 @@
 //
 // Hard gates (exit non-zero, independent of --no-perf-gate):
 //   * batched stepping is bit-identical per campaign to solo stepping with
-//     the same seeds (action logs AND episode stats, vs both the unbatched
-//     scheduler and the single-campaign runner);
+//     the same seeds (action logs AND episode stats, vs both an unbatched
+//     fleet, whose DR-Cell campaigns step through select(), and the
+//     single-campaign runner);
 //   * worker count never changes any campaign's trace (the pooled STEP
 //     phase is index-exclusive by contract);
 //   * N same-spatial-params campaigns pay ONE factorisation: the shared
@@ -101,6 +102,23 @@ void populate_city_fleet(core::CampaignScheduler& scheduler,
   }
 }
 
+/// A frozen DR-Cell policy that does not claim BatchedQSelector: it
+/// forwards select() and name() only, so the scheduler steps it through
+/// select() with one B = 1 forward per campaign — the unbatched floor of
+/// gate (a) and of the batched-wave perf pair. The agent is hidden too, so
+/// the scheduler runs no health scan for it.
+class UnbatchedDrCellPolicy final : public baselines::CellSelector {
+ public:
+  explicit UnbatchedDrCellPolicy(core::DrCellAgent& agent) : policy_(agent) {}
+  std::size_t select(const mcs::SparseMcsEnvironment& env) override {
+    return policy_.select(env);
+  }
+  std::string name() const override { return policy_.name(); }
+
+ private:
+  core::DrCellPolicy policy_;
+};
+
 /// Small mixed fleet for the bit-identity gates: `drqn` frozen DR-Cell
 /// campaigns sharing ONE (deterministically initialised) agent — the
 /// batched group — plus `random` RANDOM campaigns, all on the 36-cell
@@ -131,11 +149,19 @@ struct MixedFleet {
     campaign.env.history_cycles = config.history_cycles;
   }
 
-  void populate(core::CampaignScheduler& scheduler) const {
-    for (std::size_t i = 0; i < drqn; ++i)
+  /// `batched = false` serves the DR-Cell campaigns through
+  /// UnbatchedDrCellPolicy instead.
+  void populate(core::CampaignScheduler& scheduler,
+                bool batched = true) const {
+    for (std::size_t i = 0; i < drqn; ++i) {
+      std::shared_ptr<baselines::CellSelector> policy;
+      if (batched)
+        policy = std::make_shared<core::DrCellPolicy>(*agent);
+      else
+        policy = std::make_shared<UnbatchedDrCellPolicy>(*agent);
       scheduler.add_campaign("drqn-" + std::to_string(i), campaign, test_task,
-                             make_engine,
-                             std::make_shared<core::DrCellPolicy>(*agent));
+                             make_engine, std::move(policy));
+    }
     for (std::size_t i = 0; i < random; ++i)
       scheduler.add_campaign(
           "rand-" + std::to_string(i), campaign, test_task, make_engine,
@@ -188,18 +214,14 @@ bool same_fleets(const core::CampaignScheduler& a,
 bool gate_batched_bit_identity() {
   const MixedFleet fleet(3, 3);
 
-  core::CampaignScheduler::Options batched_opts;
-  batched_opts.cross_campaign_batching = true;
-  core::CampaignScheduler batched(batched_opts);
+  core::CampaignScheduler batched;
   fleet.populate(batched);
   batched.run();
 
-  core::CampaignScheduler::Options unbatched_opts;
-  unbatched_opts.cross_campaign_batching = false;
-  core::CampaignScheduler unbatched(unbatched_opts);
+  core::CampaignScheduler unbatched;
   // RANDOM selectors are stateful: rebuild the fleet so their streams start
   // fresh (frozen DR-Cell shares the agent, which solo stepping reads only).
-  fleet.populate(unbatched);
+  fleet.populate(unbatched, /*batched=*/false);
   unbatched.run();
 
   if (!same_fleets(batched, unbatched, "batched vs unbatched")) return false;
@@ -619,10 +641,8 @@ int main(int argc, char** argv) {
     const std::size_t fleet_size = quick ? 8 : 32;
     const MixedFleet fleet(fleet_size, 0);
     const auto run_fleet = [&](bool batching) {
-      core::CampaignScheduler::Options opts;
-      opts.cross_campaign_batching = batching;
-      core::CampaignScheduler scheduler(opts);
-      fleet.populate(scheduler);
+      core::CampaignScheduler scheduler;
+      fleet.populate(scheduler, batching);
       scheduler.run(/*max_waves=*/quick ? 10 : 20);
     };
     const auto batched = measure_ms([&] { run_fleet(true); },

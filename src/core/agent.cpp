@@ -1,7 +1,5 @@
 #include "core/agent.h"
 
-#include <fstream>
-
 #include "nn/serialize.h"
 #include "rl/drqn_qnetwork.h"
 #include "rl/mlp_qnetwork.h"
@@ -50,18 +48,6 @@ void DrCellAgent::save_weights(std::ostream& out) {
 void DrCellAgent::load_weights(std::istream& in) {
   nn::load_parameters(in, trainer_->online().parameters());
   trainer_->sync_target();
-}
-
-void DrCellAgent::save_weights_file(const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  DRCELL_CHECK_MSG(static_cast<bool>(out), "cannot open " + path);
-  save_weights(out);
-}
-
-void DrCellAgent::load_weights_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  DRCELL_CHECK_MSG(static_cast<bool>(in), "cannot open " + path);
-  load_weights(in);
 }
 
 void DrCellAgent::copy_weights_to(DrCellAgent& other) {

@@ -40,8 +40,6 @@ class DrCellAgent {
 
   void save_weights(std::ostream& out);
   void load_weights(std::istream& in);
-  void save_weights_file(const std::string& path);
-  void load_weights_file(const std::string& path);
 
   /// Copies this agent's online-network weights into `other` (architectures
   /// must match) — the in-process transfer-learning primitive of Sec. 4.4.

@@ -291,12 +291,10 @@ std::size_t CampaignScheduler::step_wave() {
   // DECIDE. Batched groups first (one forward per shared network), then the
   // serial selectors in ascending slot order — each owns its draw stream,
   // so its decisions replay its solo campaign's exactly.
-  bool batched_ok = true;
-  if (options_.cross_campaign_batching) batched_ok = decide_batched(active);
+  const bool batched_ok = decide_batched(active);
   for (std::size_t k = 0; k < active.size(); ++k) {
     Slot& slot = slots_[active[k]];
-    if (options_.cross_campaign_batching && slot.batched != nullptr &&
-        batched_ok) {
+    if (slot.batched != nullptr && batched_ok) {
       decided[k] = 1;
       continue;
     }

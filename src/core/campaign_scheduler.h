@@ -150,13 +150,10 @@ class CampaignScheduler {
 
   struct Options {
     util::ThreadPool* pool = nullptr;  ///< nullptr -> ThreadPool::global()
-    /// Batch BatchedQSelector campaigns into shared forward_batch calls.
-    /// Off = the unbatched reference: every selector steps via select().
-    bool cross_campaign_batching = true;
     FaultToleranceOptions fault;
   };
 
-  CampaignScheduler();  // default Options: global pool, batching on
+  CampaignScheduler();  // default Options: global pool
   explicit CampaignScheduler(Options options);
 
   /// Registers a campaign and builds its environment; returns the slot

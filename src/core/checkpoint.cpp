@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -121,21 +120,25 @@ struct CheckpointAccess {
     }
   }
 
+  /// Parses and validates the whole body and replays every campaign into a
+  /// local environment before touching the scheduler; a throw from any of
+  /// that leaves the scheduler exactly as it was. The commit then loads
+  /// weights, counters and selector words — undone from snapshots if one of
+  /// them throws — and finally swaps in the replayed state, which cannot.
   static void read_body(CampaignScheduler& scheduler, std::istream& in) {
+    auto& slots = scheduler.slots_;
     const auto waves = read_pod<std::uint64_t>(in);
     const auto campaign_count = read_pod<std::uint64_t>(in);
-    if (campaign_count != scheduler.slots_.size())
+    if (campaign_count != slots.size())
       throw CheckpointMismatchError(
           "checkpoint holds " + std::to_string(campaign_count) +
-          " campaigns, scheduler has " +
-          std::to_string(scheduler.slots_.size()));
+          " campaigns, scheduler has " + std::to_string(slots.size()));
 
     // The agent table must line up with the one this registry would
     // produce — same discovery order, same sharing structure.
     std::vector<std::shared_ptr<baselines::CellSelector>> selectors;
-    selectors.reserve(scheduler.slots_.size());
-    for (const auto& slot : scheduler.slots_)
-      selectors.push_back(slot.selector);
+    selectors.reserve(slots.size());
+    for (const auto& slot : slots) selectors.push_back(slot.selector);
     std::vector<std::int64_t> expected_refs;
     const std::vector<DrCellAgent*> agents =
         collect_agents(selectors, expected_refs);
@@ -146,29 +149,26 @@ struct CheckpointAccess {
           "checkpoint holds " + std::to_string(agent_count) +
           " agents, scheduler registry implies " +
           std::to_string(agents.size()));
-    for (DrCellAgent* agent : agents) {
-      const auto env_steps = read_pod<std::uint64_t>(in);
-      const auto train_steps = read_pod<std::uint64_t>(in);
-      const std::string blob =
-          read_string(in, std::uint64_t{1} << 33, "weight blob");
-      std::istringstream blob_in(blob, std::ios::binary);
-      agent->load_weights(blob_in);  // DRCW layer checks shapes itself
-      agent->trainer().restore_counters(env_steps, train_steps);
+    std::vector<std::uint64_t> env_steps(agents.size());
+    std::vector<std::uint64_t> train_steps(agents.size());
+    std::vector<std::string> blobs(agents.size());
+    for (std::size_t a = 0; a < agents.size(); ++a) {
+      env_steps[a] = read_pod<std::uint64_t>(in);
+      train_steps[a] = read_pod<std::uint64_t>(in);
+      blobs[a] = read_string(in, std::uint64_t{1} << 33, "weight blob");
     }
 
-    // Per-campaign state. Read everything (and restore selector streams)
-    // before the replay fan-out below so stream errors surface first.
-    std::vector<std::vector<std::uint32_t>> logs(scheduler.slots_.size());
-    std::vector<std::uint64_t> cycles(scheduler.slots_.size());
-    std::vector<std::uint8_t> states(scheduler.slots_.size());
-    std::vector<std::string> reasons(scheduler.slots_.size());
-    for (std::size_t i = 0; i < scheduler.slots_.size(); ++i) {
-      auto& slot = scheduler.slots_[i];
+    std::vector<std::vector<std::uint32_t>> logs(slots.size());
+    std::vector<std::uint64_t> cycles(slots.size());
+    std::vector<std::vector<std::uint64_t>> words(slots.size());
+    std::vector<std::uint8_t> states(slots.size());
+    std::vector<std::string> reasons(slots.size());
+    for (std::size_t i = 0; i < slots.size(); ++i) {
       const std::string id = read_string(in, 4096, "campaign id");
-      if (id != slot.id)
+      if (id != slots[i].id)
         throw CheckpointMismatchError(
             "checkpoint campaign " + std::to_string(i) + " is '" + id +
-            "', scheduler has '" + slot.id + "'");
+            "', scheduler has '" + slots[i].id + "'");
       const auto ref = read_pod<std::int64_t>(in);
       if (ref != expected_refs[i])
         throw CheckpointMismatchError("checkpoint agent wiring of campaign '" +
@@ -189,12 +189,11 @@ struct CheckpointAccess {
       if (word_count > 1'000'000)
         throw CheckpointCorruptionError(
             "implausible selector state in checkpoint");
-      std::vector<std::uint64_t> words(word_count);
-      in.read(reinterpret_cast<char*>(words.data()),
+      words[i].resize(word_count);
+      in.read(reinterpret_cast<char*>(words[i].data()),
               static_cast<std::streamsize>(word_count *
                                            sizeof(std::uint64_t)));
       if (!in) throw CheckpointCorruptionError("truncated checkpoint stream");
-      slot.selector->restore_state_words(words);
       states[i] = read_pod<std::uint8_t>(in);
       if (states[i] > 1)
         throw CheckpointCorruptionError(
@@ -202,45 +201,109 @@ struct CheckpointAccess {
       reasons[i] = read_string(in, 4096, "quarantine reason");
     }
 
-    // Replay: fresh engine, logged actions, in order (see header). The
-    // fan-out is index-exclusive per slot — bit-identical for any worker
-    // count; errors are collected and rethrown on the caller's thread.
+    // Replay: fresh engine, logged actions, in order (see header), into
+    // local environments. The fan-out is index-exclusive per slot —
+    // bit-identical for any worker count; errors are collected and
+    // rethrown on the caller's thread.
     util::ThreadPool& pool = scheduler.options_.pool != nullptr
                                  ? *scheduler.options_.pool
                                  : util::ThreadPool::global();
-    std::vector<std::string> errors(scheduler.slots_.size());
-    pool.parallel_for(scheduler.slots_.size(), [&](std::size_t i) {
-      auto& slot = scheduler.slots_[i];
-      slot.env = make_campaign_environment(slot.task, slot.engine_factory(),
+    std::vector<std::unique_ptr<mcs::SparseMcsEnvironment>> envs(slots.size());
+    std::vector<std::string> errors(slots.size());
+    pool.parallel_for(slots.size(), [&](std::size_t i) {
+      const auto& slot = slots[i];
+      auto env = make_campaign_environment(slot.task, slot.engine_factory(),
                                            slot.config);
       for (const std::uint32_t a : logs[i]) {
-        if (slot.env->episode_done() || a >= slot.env->num_cells() ||
-            !slot.env->can_select(a)) {
+        if (env->episode_done() || a >= env->num_cells() ||
+            !env->can_select(a)) {
           errors[i] =
               "invalid action in checkpoint replay of '" + slot.id + "'";
           return;
         }
-        slot.env->step(a);
+        env->step(a);
       }
-      if (slot.env->current_cycle() != cycles[i]) {
+      if (env->current_cycle() != cycles[i]) {
         errors[i] = "replay of campaign '" + slot.id + "' reached cycle " +
-                    std::to_string(slot.env->current_cycle()) +
+                    std::to_string(env->current_cycle()) +
                     ", checkpoint recorded " + std::to_string(cycles[i]);
         return;
       }
-      slot.action_log = std::move(logs[i]);
+      envs[i] = std::move(env);
     });
     for (const std::string& e : errors)
       if (!e.empty()) throw CheckpointMismatchError(e);
 
-    for (std::size_t i = 0; i < scheduler.slots_.size(); ++i) {
-      auto& slot = scheduler.slots_[i];
+    commit_agents_and_selectors(scheduler, agents, env_steps, train_steps,
+                                blobs, words);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      auto& slot = slots[i];
+      slot.env = std::move(envs[i]);
+      slot.action_log = std::move(logs[i]);
       slot.state = states[i] == 1 ? CampaignState::kQuarantined
                                   : CampaignState::kActive;
-      slot.quarantine_reason = reasons[i];
+      slot.quarantine_reason = std::move(reasons[i]);
       slot.consecutive_faults = 0;
     }
     scheduler.waves_ = waves;
+  }
+
+  /// Loads every agent's weights and counters and every selector's state
+  /// words. The DRCW layer checks weight shapes and a selector checks its
+  /// own words, so either may throw part-way; the online and target
+  /// weights, counters and words are then restored from snapshots before
+  /// the error propagates.
+  static void commit_agents_and_selectors(
+      CampaignScheduler& scheduler, const std::vector<DrCellAgent*>& agents,
+      const std::vector<std::uint64_t>& env_steps,
+      const std::vector<std::uint64_t>& train_steps,
+      const std::vector<std::string>& blobs,
+      const std::vector<std::vector<std::uint64_t>>& words) {
+    auto& slots = scheduler.slots_;
+    struct AgentSnapshot {
+      std::vector<Matrix> online, target;
+      std::size_t env_steps, train_steps;
+    };
+    const auto values_of = [](rl::QNetwork& net) {
+      std::vector<Matrix> values;
+      for (const nn::Parameter* p : net.parameters()) values.push_back(p->value);
+      return values;
+    };
+    const auto assign = [](rl::QNetwork& net, const std::vector<Matrix>& v) {
+      const auto params = net.parameters();
+      for (std::size_t j = 0; j < params.size(); ++j) params[j]->value = v[j];
+    };
+    std::vector<AgentSnapshot> agent_snapshots;
+    for (DrCellAgent* agent : agents) {
+      rl::DqnTrainer& trainer = agent->trainer();
+      agent_snapshots.push_back({values_of(trainer.online()),
+                                 values_of(trainer.target()),
+                                 trainer.env_steps(), trainer.train_steps()});
+    }
+    std::vector<std::vector<std::uint64_t>> word_snapshots;
+    for (const auto& slot : slots)
+      word_snapshots.push_back(slot.selector->checkpoint_state_words());
+
+    try {
+      for (std::size_t a = 0; a < agents.size(); ++a) {
+        std::istringstream blob_in(blobs[a], std::ios::binary);
+        agents[a]->load_weights(blob_in);
+        agents[a]->trainer().restore_counters(env_steps[a], train_steps[a]);
+      }
+      for (std::size_t i = 0; i < slots.size(); ++i)
+        slots[i].selector->restore_state_words(words[i]);
+    } catch (...) {
+      for (std::size_t a = 0; a < agents.size(); ++a) {
+        rl::DqnTrainer& trainer = agents[a]->trainer();
+        assign(trainer.online(), agent_snapshots[a].online);
+        assign(trainer.target(), agent_snapshots[a].target);
+        trainer.restore_counters(agent_snapshots[a].env_steps,
+                                 agent_snapshots[a].train_steps);
+      }
+      for (std::size_t i = 0; i < slots.size(); ++i)
+        slots[i].selector->restore_state_words(word_snapshots[i]);
+      throw;
+    }
   }
 };
 
@@ -297,21 +360,6 @@ void load_checkpoint(CampaignScheduler& scheduler, std::istream& in) {
         "checkpoint CRC mismatch (bit-rot or torn write)");
   std::istringstream body(payload, std::ios::binary);
   CheckpointAccess::read_body(scheduler, body);
-}
-
-void save_checkpoint_file(const CampaignScheduler& scheduler,
-                          const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out)
-    throw SerializationError("cannot open " + path + " for writing");
-  save_checkpoint(scheduler, out);
-}
-
-void load_checkpoint_file(CampaignScheduler& scheduler,
-                          const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw SerializationError("cannot open " + path + " for reading");
-  load_checkpoint(scheduler, in);
 }
 
 }  // namespace drcell::core

@@ -41,9 +41,9 @@
 // Resume is replay: load_checkpoint requires a scheduler already populated
 // with the same campaigns (matched by id, in order, same configs/tasks/
 // factories/selector types — the checkpoint stores state, not
-// configuration), restores agent weights and counters and selector RNG
-// words FIRST, then rebuilds each environment with a fresh engine from its
-// factory and replays the logged actions through env->step. The
+// configuration). It rebuilds each environment with a fresh engine from
+// its factory and replays the logged actions through env->step, then
+// restores agent weights and counters and selector RNG words. The
 // environment is deterministic given the action sequence and the replayed
 // engine sees the identical inference-call sequence (including the
 // order-sensitive ALS warm-start fingerprints — why the log keeps order,
@@ -53,6 +53,12 @@
 // consistent state. Caveat: replay buffers are out of scope, so campaigns
 // that TRAIN during serving (OnlineAdaptive) resume with restored weights
 // but an empty pool — see core/policy.h.
+//
+// A load that throws leaves the scheduler unchanged: the body is parsed,
+// validated and replayed into local environments before anything is
+// mutated, and a weight or selector-word load that fails part-way is
+// undone from snapshots (so rollback_from_ring can try an older entry on
+// an intact fleet).
 //
 // Fault-injection sites (util/fault_injection.h): "ckpt.save" at the top
 // of save_checkpoint, "ckpt.load" at the top of load_checkpoint.
@@ -83,11 +89,5 @@ class CheckpointMismatchError : public nn::SerializationError {
 
 void save_checkpoint(const CampaignScheduler& scheduler, std::ostream& out);
 void load_checkpoint(CampaignScheduler& scheduler, std::istream& in);
-
-/// File-path convenience wrappers.
-void save_checkpoint_file(const CampaignScheduler& scheduler,
-                          const std::string& path);
-void load_checkpoint_file(CampaignScheduler& scheduler,
-                          const std::string& path);
 
 }  // namespace drcell::core

@@ -47,14 +47,4 @@ Matrix InferenceCommittee::disagreement(
   return var;
 }
 
-Matrix InferenceCommittee::mean_prediction(
-    const std::vector<Matrix>& predictions) {
-  DRCELL_CHECK_MSG(!predictions.empty(), "no predictions");
-  Matrix mean = predictions.front();
-  for (std::size_t i = 1; i < predictions.size(); ++i)
-    mean += predictions[i];
-  mean *= 1.0 / static_cast<double>(predictions.size());
-  return mean;
-}
-
 }  // namespace drcell::cs

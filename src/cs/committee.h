@@ -33,9 +33,6 @@ class InferenceCommittee {
   /// Population variance of member predictions for every entry.
   static Matrix disagreement(const std::vector<Matrix>& predictions);
 
-  /// Element-wise mean of member predictions.
-  static Matrix mean_prediction(const std::vector<Matrix>& predictions);
-
  private:
   std::vector<InferenceEnginePtr> members_;
   util::ThreadPool* pool_ = nullptr;  // nullptr -> ThreadPool::global()

@@ -202,13 +202,6 @@ void Lstm::finish_step(std::size_t t) {
   Matrix& ht = h_[t];
   ht.resize_overwrite(batch_, hidden);
   const Matrix* c_prev = t > 0 ? &c_[t - 1] : nullptr;
-  if (reference_gate_kernel_) {
-    // Forced std:: gates (the bit-identity test machinery) bypass the
-    // backend so both sides of a batched-vs-per-sample comparison share one
-    // gate arithmetic regardless of the selected backend.
-    lstm_gate_forward_reference(z, c_prev, gates, ct, tct, ht);
-    return;
-  }
   BackendRegistry::active().lstm_gate_forward(z, c_prev, gates, ct, tct, ht);
 }
 
@@ -316,13 +309,8 @@ const std::vector<Matrix>& Lstm::backward_sequence(
     dz.resize_overwrite(batch_, 4 * hidden);
     dc_prev_ws_.resize_overwrite(batch_, hidden);
     const Matrix* c_prev = t > 0 ? &c_[t - 1] : nullptr;
-    if (reference_gate_kernel_)
-      lstm_gate_backward_reference(gates, tct, c_prev, dh_ws_, dc_next_ws_,
-                                   dz, dc_prev_ws_);
-    else
-      BackendRegistry::active().lstm_gate_backward(gates, tct, c_prev, dh_ws_,
-                                                   dc_next_ws_, dz,
-                                                   dc_prev_ws_);
+    BackendRegistry::active().lstm_gate_backward(gates, tct, c_prev, dh_ws_,
+                                                 dc_next_ws_, dz, dc_prev_ws_);
 
     // Gradients flowing to inputs and to the previous step (no transposes
     // materialised).
@@ -409,50 +397,25 @@ Matrix Lstm::forward_reference(const std::vector<Matrix>& steps) {
 
   const std::size_t t_max = steps.size();
   x_.assign(steps.begin(), steps.end());
-  gates_.assign(t_max, Matrix());
-  c_.assign(t_max, Matrix());
-  tanh_c_.assign(t_max, Matrix());
-  h_.assign(t_max, Matrix());
+  gates_.assign(t_max, Matrix(batch_, 4 * hidden));
+  c_.assign(t_max, Matrix(batch_, hidden));
+  tanh_c_.assign(t_max, Matrix(batch_, hidden));
+  h_.assign(t_max, Matrix(batch_, hidden));
 
-  Matrix h_prev(batch_, hidden);
-  Matrix c_prev(batch_, hidden);
+  const Matrix h_initial(batch_, hidden);
   for (std::size_t t = 0; t < t_max; ++t) {
     const Matrix& xt = steps[t];
     DRCELL_CHECK_MSG(xt.rows() == batch_ && xt.cols() == input_size(),
                      "LSTM: inconsistent step shape");
     Matrix z = xt.matmul(wx_.value);
-    z += h_prev.matmul(wh_.value);
+    z += (t > 0 ? h_[t - 1] : h_initial).matmul(wh_.value);
     for (std::size_t r = 0; r < batch_; ++r)
       for (std::size_t col = 0; col < 4 * hidden; ++col)
         z(r, col) += b_.value(0, col);
-
-    Matrix gates(batch_, 4 * hidden);
-    Matrix ct(batch_, hidden);
-    Matrix tct(batch_, hidden);
-    Matrix ht(batch_, hidden);
-    for (std::size_t r = 0; r < batch_; ++r) {
-      for (std::size_t j = 0; j < hidden; ++j) {
-        const double i = sigmoid(z(r, j));
-        const double f = sigmoid(z(r, hidden + j));
-        const double g = std::tanh(z(r, 2 * hidden + j));
-        const double o = sigmoid(z(r, 3 * hidden + j));
-        gates(r, j) = i;
-        gates(r, hidden + j) = f;
-        gates(r, 2 * hidden + j) = g;
-        gates(r, 3 * hidden + j) = o;
-        const double c_new = f * c_prev(r, j) + i * g;
-        ct(r, j) = c_new;
-        const double tc = std::tanh(c_new);
-        tct(r, j) = tc;
-        ht(r, j) = o * tc;
-      }
-    }
-    gates_[t] = std::move(gates);
-    c_[t] = ct;
-    tanh_c_[t] = std::move(tct);
-    h_[t] = ht;
-    h_prev = std::move(ht);
-    c_prev = std::move(ct);
+    // The production gate pass, with no previous cell state at t = 0
+    // exactly as finish_step() runs it.
+    BackendRegistry::active().lstm_gate_forward(
+        z, t > 0 ? &c_[t - 1] : nullptr, gates_[t], c_[t], tanh_c_[t], h_[t]);
   }
   return h_.back();
 }
@@ -474,33 +437,11 @@ std::vector<Matrix> Lstm::backward_reference(const Matrix& grad_last_hidden) {
     DRCELL_CHECK(dh.rows() == batch_ && dh.cols() == hidden);
     dh += dh_next;
 
-    const Matrix& gates = gates_[t];
-    const Matrix& tct = tanh_c_[t];
     Matrix dz(batch_, 4 * hidden);
     Matrix dc_prev(batch_, hidden);
-    for (std::size_t r = 0; r < batch_; ++r) {
-      for (std::size_t j = 0; j < hidden; ++j) {
-        const double i = gates(r, j);
-        const double f = gates(r, hidden + j);
-        const double g = gates(r, 2 * hidden + j);
-        const double o = gates(r, 3 * hidden + j);
-        const double tc = tct(r, j);
-        const double c_prev = t > 0 ? c_[t - 1](r, j) : 0.0;
-
-        const double dht = dh(r, j);
-        const double d_o = dht * tc;
-        const double dct = dc_next(r, j) + dht * o * dtanh_from_output(tc);
-        const double d_i = dct * g;
-        const double d_f = dct * c_prev;
-        const double d_g = dct * i;
-        dc_prev(r, j) = dct * f;
-
-        dz(r, j) = d_i * dsigmoid_from_output(i);
-        dz(r, hidden + j) = d_f * dsigmoid_from_output(f);
-        dz(r, 2 * hidden + j) = d_g * dtanh_from_output(g);
-        dz(r, 3 * hidden + j) = d_o * dsigmoid_from_output(o);
-      }
-    }
+    BackendRegistry::active().lstm_gate_backward(
+        gates_[t], tanh_c_[t], t > 0 ? &c_[t - 1] : nullptr, dh, dc_next, dz,
+        dc_prev);
 
     wx_.grad += x_[t].matmul_transposed_self(dz);
     if (t > 0) wh_.grad += h_[t - 1].matmul_transposed_self(dz);

@@ -20,15 +20,13 @@
 // therefore bit-identical to the per-sample path from zeroed gradients.
 //
 // Gate nonlinearities run through the active compute backend's gate pass
-// (linalg/backend.h) — the fused fastmath kernel (below) under the default
-// native backend. Numeric-divergence contract: the fused pass differs from
-// the retained
-// std::-based gate pass by the fastmath bound (≤1e-12 relative per
-// activation on the training range, measured ≲1e-15 —
-// tests/fastmath_test.cpp), so forward()/backward() diverge from the
-// pre-fastmath reference path at the last bits while the batched-vs-
-// per-sample bit-identity above continues to hold *within* each kernel
-// choice. docs/ARCHITECTURE.md states the full contract.
+// (linalg/backend.h): the fused fastmath kernel (below) under the native
+// backend, the std::-based pass under the reference backend. The retained
+// per-sample path (forward_reference/backward_reference) calls the same
+// backend pass, so the bit-identity above holds under either backend; the
+// two backends differ from each other by the fastmath bound (≤1e-12
+// relative per activation on the training range, measured ≲1e-15 —
+// tests/fastmath_test.cpp). docs/ARCHITECTURE.md states the full contract.
 #pragma once
 
 #include <vector>
@@ -63,8 +61,7 @@ void lstm_gate_backward(const Matrix& gates, const Matrix& tanh_c,
                         const Matrix& dc_next, Matrix& dz, Matrix& dc_prev);
 
 /// The retained pre-fastmath gate passes (std::tanh / nn::sigmoid, scalar
-/// per-element loop) — the benchmark floor of `lstm_gate_pass`, the gate
-/// kernel driven by Lstm::set_reference_gate_kernel(true), and the gate
+/// per-element loop) — the benchmark floor of `lstm_gate_pass` and the gate
 /// implementation of the "reference" compute backend (linalg/backend.h).
 void lstm_gate_forward_reference(const Matrix& z, const Matrix* c_prev,
                                  Matrix& gates, Matrix& c, Matrix& tanh_c,
@@ -119,23 +116,11 @@ class Lstm {
 
   /// Retained pre-refactor cell (the benchmark floor of the batched
   /// engine): fresh per-step allocations, Wxᵀ/Whᵀ materialised every step
-  /// of the backward recursion, parameter gradients accumulated per step,
-  /// std::-based gate nonlinearities. With the reference gate kernel
-  /// selected (below) this is bit-identical to forward()/backward() for
-  /// B = 1; against the default fused fastmath kernel it diverges by the
-  /// documented fastmath bound.
+  /// of the backward recursion, parameter gradients accumulated per step.
+  /// The gates run through the active backend's pass, as in forward(), so
+  /// for B = 1 this is bit-identical to forward()/backward().
   Matrix forward_reference(const std::vector<Matrix>& steps);
   std::vector<Matrix> backward_reference(const Matrix& grad_last_hidden);
-
-  /// Routes the *batched* engine's gate passes through the retained
-  /// std::-based kernels instead of the fused fastmath ones — the batched
-  /// structure (workspaces, deferred AᵀB parameter gradients) is unchanged,
-  /// only the per-element nonlinearities differ. Used by the
-  /// `train_step_fastmath` bench pair (isolating the fastmath win) and by
-  /// the engine bit-identity tests (batched-vs-per-sample, which needs both
-  /// sides on std:: arithmetic).
-  void set_reference_gate_kernel(bool on) { reference_gate_kernel_ = on; }
-  bool reference_gate_kernel() const { return reference_gate_kernel_; }
 
   std::vector<Parameter*> parameters() { return {&wx_, &wh_, &b_}; }
 
@@ -150,11 +135,10 @@ class Lstm {
   Parameter b_;   // 1      x 4*hidden
 
   /// Shared tail of one forward step: z_ws_ already holds x_t·Wx; adds the
-  /// recurrent term and bias, then runs the configured gate pass into the
+  /// recurrent term and bias, then runs the backend's gate pass into the
   /// step-t caches.
   void finish_step(std::size_t t);
 
-  bool reference_gate_kernel_ = false;
   // Forward caches (one entry per time step; storage reused across calls).
   std::vector<Matrix> x_;       // inputs (dense path)
   std::vector<SparseRowMatrix> sx_;  // inputs (sparse path)

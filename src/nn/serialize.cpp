@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <istream>
 #include <ostream>
 
@@ -98,20 +97,6 @@ void load_parameters(std::istream& in, const std::vector<Parameter*>& params) {
                                " shape mismatch while loading weights");
   }
   for (std::size_t i = 0; i < ms.size(); ++i) params[i]->value = ms[i];
-}
-
-void save_parameters_to_file(const std::string& path,
-                             const std::vector<Parameter*>& params) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw SerializationError("cannot open " + path + " for writing");
-  save_parameters(out, params);
-}
-
-void load_parameters_from_file(const std::string& path,
-                               const std::vector<Parameter*>& params) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw SerializationError("cannot open " + path + " for reading");
-  load_parameters(in, params);
 }
 
 void copy_parameters(const std::vector<Parameter*>& from,

@@ -31,12 +31,6 @@ void save_parameters(std::ostream& out, const std::vector<Parameter*>& params);
 /// must match exactly; throws SerializationError otherwise.
 void load_parameters(std::istream& in, const std::vector<Parameter*>& params);
 
-/// File-path convenience wrappers.
-void save_parameters_to_file(const std::string& path,
-                             const std::vector<Parameter*>& params);
-void load_parameters_from_file(const std::string& path,
-                               const std::vector<Parameter*>& params);
-
 /// Copies values from one parameter set to another (shapes must match).
 /// Used for DQN target-network synchronisation and for transfer learning
 /// within one process.

@@ -31,10 +31,6 @@ DqnTrainer::DqnTrainer(QNetworkPtr online, DqnOptions options,
   DRCELL_CHECK(options_.target_sync_interval > 0);
   DRCELL_CHECK(options_.min_replay >= options_.batch_size);
   target_ = online_->clone_architecture(rng_);
-  if (options_.reference_gate_kernel) {
-    online_->set_reference_gate_kernel(true);
-    target_->set_reference_gate_kernel(true);
-  }
   sync_target();
 }
 
@@ -102,6 +98,8 @@ void DqnTrainer::observe(Experience e) {
     DRCELL_CHECK_MSG(e.state.empty() && e.next_state.empty(),
                      "sparse_states transitions must leave the dense "
                      "encodings empty");
+    check_state_ones(e.state_ones);
+    check_state_ones(e.next_state_ones);
   } else {
     DRCELL_CHECK(e.state.size() == encoder_.state_size());
     DRCELL_CHECK(e.next_state.size() == encoder_.state_size());
@@ -356,11 +354,23 @@ void DqnTrainer::check_candidate_ids(
     DRCELL_CHECK_MSG(a < actions, "candidate action id out of range");
 }
 
+void DqnTrainer::check_state_ones(
+    std::span<const std::uint32_t> ones) const {
+  // StateEncoder's one-index paths pick the step row as flat / cells and
+  // append in list order; their own checks are DCHECKs.
+  const std::size_t size = encoder_.state_size();
+  for (std::size_t i = 0; i < ones.size(); ++i)
+    DRCELL_CHECK_MSG(ones[i] < size && (i == 0 || ones[i - 1] < ones[i]),
+                     "state one-indices must be strictly ascending and "
+                     "below k * cells");
+}
+
 const Matrix& DqnTrainer::candidate_forward(
     std::span<const std::uint32_t> state_ones,
     std::span<const std::uint32_t> candidates) {
   DRCELL_CHECK_MSG(!candidates.empty(), "no candidate actions");
   check_candidate_ids(candidates);
+  check_state_ones(state_ones);
   const std::size_t k = encoder_.history_cycles();
   sel_seq_ws_.resize(k);
   for (auto& step : sel_seq_ws_) step.reset(1, encoder_.cells());

@@ -9,11 +9,9 @@
 // Double-DQN argmax, the masked TD loss and the backward pass all run over
 // [batch x m] matrices, and the per-sample loop survives only as
 // train_step_reference() — the retained reference path the batched engine
-// matches bit for bit under the std:: gate kernel
-// (DqnOptions::reference_gate_kernel) and within the documented fastmath
-// tolerance on the production fused-gate path
-// (tests/batched_training_test.cpp, docs/ARCHITECTURE.md, and the
-// self-checks in bench_micro_components).
+// matches bit for bit under either compute backend, both sides running the
+// backend's own gate kernels (tests/batched_training_test.cpp,
+// docs/ARCHITECTURE.md, and the self-check in bench_micro_components).
 #pragma once
 
 #include <memory>
@@ -38,16 +36,6 @@ struct DqnOptions {
   double grad_clip_norm = 5.0;        ///< global-norm clipping; 0 disables
   double huber_delta = 1.0;           ///< TD-error robustness threshold
   bool double_dqn = false;            ///< Hasselt-style target (extension)
-  /// Run the batched engine's *recurrent* (LSTM) gate nonlinearities
-  /// (online and target networks) through the retained std::-based kernels
-  /// instead of the fused fastmath pass. Verification/benchmark only: with
-  /// this set, the batched engine is bit-identical to the per-sample
-  /// reference path for the shipped networks (DRQN = LSTM + Dense/ReLU
-  /// head, MLP = Dense/ReLU — the PR-4 contract); with the default
-  /// fastmath kernel the two paths agree within the documented fastmath
-  /// tolerance instead (docs/ARCHITECTURE.md,
-  /// tests/batched_training_test.cpp).
-  bool reference_gate_kernel = false;
   /// Train on candidate action subsets (metro tier): the minibatch is
   /// assembled sparse, the online Q head is evaluated only at each
   /// transition's taken action and the bootstrap argmax only over its
@@ -169,6 +157,9 @@ class DqnTrainer {
   double finish_update(double raw_loss_sum, double normalizer);
   /// DRCELL_CHECKs that every id is < num_actions().
   void check_candidate_ids(std::span<const std::uint32_t> candidates) const;
+  /// DRCELL_CHECKs that a one-index state is strictly ascending and every
+  /// index is < k * cells.
+  void check_state_ones(std::span<const std::uint32_t> ones) const;
   /// The B=1 sparse column-restricted forward of `candidates` (checked);
   /// returns the 1 x |candidates| Q row.
   const Matrix& candidate_forward(std::span<const std::uint32_t> state_ones,

@@ -35,9 +35,6 @@ class DrqnQNetwork final : public QNetwork {
                         const ActionColumns& columns) override;
   Matrix forward_reference(const std::vector<Matrix>& sequence) override;
   void backward_reference(const Matrix& grad_q) override;
-  void set_reference_gate_kernel(bool on) override {
-    lstm_.set_reference_gate_kernel(on);
-  }
   std::vector<nn::Parameter*> parameters() override;
   std::unique_ptr<QNetwork> clone_architecture(Rng& rng) const override;
   std::size_t num_actions() const override { return num_cells_; }

@@ -15,10 +15,6 @@ EpsilonSchedule::EpsilonSchedule(double start, double end,
   DRCELL_CHECK(decay_steps_ > 0);
 }
 
-EpsilonSchedule EpsilonSchedule::constant(double epsilon) {
-  return EpsilonSchedule(epsilon, epsilon, 1);
-}
-
 double EpsilonSchedule::value(std::size_t step) const {
   if (step >= decay_steps_) {
     if (decay_ == Decay::kLinear) return end_;

@@ -14,9 +14,6 @@ class EpsilonSchedule {
   EpsilonSchedule(double start, double end, std::size_t decay_steps,
                   Decay decay = Decay::kLinear);
 
-  /// Constant exploration rate.
-  static EpsilonSchedule constant(double epsilon);
-
   double value(std::size_t step) const;
   double start() const { return start_; }
   double end() const { return end_; }

@@ -97,11 +97,6 @@ class QNetwork {
   virtual Matrix forward_reference(const std::vector<Matrix>& sequence) = 0;
   virtual void backward_reference(const Matrix& grad_q) = 0;
 
-  /// Routes any recurrent gate nonlinearities of the *batched* path through
-  /// the retained std::-based kernels instead of the fused fastmath ones
-  /// (see nn/lstm.h). No-op for networks without such kernels (MLP).
-  virtual void set_reference_gate_kernel(bool /*on*/) {}
-
   virtual std::vector<nn::Parameter*> parameters() = 0;
 
   /// A freshly initialised network of identical architecture (used to build

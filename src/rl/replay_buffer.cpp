@@ -35,15 +35,6 @@ std::vector<std::size_t> ReplayBuffer::sample_indices(std::size_t count,
   return out;
 }
 
-std::vector<const Experience*> ReplayBuffer::sample(std::size_t count,
-                                                    Rng& rng) const {
-  const auto indices = sample_indices(count, rng);
-  std::vector<const Experience*> out;
-  out.reserve(count);
-  for (std::size_t i : indices) out.push_back(&items_[i]);
-  return out;
-}
-
 void ReplayBuffer::clear() {
   items_.clear();
   cache_.clear();

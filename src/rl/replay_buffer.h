@@ -52,10 +52,8 @@ class ReplayBuffer {
   /// overwritten slot's cached encoding is invalidated.
   void add(Experience e);
 
-  /// Uniformly samples `count` transitions with replacement.
-  std::vector<const Experience*> sample(std::size_t count, Rng& rng) const;
-  /// Same draw stream as sample(), returning slot indices (the key of the
-  /// encoded-sequence cache).
+  /// Uniformly samples `count` slot indices with replacement (the key of
+  /// the encoded-sequence cache).
   std::vector<std::size_t> sample_indices(std::size_t count, Rng& rng) const;
 
   /// Cached encoded sequences of transition i, computed via `encode` on the

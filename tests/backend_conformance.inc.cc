@@ -354,11 +354,11 @@ TEST_F(BackendConformance, LstmGradientsMatchCentralDifferences) {
 TEST_F(BackendConformance, BatchedTrainStepMatchesPerSample) {
   // Batched-vs-per-sample train-step equivalence at B in {1, 7, 32}: two
   // identically seeded DRQN trainers, one batched and one through the
-  // retained per-sample reference path, over the same minibatches. Both
-  // pin the std:: gate kernel so the comparison isolates the backend's
-  // matrix arithmetic. Exact-contract backends must be bit-identical; for
-  // tolerance backends the per-sample path runs differently shaped GEMMs,
-  // so the documented end-to-end bound applies instead.
+  // retained per-sample reference path, over the same minibatches, both
+  // on this backend's own kernels (gates included) under default options.
+  // Exact-contract backends must be bit-identical; for tolerance backends
+  // the per-sample path runs differently shaped GEMMs, so the documented
+  // end-to-end bound applies instead.
   for (std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{32}}) {
     const std::size_t cells = 6, k = 2;
     rl::DqnOptions opt;
@@ -366,7 +366,6 @@ TEST_F(BackendConformance, BatchedTrainStepMatchesPerSample) {
     opt.min_replay = batch;
     opt.replay_capacity = 64;
     opt.target_sync_interval = 3;
-    opt.reference_gate_kernel = true;
 
     Rng seed_rng(11);
     rl::DqnTrainer batched(

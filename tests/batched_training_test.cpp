@@ -7,8 +7,6 @@
 // for addition, for every batch size and thread-pool worker count.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -21,6 +19,7 @@
 #include "rl/dqn_trainer.h"
 #include "rl/drqn_qnetwork.h"
 #include "rl/mlp_qnetwork.h"
+#include "rl/spatial_drqn_qnetwork.h"
 #include "util/thread_pool.h"
 
 namespace drcell {
@@ -216,25 +215,33 @@ rl::Experience random_experience(std::size_t cells, std::size_t k, Rng& rng) {
   return e;
 }
 
-rl::QNetworkPtr make_qnet(bool drqn, std::size_t cells, std::size_t k,
-                          std::uint64_t seed) {
+enum class Net { kMlp, kDrqn, kSpatialDrqn };
+
+/// The three shipped Q-networks over a 6-cell action space (k = 2).
+rl::QNetworkPtr make_qnet(Net net, std::uint64_t seed) {
   Rng rng(seed);
-  if (drqn) return std::make_unique<rl::DrqnQNetwork>(cells, k, 12, 0, rng);
-  return std::make_unique<rl::MlpQNetwork>(cells, k,
-                                           std::vector<std::size_t>{16}, rng);
+  switch (net) {
+    case Net::kMlp:
+      return std::make_unique<rl::MlpQNetwork>(
+          6, 2, std::vector<std::size_t>{16}, rng);
+    case Net::kDrqn:
+      return std::make_unique<rl::DrqnQNetwork>(6, 2, 12, 0, rng);
+    case Net::kSpatialDrqn:
+      // 3x2 grid, LSTM hidden 12, Fourier k 1 (d = 9), query hidden 4.
+      return std::make_unique<rl::SpatialDrqnQNetwork>(3, 2, 2, 12, 1, 4,
+                                                       rng);
+  }
+  return nullptr;
 }
 
 /// Two identically seeded trainers, one driven batched and one through the
 /// retained per-sample reference path (B=1 sequences through the networks'
 /// pre-refactor reference implementations) over the same minibatches, must
-/// stay bit-identical: same losses, same parameters — for MLP and DRQN,
-/// plain and Double-DQN, and any worker count serving the batched forwards.
-/// The batched trainer pins the std::-based gate kernel
-/// (reference_gate_kernel): the engine-structure contract (workspace reuse,
-/// sample-major AᵀB gradient accumulation) is bit-exact; the fused fastmath
-/// gate kernel's divergence from std:: is covered separately by the
-/// tolerance test below.
-void expect_train_step_matches_reference(bool drqn, bool double_dqn,
+/// stay bit-identical: same losses, same parameters — for every shipped
+/// network, plain and Double-DQN, and any worker count serving the batched
+/// forwards. Default options: both sides run the active backend's gate
+/// kernels, so the contract is exact under every backend.
+void expect_train_step_matches_reference(Net net, bool double_dqn,
                                          std::size_t workers) {
   const std::size_t cells = 6, k = 2;
   rl::DqnOptions opt;
@@ -243,10 +250,9 @@ void expect_train_step_matches_reference(bool drqn, bool double_dqn,
   opt.replay_capacity = 64;
   opt.target_sync_interval = 3;  // exercise the sync cadence too
   opt.double_dqn = double_dqn;
-  opt.reference_gate_kernel = true;
 
-  rl::DqnTrainer batched(make_qnet(drqn, cells, k, 11), opt, 5);
-  rl::DqnTrainer reference(make_qnet(drqn, cells, k, 11), opt, 5);
+  rl::DqnTrainer batched(make_qnet(net, 11), opt, 5);
+  rl::DqnTrainer reference(make_qnet(net, 11), opt, 5);
   util::ThreadPool pool(workers);
   batched.set_thread_pool(&pool);
 
@@ -276,62 +282,23 @@ void expect_train_step_matches_reference(bool drqn, bool double_dqn,
 }
 
 TEST(BatchedTrainStep, MlpMatchesReferenceBitIdentically) {
-  expect_train_step_matches_reference(false, false, 0);
-  expect_train_step_matches_reference(false, false, 3);
+  expect_train_step_matches_reference(Net::kMlp, false, 0);
+  expect_train_step_matches_reference(Net::kMlp, false, 3);
 }
 
 TEST(BatchedTrainStep, DrqnMatchesReferenceBitIdentically) {
-  expect_train_step_matches_reference(true, false, 0);
-  expect_train_step_matches_reference(true, false, 3);
+  expect_train_step_matches_reference(Net::kDrqn, false, 0);
+  expect_train_step_matches_reference(Net::kDrqn, false, 3);
 }
 
 TEST(BatchedTrainStep, DoubleDqnMatchesReferenceBitIdentically) {
-  expect_train_step_matches_reference(false, true, 0);
-  expect_train_step_matches_reference(true, true, 3);
+  expect_train_step_matches_reference(Net::kMlp, true, 0);
+  expect_train_step_matches_reference(Net::kDrqn, true, 3);
 }
 
-TEST(BatchedTrainStep, FastmathGateKernelTracksReferenceWithinTolerance) {
-  // The production DRQN path (fused fastmath gate kernel) vs the per-sample
-  // std:: reference: no longer bit-identical — every gate activation may
-  // differ by the fastmath bound (≤1e-12 relative, measured ≲1e-15) — but
-  // after a dozen Adam steps over shared minibatches the losses and
-  // parameters must still agree within the documented end-to-end tolerance
-  // (docs/ARCHITECTURE.md numeric-divergence contract; the bench
-  // self-checks use the same bound).
-  const std::size_t cells = 6, k = 2;
-  rl::DqnOptions opt;  // default options: fused fastmath gates
-  opt.batch_size = 8;
-  opt.min_replay = 8;
-  opt.replay_capacity = 64;
-
-  rl::DqnTrainer fast(make_qnet(true, cells, k, 11), opt, 5);
-  rl::DqnTrainer reference(make_qnet(true, cells, k, 11), opt, 5);
-  Rng fill(7);
-  for (int i = 0; i < 40; ++i) {
-    rl::Experience e = random_experience(cells, k, fill);
-    rl::Experience copy = e;
-    fast.observe(std::move(e));
-    reference.observe(std::move(copy));
-  }
-  Rng draw(9);
-  for (int step = 0; step < 12; ++step) {
-    std::vector<std::size_t> indices;
-    for (std::size_t i = 0; i < opt.batch_size; ++i)
-      indices.push_back(draw.uniform_index(40));
-    const double loss_fast = fast.train_step_on_indices(indices);
-    const double loss_ref = reference.train_step_reference_on_indices(indices);
-    ASSERT_NEAR(loss_fast, loss_ref, 1e-9) << "step " << step;
-  }
-  const auto pa = fast.online().parameters();
-  const auto pb = reference.online().parameters();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    double max_abs = 0.0;
-    for (std::size_t j = 0; j < pa[i]->value.data().size(); ++j)
-      max_abs = std::max(max_abs, std::fabs(pa[i]->value.data()[j] -
-                                            pb[i]->value.data()[j]));
-    EXPECT_LT(max_abs, 1e-8) << "param " << i;
-  }
+TEST(BatchedTrainStep, SpatialDrqnMatchesReferenceBitIdentically) {
+  expect_train_step_matches_reference(Net::kSpatialDrqn, false, 0);
+  expect_train_step_matches_reference(Net::kSpatialDrqn, true, 3);
 }
 
 TEST(FillTimestepMajor, MatchesManualAssemblyAndReusesCache) {

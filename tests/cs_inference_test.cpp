@@ -270,7 +270,6 @@ TEST(Committee, DisagreementMatchesVarianceFormula) {
   // Population variance of {1,3,5} = 8/3.
   EXPECT_NEAR(InferenceCommittee::disagreement(preds)(0, 0), 8.0 / 3.0,
               1e-12);
-  EXPECT_NEAR(InferenceCommittee::mean_prediction(preds)(0, 0), 3.0, 1e-12);
 }
 
 TEST(Committee, InferAllRunsEveryMember) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "linalg/backend.h"
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/gradient_check.h"
@@ -109,17 +111,31 @@ TEST(LstmGateKernel, FusedGradientCheckAtBatch1And32) {
   }
 }
 
+/// Selects a compute backend for one scope, then restores the previous one
+/// (the suite also runs whole under DRCELL_BACKEND=reference).
+class ScopedBackend {
+ public:
+  explicit ScopedBackend(const char* name)
+      : prev_(BackendRegistry::active().name()) {
+    BackendRegistry::set_active(name);
+  }
+  ~ScopedBackend() { BackendRegistry::set_active(prev_); }
+
+ private:
+  std::string prev_;
+};
+
 TEST(LstmGateKernel, FusedMatchesStdReferenceWithinFastmathTolerance) {
-  // Fused fastmath vs the retained std:: gate kernel, B ∈ {1, 32}: hidden
-  // states and accumulated parameter gradients agree within the fastmath
-  // divergence bound (per-activation ≤1e-12 relative; a few steps of BPTT
-  // compound it only modestly). This is the numeric-divergence contract —
-  // the two kernels are deliberately NOT bit-identical.
+  // The native backend's fused fastmath gates vs the reference backend's
+  // std:: gates, B ∈ {1, 32}: hidden states and accumulated parameter
+  // gradients agree within the fastmath divergence bound (per-activation
+  // ≤1e-12 relative; a few steps of BPTT compound it only modestly). This
+  // is the numeric-divergence contract — the two kernels are deliberately
+  // NOT bit-identical.
   for (std::size_t batch : {std::size_t{1}, std::size_t{32}}) {
     Rng rng_a(51), rng_b(51);
     Lstm fused(4, 6, rng_a);
     Lstm reference(4, 6, rng_b);
-    reference.set_reference_gate_kernel(true);
 
     Rng data_rng(52 + batch);
     auto seq = random_sequence(4, batch, 4, data_rng);
@@ -127,16 +143,19 @@ TEST(LstmGateKernel, FusedMatchesStdReferenceWithinFastmathTolerance) {
     Matrix grad_h(batch, 6);
     for (double& v : grad_h.data()) v = data_rng.normal();
 
-    for (auto* p : fused.parameters()) p->zero_grad();
-    for (auto* p : reference.parameters()) p->zero_grad();
-    const Matrix h_fused = fused.forward(seq);
-    const Matrix h_ref = reference.forward(seq);
+    const auto run = [&](const char* backend, Lstm& lstm) {
+      ScopedBackend scope(backend);
+      for (auto* p : lstm.parameters()) p->zero_grad();
+      Matrix h = lstm.forward(seq);
+      lstm.backward(grad_h);
+      return h;
+    };
+    const Matrix h_fused = run("native", fused);
+    const Matrix h_ref = run("reference", reference);
     for (std::size_t i = 0; i < h_fused.data().size(); ++i)
       EXPECT_NEAR(h_fused.data()[i], h_ref.data()[i], 1e-12)
           << "batch=" << batch << " i=" << i;
 
-    fused.backward(grad_h);
-    reference.backward(grad_h);
     const auto pa = fused.parameters();
     const auto pb = reference.parameters();
     for (std::size_t p = 0; p < pa.size(); ++p)

@@ -113,17 +113,6 @@ TEST(Serialize, CopyParametersShapeMismatchThrows) {
   EXPECT_THROW(copy_parameters(a.parameters(), b.parameters()), CheckError);
 }
 
-TEST(Serialize, FileRoundTrip) {
-  Rng rng(9);
-  Dense original(4, 2, rng);
-  const std::string path = ::testing::TempDir() + "/drcell_weights.bin";
-  save_parameters_to_file(path, original.parameters());
-  Rng rng2(10);
-  Dense restored(4, 2, rng2);
-  load_parameters_from_file(path, restored.parameters());
-  EXPECT_EQ(original.weight().value, restored.weight().value);
-}
-
 std::vector<Matrix> spatial_probe_batch(const rl::SpatialDrqnQNetwork& net,
                                         std::uint64_t seed) {
   Rng rng(seed);
@@ -170,14 +159,6 @@ TEST(Serialize, SpatialDrqnShapeMismatchThrows) {
   rl::SpatialDrqnQNetwork wide(4, 3, 2, 12, 1, 0, rng);
   ASSERT_EQ(wide.parameters().size(), small.parameters().size());
   EXPECT_THROW(load_parameters(ss, wide.parameters()), SerializationError);
-}
-
-TEST(Serialize, MissingFileThrows) {
-  Rng rng(11);
-  Dense d(2, 2, rng);
-  EXPECT_THROW(
-      load_parameters_from_file("/nonexistent/dir/w.bin", d.parameters()),
-      SerializationError);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "baselines/random_selector.h"
@@ -83,19 +84,7 @@ TEST(CampaignScheduler, BatchedWaveBitIdenticalToSolo) {
   batched.run();
   ASSERT_TRUE(batched.all_done());
 
-  // Reference 1: the unbatched scheduler (every selector steps via
-  // select()).
-  CampaignScheduler::Options unbatched_options;
-  unbatched_options.cross_campaign_batching = false;
-  CampaignScheduler unbatched(unbatched_options);
-  populate(unbatched, task, campaign, agent);
-  unbatched.run();
-
-  // Reference 2: each campaign alone through run_campaign.
-  for (std::size_t i = 0; i < batched.num_campaigns(); ++i) {
-    expect_same_result(batched.results()[i], unbatched.results()[i]);
-    EXPECT_EQ(batched.action_log(i), unbatched.action_log(i));
-  }
+  // Reference: each campaign alone through run_campaign.
   for (int i = 0; i < 3; ++i) {
     DrCellPolicy solo(agent);
     expect_same_result(
@@ -282,6 +271,127 @@ TEST(Checkpoint, AgentWiringMismatchThrows) {
                           std::make_shared<baselines::RandomSelector>(1));
   std::istringstream in(out.str(), std::ios::binary);
   EXPECT_THROW(load_checkpoint(weightless, in), nn::SerializationError);
+}
+
+/// Two RANDOM campaigns on `task` with the given ids and selector seeds.
+void populate_random_pair(CampaignScheduler& scheduler,
+                          const std::shared_ptr<const mcs::SensingTask>& task,
+                          const CampaignConfig& campaign,
+                          const std::string& second_id,
+                          std::uint64_t seed_base) {
+  scheduler.add_campaign("r0", campaign, task, engine_factory(),
+                         std::make_shared<baselines::RandomSelector>(seed_base));
+  scheduler.add_campaign(
+      second_id, campaign, task, engine_factory(),
+      std::make_shared<baselines::RandomSelector>(seed_base + 1));
+}
+
+/// Loads `checkpoint` into a two-RANDOM fleet stopped after 8 waves, expects
+/// the load to fail, then checks that the fleet finishes exactly like an
+/// untouched twin: a failed load must not have mutated anything.
+void expect_failed_load_leaves_fleet_unchanged(
+    const std::shared_ptr<const mcs::SensingTask>& task,
+    const CampaignConfig& campaign, const std::string& checkpoint) {
+  CampaignScheduler loaded;
+  populate_random_pair(loaded, task, campaign, "r1", 31);
+  loaded.run(/*max_waves=*/8);
+  CampaignScheduler twin;
+  populate_random_pair(twin, task, campaign, "r1", 31);
+  twin.run(/*max_waves=*/8);
+  ASSERT_FALSE(loaded.all_done());
+
+  std::istringstream in(checkpoint, std::ios::binary);
+  EXPECT_THROW(load_checkpoint(loaded, in), CheckpointMismatchError);
+  EXPECT_EQ(loaded.waves_completed(), twin.waves_completed());
+  loaded.run();
+  twin.run();
+  for (std::size_t i = 0; i < twin.num_campaigns(); ++i) {
+    expect_same_result(loaded.results()[i], twin.results()[i]);
+    EXPECT_EQ(loaded.action_log(i), twin.action_log(i)) << "campaign " << i;
+  }
+}
+
+TEST(Checkpoint, FailedIdCheckLeavesSchedulerUnchanged) {
+  // The second id differs, so the load fails after the first campaign's
+  // record was read: its selector stream must not have been restored.
+  auto task = std::make_shared<const mcs::SensingTask>(
+      testing::make_toy_task(5, 8));
+  const CampaignConfig campaign = campaign_config(agent_config());
+  CampaignScheduler other;
+  populate_random_pair(other, task, campaign, "not-r1", 90);
+  other.run(/*max_waves=*/3);
+  std::ostringstream out(std::ios::binary);
+  save_checkpoint(other, out);
+  expect_failed_load_leaves_fleet_unchanged(task, campaign, out.str());
+}
+
+TEST(Checkpoint, FailedReplayLeavesSchedulerUnchanged) {
+  // Same ids, but the log was recorded on a 7-cell task: replaying it on
+  // the 5-cell fleet fails, after every record parsed cleanly. Neither
+  // the environments nor the selector streams may have been replaced.
+  const CampaignConfig campaign = campaign_config(agent_config());
+  CampaignScheduler other;
+  populate_random_pair(other,
+                       std::make_shared<const mcs::SensingTask>(
+                           testing::make_toy_task(7, 8)),
+                       campaign, "r1", 90);
+  other.run(/*max_waves=*/10);
+  std::ostringstream out(std::ios::binary);
+  save_checkpoint(other, out);
+  expect_failed_load_leaves_fleet_unchanged(
+      std::make_shared<const mcs::SensingTask>(testing::make_toy_task(5, 8)),
+      campaign, out.str());
+}
+
+std::vector<Matrix> parameter_values(rl::QNetwork& net) {
+  std::vector<Matrix> values;
+  for (const nn::Parameter* p : net.parameters()) values.push_back(p->value);
+  return values;
+}
+
+TEST(Checkpoint, FailedWeightLoadRestoresEarlierAgents) {
+  // Two agents; the checkpoint's second one has a narrower LSTM, so its
+  // weight blob fails the shape check after the first agent was loaded.
+  // The first agent's online and target weights and counters must be
+  // restored.
+  auto task = std::make_shared<const mcs::SensingTask>(
+      testing::make_toy_task(6, 6));
+  const CampaignConfig campaign = campaign_config(agent_config());
+  DrCellConfig narrow = agent_config(/*seed=*/5);
+  narrow.lstm_hidden = 12;
+  DrCellAgent saved_a(6, agent_config(/*seed=*/4));
+  DrCellAgent saved_b(6, narrow);
+  CampaignScheduler saved;
+  saved.add_campaign("a", campaign, task, engine_factory(),
+                     std::make_shared<DrCellPolicy>(saved_a));
+  saved.add_campaign("b", campaign, task, engine_factory(),
+                     std::make_shared<DrCellPolicy>(saved_b));
+  saved.run(/*max_waves=*/2);
+  saved_a.trainer().restore_counters(17, 9);
+  std::ostringstream out(std::ios::binary);
+  save_checkpoint(saved, out);
+
+  DrCellAgent agent_a(6, agent_config(/*seed=*/6));
+  DrCellAgent agent_b(6, agent_config(/*seed=*/7));
+  CampaignScheduler loaded;
+  loaded.add_campaign("a", campaign, task, engine_factory(),
+                      std::make_shared<DrCellPolicy>(agent_a));
+  loaded.add_campaign("b", campaign, task, engine_factory(),
+                      std::make_shared<DrCellPolicy>(agent_b));
+  // Desynchronise the target so a restore through sync_target would show.
+  agent_a.trainer().target().parameters()[0]->value(0, 0) += 1.0;
+  const auto online_before = parameter_values(agent_a.trainer().online());
+  const auto target_before = parameter_values(agent_a.trainer().target());
+  const std::size_t env_steps = agent_a.trainer().env_steps();
+  const std::size_t train_steps = agent_a.trainer().train_steps();
+
+  std::istringstream in(out.str(), std::ios::binary);
+  EXPECT_THROW(load_checkpoint(loaded, in), nn::SerializationError);
+  EXPECT_EQ(parameter_values(agent_a.trainer().online()), online_before);
+  EXPECT_EQ(parameter_values(agent_a.trainer().target()), target_before);
+  EXPECT_EQ(agent_a.trainer().env_steps(), env_steps);
+  EXPECT_EQ(agent_a.trainer().train_steps(), train_steps);
+  EXPECT_EQ(loaded.waves_completed(), 0u);
 }
 
 data::FieldParams shared_cache_params() {

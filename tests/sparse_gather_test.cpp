@@ -694,6 +694,45 @@ TEST(SpatialDrqn, TrainerRejectsOutOfRangeCandidateIds) {
                CheckError);
 }
 
+TEST(SpatialDrqn, TrainerRejectsInvalidStateOnes) {
+  // A one-index state picks its step row as flat / cells and is appended in
+  // list order; the encoder only DCHECKs both, so every trainer entry point
+  // must reject an index >= k * cells and a list that is not strictly
+  // ascending in every build.
+  rl::DqnOptions opt;
+  Rng net_rng(75);
+  rl::DqnTrainer trainer(
+      std::make_unique<rl::SpatialDrqnQNetwork>(3, 2, 2, 8, 1, 0, net_rng),
+      opt, 77);
+  const std::vector<std::uint32_t> candidates = {0, 2, 5};
+  const std::vector<std::vector<std::uint32_t>> bad_states = {
+      {1, 7, 40}, {1, 12}, {7, 1}, {3, 3}};
+  for (const auto& ones : bad_states) {
+    EXPECT_THROW(trainer.candidate_q_values(ones, candidates), CheckError);
+    EXPECT_THROW(trainer.greedy_action_candidates(ones, candidates),
+                 CheckError);
+    const std::size_t steps = trainer.env_steps();
+    EXPECT_THROW(trainer.select_action_candidates(ones, candidates),
+                 CheckError);
+    EXPECT_EQ(trainer.env_steps(), steps);
+  }
+  const std::vector<std::uint32_t> good = {1, 7, 11};
+  EXPECT_EQ(trainer.candidate_q_values(good, candidates).size(), 3u);
+
+  Rng rng(79);
+  for (const auto& ones : bad_states) {
+    rl::Experience e = random_sparse_experience(6, 2, rng);
+    e.state_ones = ones;
+    EXPECT_THROW(trainer.observe(e), CheckError);
+    e = random_sparse_experience(6, 2, rng);
+    e.next_state_ones = ones;
+    EXPECT_THROW(trainer.observe(e), CheckError);
+  }
+  EXPECT_EQ(trainer.replay().size(), 0u);
+  EXPECT_NO_THROW(trainer.observe(random_sparse_experience(6, 2, rng)));
+  EXPECT_EQ(trainer.replay().size(), 1u);
+}
+
 // --- SpatialDrqnQNetwork: the metro-tier action-embedding head ---------
 
 TEST(SpatialDrqn, FeatureMatrixShapeAndCountColumn) {
