@@ -553,7 +553,7 @@ rl::DqnTrainer make_paper_scale_trainer(std::uint64_t net_seed) {
   options.batch_size = 32;
   options.min_replay = 32;
   rl::DqnTrainer trainer(
-      std::make_unique<rl::DrqnQNetwork>(57, 2, 64, 0, net_rng), options, 7);
+      std::make_unique<rl::DrqnQNetwork>(57, 2, 64, net_rng), options, 7);
   Rng fill(3);
   for (int i = 0; i < 512; ++i) {
     rl::Experience e;
@@ -570,7 +570,7 @@ rl::DqnTrainer make_paper_scale_trainer(std::uint64_t net_seed) {
 
 void bench_rl(bench::JsonReporter& report, bool quick) {
   Rng rng(1);
-  rl::DrqnQNetwork net(57, 2, 64, 0, rng);
+  rl::DrqnQNetwork net(57, 2, 64, rng);
   std::vector<Matrix> seq(2, Matrix(1, 57));
   seq[0](0, 3) = 1.0;
   seq[1](0, 11) = 1.0;

@@ -263,7 +263,7 @@ rl::DqnTrainer make_trainer(util::ThreadPool* pool) {
   options.batch_size = 32;
   options.min_replay = 32;
   rl::DqnTrainer trainer(
-      std::make_unique<rl::DrqnQNetwork>(57, 2, 64, 0, net_rng), options, 7);
+      std::make_unique<rl::DrqnQNetwork>(57, 2, 64, net_rng), options, 7);
   trainer.set_thread_pool(pool);
   Rng fill(3);
   for (int i = 0; i < 512; ++i) {

@@ -195,7 +195,7 @@ void bench_train_step(bench::JsonReporter& report, bool quick) {
     opt.force_dense_batch = !candidate;
     Rng rng(17);
     return rl::DqnTrainer(
-        std::make_unique<rl::DrqnQNetwork>(cells, k, 64, 0, rng), opt, 23);
+        std::make_unique<rl::DrqnQNetwork>(cells, k, 64, rng), opt, 23);
   };
   rl::DqnTrainer fast = make_trainer(true);
   rl::DqnTrainer dense = make_trainer(false);

@@ -297,7 +297,7 @@ void bench_train_step(std::size_t cells, bench::JsonReporter& report,
     options.batch_size = 32;
     options.min_replay = 32;
     rl::DqnTrainer trainer(
-        std::make_unique<rl::DrqnQNetwork>(cells, 2, 64, 0, net_rng),
+        std::make_unique<rl::DrqnQNetwork>(cells, 2, 64, net_rng),
         options, 7);
     Rng fill(3);
     for (int i = 0; i < 256; ++i) {

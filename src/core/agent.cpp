@@ -12,8 +12,7 @@ rl::QNetworkPtr build_network(std::size_t num_cells,
   switch (config.network) {
     case NetworkKind::kDrqn:
       return std::make_unique<rl::DrqnQNetwork>(
-          num_cells, config.history_cycles, config.lstm_hidden,
-          config.head_hidden, rng);
+          num_cells, config.history_cycles, config.lstm_hidden, rng);
     case NetworkKind::kMlp:
       return std::make_unique<rl::MlpQNetwork>(
           num_cells, config.history_cycles, config.mlp_hidden, rng);

@@ -13,6 +13,12 @@ namespace drcell::core {
 
 namespace {
 
+// Consecutive faulted waves before a campaign is quarantined.
+constexpr std::size_t kQuarantineAfter = 2;
+// Rollbacks before an unhealthy agent is declared persistent and its
+// campaigns degrade to the fallback selector (or quarantine).
+constexpr std::size_t kMaxRollbacks = 2;
+
 std::string what_of(const std::exception_ptr& ep) {
   try {
     std::rethrow_exception(ep);
@@ -213,7 +219,7 @@ void CampaignScheduler::handle_unhealthy_agent(DrCellAgent* agent,
                                                std::string reason) {
   note_incident("", "agent-unhealthy", reason);
   const FaultToleranceOptions& ft = options_.fault;
-  if (rollbacks_ < ft.max_rollbacks) {
+  if (rollbacks_ < kMaxRollbacks) {
     ++rollbacks_;
     if (rollback_from_ring()) {
       std::ostringstream msg;
@@ -332,26 +338,24 @@ std::size_t CampaignScheduler::step_wave() {
     }
   });
 
-  // RETRY — serial, ascending: a transient step fault is retried with the
-  // SAME action on the still-unmutated environment (the env.step fault site
-  // precedes all mutation), so a recovered campaign's trajectory is
-  // bit-identical to one that never faulted.
+  // RETRY — serial, ascending: a transient step fault is retried once with
+  // the SAME action on the still-unmutated environment (the env.step fault
+  // site precedes all mutation), so a recovered campaign's trajectory is
+  // bit-identical to one that never faulted. DECIDE/OBSERVE faults retry on
+  // the next wave instead — their selector streams must not be re-advanced.
   for (std::size_t k = 0; k < active.size(); ++k) {
     if (!decided[k] || stepped[k]) continue;
     Slot& slot = slots_[active[k]];
-    for (std::size_t attempt = 0;
-         attempt < options_.fault.step_retries && !stepped[k]; ++attempt) {
-      try {
-        results[k] = slot.env->step(slot.pending_action);
-        slot.action_log.push_back(
-            static_cast<std::uint32_t>(slot.pending_action));
-        stepped[k] = 1;
-        note_incident(slot.id, "retry-recovered",
-                      "step retry succeeded after: " + what_of(step_errors[k]));
-        step_errors[k] = nullptr;
-      } catch (...) {
-        step_errors[k] = std::current_exception();
-      }
+    try {
+      results[k] = slot.env->step(slot.pending_action);
+      slot.action_log.push_back(
+          static_cast<std::uint32_t>(slot.pending_action));
+      stepped[k] = 1;
+      note_incident(slot.id, "retry-recovered",
+                    "step retry succeeded after: " + what_of(step_errors[k]));
+      step_errors[k] = nullptr;
+    } catch (...) {
+      step_errors[k] = std::current_exception();
     }
     if (!stepped[k]) {
       fault_kind[k] = "step-fault";
@@ -383,7 +387,7 @@ std::size_t CampaignScheduler::step_wave() {
     }
     ++slot.consecutive_faults;
     note_incident(slot.id, fault_kind[k], fault_what[k]);
-    if (slot.consecutive_faults >= options_.fault.quarantine_after)
+    if (slot.consecutive_faults >= kQuarantineAfter)
       quarantine(active[k], fault_kind[k] + " x" +
                                 std::to_string(slot.consecutive_faults) +
                                 ": " + fault_what[k]);

@@ -34,10 +34,10 @@
 // each campaign inside its own fault domain: a throw out of DECIDE, STEP or
 // OBSERVE (an injected fault, an engine CheckError, anything) is caught,
 // attributed to that campaign and never unwinds the wave. A failed STEP is
-// retried in-wave up to `step_retries` times — the `env.step` fault site
-// precedes any mutation, so a transient fault retried with the same action
-// continues the trajectory BIT-IDENTICALLY. A campaign that faults
-// `quarantine_after` consecutive waves is quarantined: it stops stepping,
+// retried once in-wave — the `env.step` fault site precedes any mutation,
+// so a transient fault retried with the same action continues the
+// trajectory BIT-IDENTICALLY. A campaign that faults two consecutive waves
+// is quarantined: it stops stepping,
 // its result is flagged, and the rest of the fleet continues — healthy
 // campaigns' trajectories stay bit-identical to a no-fault run because
 // campaigns never couple (own env/engine, private selector streams, and
@@ -51,8 +51,8 @@
 // entry (load_checkpoint onto itself — weights, counters, selector streams
 // and replayed envs all return to the last-good wave bit-identically).
 // Ring snapshots are taken only while every agent is healthy, so the ring
-// never holds poisoned weights. After `max_rollbacks` rollbacks (a
-// persistent poisoner), or with an empty ring, the agent's campaigns are
+// never holds poisoned weights. After two rollbacks (a persistent
+// poisoner), or with an empty ring, the agent's campaigns are
 // switched to `fallback_factory` baseline selectors (degraded but serving)
 // or quarantined when no fallback is configured. Every fault, retry,
 // quarantine, rollback and fallback is appended to the human-readable
@@ -120,17 +120,11 @@ class CampaignScheduler {
   using FallbackFactory = std::function<std::shared_ptr<baselines::CellSelector>(
       const std::string& id, std::size_t slot)>;
 
-  /// Tuning of the per-campaign fault domains (see the file comment):
-  /// step retries, the quarantine threshold, the rollback ring and the
-  /// degraded-mode fallback.
+  /// Tuning of the per-campaign fault domains (see the file comment): the
+  /// rollback ring, the health-check cadence and the degraded-mode
+  /// fallback. The step retry count, quarantine threshold and rollback
+  /// budget are fixed (campaign_scheduler.cpp).
   struct FaultToleranceOptions {
-    /// In-wave retries of a failed environment step (same action; a
-    /// transient fault recovered this way keeps the trajectory
-    /// bit-identical). DECIDE/OBSERVE faults retry on the next wave
-    /// instead — their selector streams must not be re-advanced.
-    std::size_t step_retries = 1;
-    /// Consecutive faulted waves before a campaign is quarantined.
-    std::size_t quarantine_after = 2;
     /// Snapshot the fleet into the checkpoint ring every N waves (0 = no
     /// auto-checkpointing; rollback then degrades straight to fallback/
     /// quarantine).
@@ -141,9 +135,6 @@ class CampaignScheduler {
     /// monitoring entirely; loss/Q sentinels tripped by the policies
     /// themselves are still acted on each wave).
     std::size_t health_check_every_waves = 1;
-    /// Rollbacks before an unhealthy agent is declared persistent and its
-    /// campaigns degrade to the fallback selector (or quarantine).
-    std::size_t max_rollbacks = 2;
     /// Degraded-mode selector builder; nullptr = quarantine instead.
     FallbackFactory fallback_factory;
   };
@@ -192,7 +183,7 @@ class CampaignScheduler {
 
   /// The fault-tolerance layer's ordered event record (see Incident).
   const std::vector<Incident>& incidents() const { return incidents_; }
-  /// Rollbacks performed so far (bounded by max_rollbacks).
+  /// Rollbacks performed so far (at most two).
   std::size_t rollbacks() const { return rollbacks_; }
   /// Auto-checkpoint ring introspection (drills compare restored state
   /// against the snapshot bytes). Entries are full DRCK v2 streams,

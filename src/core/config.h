@@ -22,8 +22,7 @@ struct DrCellConfig {
   std::size_t history_cycles = 2;
 
   // DRQN shape.
-  std::size_t lstm_hidden = 64;
-  std::size_t head_hidden = 0;  ///< 0 = direct LSTM->output connection
+  std::size_t lstm_hidden = 64;  ///< the LSTM feeds the output layer directly
 
   // MLP shape (NetworkKind::kMlp only).
   std::vector<std::size_t> mlp_hidden = {128, 64};
@@ -31,10 +30,9 @@ struct DrCellConfig {
   /// Q-learning options (γ, learning rate, replay, fixed-target sync, δ).
   rl::DqnOptions dqn;
 
-  /// Passes over the training cycles during the offline training stage.
+  /// Passes over the training cycles during the offline training stage
+  /// (one gradient step per environment step).
   std::size_t training_episodes = 30;
-  /// Gradient steps per environment step.
-  std::size_t train_steps_per_env_step = 1;
 
   std::uint64_t seed = 7;
 

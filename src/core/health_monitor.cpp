@@ -3,29 +3,23 @@
 #include <cmath>
 
 #include "nn/layer.h"
-#include "util/check.h"
 
 namespace drcell::core {
 
-HealthMonitor::HealthMonitor(HealthOptions options) : options_(options) {
-  DRCELL_CHECK(options_.loss_window > 0);
-  DRCELL_CHECK(options_.loss_baseline > 0);
-  DRCELL_CHECK(options_.loss_explosion_factor >= 0.0);
-  DRCELL_CHECK(options_.max_abs_q >= 0.0);
-  window_.reserve(options_.loss_window);
-}
+namespace {
+// Sliding window of recent losses compared against the baseline.
+constexpr std::size_t kLossWindow = 16;
+// The first kLossBaseline finite losses form the reference level.
+constexpr std::size_t kLossBaseline = 64;
+// Trip when the window mean exceeds this factor x the baseline mean (plus a
+// small absolute floor so a near-zero baseline does not flag ordinary
+// noise).
+constexpr double kLossExplosionFactor = 1e3;
+// Absolute |Q| bound for check_q; non-finite always trips.
+constexpr double kMaxAbsQ = 1e12;
+}  // namespace
 
-const char* HealthMonitor::status_name(HealthStatus status) {
-  switch (status) {
-    case HealthStatus::kHealthy: return "healthy";
-    case HealthStatus::kNonFiniteLoss: return "non-finite loss";
-    case HealthStatus::kLossExplosion: return "loss explosion";
-    case HealthStatus::kNonFiniteQ: return "non-finite Q-values";
-    case HealthStatus::kQOutOfRange: return "Q-values out of range";
-    case HealthStatus::kNonFiniteParams: return "non-finite parameters";
-  }
-  return "unknown";
-}
+HealthMonitor::HealthMonitor() { window_.reserve(kLossWindow); }
 
 void HealthMonitor::trip(HealthStatus status, std::string reason) {
   // Sticky: keep the FIRST tripped sentinel — it names the root cause
@@ -40,29 +34,27 @@ HealthStatus HealthMonitor::record_loss(double loss) {
     trip(HealthStatus::kNonFiniteLoss, "train-step loss is non-finite");
     return status_;
   }
-  if (baseline_count_ < options_.loss_baseline) {
+  if (baseline_count_ < kLossBaseline) {
     baseline_sum_ += loss;
     ++baseline_count_;
     return status_;
   }
-  if (window_.size() < options_.loss_window) {
+  if (window_.size() < kLossWindow) {
     window_.push_back(loss);
     window_sum_ += loss;
   } else {
     window_sum_ += loss - window_[window_next_];
     window_[window_next_] = loss;
-    window_next_ = (window_next_ + 1) % options_.loss_window;
+    window_next_ = (window_next_ + 1) % kLossWindow;
   }
-  if (options_.loss_explosion_factor > 0.0 &&
-      window_.size() == options_.loss_window) {
+  if (window_.size() == kLossWindow) {
     const double baseline =
         baseline_sum_ / static_cast<double>(baseline_count_);
     const double window_mean =
         window_sum_ / static_cast<double>(window_.size());
     // The +1.0 floor keeps a near-zero baseline (e.g. pre-warmup 0.0
     // losses) from flagging ordinary early-training noise.
-    if (window_mean >
-        options_.loss_explosion_factor * (std::fabs(baseline) + 1.0))
+    if (window_mean > kLossExplosionFactor * (std::fabs(baseline) + 1.0))
       trip(HealthStatus::kLossExplosion,
            "loss window mean " + std::to_string(window_mean) +
                " exploded over baseline " + std::to_string(baseline));
@@ -75,15 +67,13 @@ HealthStatus HealthMonitor::check_q(const Matrix& q) {
     trip(HealthStatus::kNonFiniteQ, "Q forward produced non-finite values");
     return status_;
   }
-  if (options_.max_abs_q > 0.0) {
-    for (std::size_t r = 0; r < q.rows(); ++r)
-      for (std::size_t c = 0; c < q.cols(); ++c)
-        if (std::fabs(q(r, c)) > options_.max_abs_q) {
-          trip(HealthStatus::kQOutOfRange,
-               "|Q| exceeded " + std::to_string(options_.max_abs_q));
-          return status_;
-        }
-  }
+  for (std::size_t r = 0; r < q.rows(); ++r)
+    for (std::size_t c = 0; c < q.cols(); ++c)
+      if (std::fabs(q(r, c)) > kMaxAbsQ) {
+        trip(HealthStatus::kQOutOfRange,
+             "|Q| exceeded " + std::to_string(kMaxAbsQ));
+        return status_;
+      }
   return status_;
 }
 

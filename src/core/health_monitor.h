@@ -7,8 +7,8 @@
 //
 // Cost model: record_loss is O(1); check_q is one O(B·m) scan of a Q batch
 // the caller already paid a forward for; check_parameters is O(#params)
-// and is the only check worth rate-limiting (HealthOptions::
-// param_check_every_waves in the scheduler).
+// and is the only check worth rate-limiting (CampaignScheduler::
+// FaultToleranceOptions::health_check_every_waves).
 //
 // Status is STICKY: once a sentinel trips, status() stays unhealthy (and
 // reason() says why) until reset() — e.g. after a rollback restored known-
@@ -30,20 +30,6 @@ struct Parameter;
 
 namespace drcell::core {
 
-struct HealthOptions {
-  /// Sliding window of recent losses compared against the baseline.
-  std::size_t loss_window = 16;
-  /// First `loss_baseline` finite losses form the reference level.
-  std::size_t loss_baseline = 64;
-  /// Trip when the window mean exceeds `loss_explosion_factor` x the
-  /// baseline mean (plus a small absolute floor so a near-zero baseline
-  /// does not flag ordinary noise). 0 disables explosion detection.
-  double loss_explosion_factor = 1e3;
-  /// Absolute |Q| bound for check_q; non-finite always trips. 0 disables
-  /// the magnitude bound.
-  double max_abs_q = 1e12;
-};
-
 enum class HealthStatus {
   kHealthy,
   kNonFiniteLoss,
@@ -55,14 +41,17 @@ enum class HealthStatus {
 
 class HealthMonitor {
  public:
-  explicit HealthMonitor(HealthOptions options = {});
+  HealthMonitor();
 
   /// Feeds one train-step loss (0.0 pre-warmup losses are recorded but can
-  /// never trip anything). Returns the (possibly newly tripped) status.
+  /// never trip anything). The first 64 finite losses form the baseline;
+  /// after that, a full window of the last 16 trips when its mean exceeds
+  /// 1e3 x (|baseline mean| + 1). Returns the (possibly newly tripped)
+  /// status.
   HealthStatus record_loss(double loss);
 
-  /// Scans a Q batch (any [B x m] forward output) for non-finite or
-  /// absurd-magnitude values.
+  /// Scans a Q batch (any [B x m] forward output) for non-finite values or
+  /// |Q| > 1e12.
   HealthStatus check_q(const Matrix& q);
 
   /// Scans parameter values for non-finite entries.
@@ -77,20 +66,17 @@ class HealthMonitor {
   /// restored known-good state (the old baseline no longer describes it).
   void reset();
 
-  static const char* status_name(HealthStatus status);
-
  private:
   void trip(HealthStatus status, std::string reason);
 
-  HealthOptions options_;
   HealthStatus status_ = HealthStatus::kHealthy;
   std::string reason_;
 
-  // Loss statistics: baseline mean over the first loss_baseline finite
-  // losses, then a ring of the last loss_window losses.
+  // Loss statistics: baseline mean over the first kLossBaseline finite
+  // losses, then a ring of the last kLossWindow losses (health_monitor.cpp).
   double baseline_sum_ = 0.0;
   std::size_t baseline_count_ = 0;
-  std::vector<double> window_;  // ring buffer, size <= loss_window
+  std::vector<double> window_;  // ring buffer, size <= kLossWindow
   std::size_t window_next_ = 0;
   double window_sum_ = 0.0;
 };

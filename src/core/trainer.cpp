@@ -27,7 +27,6 @@ TrainingResult train_agent(DrCellAgent& agent, mcs::SparseMcsEnvironment& env,
       "agent/environment state history mismatch");
 
   auto& trainer = agent.trainer();
-  const std::size_t grad_steps = agent.config().train_steps_per_env_step;
 
   TrainingResult result;
   Stopwatch watch;
@@ -55,12 +54,10 @@ TrainingResult train_agent(DrCellAgent& agent, mcs::SparseMcsEnvironment& env,
       }
       trainer.observe(std::move(e));
 
-      for (std::size_t g = 0; g < grad_steps; ++g) {
-        const double loss = trainer.train_step();
-        if (loss > 0.0) {
-          loss_sum += loss;
-          ++loss_count;
-        }
+      const double loss = trainer.train_step();
+      if (loss > 0.0) {
+        loss_sum += loss;
+        ++loss_count;
       }
     }
     result.episodes.push_back(env.stats());

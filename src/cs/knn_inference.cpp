@@ -5,17 +5,20 @@
 
 namespace drcell::cs {
 
+namespace {
+// Neighbours per estimate.
+constexpr std::size_t kNeighbours = 4;
+}  // namespace
+
 double euclidean_distance(const CellCoord& a, const CellCoord& b) {
   const double dx = a.x - b.x;
   const double dy = a.y - b.y;
   return std::sqrt(dx * dx + dy * dy);
 }
 
-KnnInference::KnnInference(std::vector<CellCoord> coords, KnnOptions options)
-    : coords_(std::move(coords)), options_(options) {
+KnnInference::KnnInference(std::vector<CellCoord> coords)
+    : coords_(std::move(coords)) {
   DRCELL_CHECK_MSG(!coords_.empty(), "KNN requires cell coordinates");
-  DRCELL_CHECK(options_.k > 0);
-  DRCELL_CHECK(options_.distance_power >= 0.0);
 }
 
 Matrix KnnInference::infer(const PartialMatrix& observed) const {
@@ -52,7 +55,7 @@ Matrix KnnInference::infer(const PartialMatrix& observed) const {
       by_dist.reserve(obs_rows.size());
       for (std::size_t o : obs_rows)
         by_dist.emplace_back(euclidean_distance(coords_[r], coords_[o]), o);
-      const std::size_t k = std::min(options_.k, by_dist.size());
+      const std::size_t k = std::min(kNeighbours, by_dist.size());
       std::partial_sort(by_dist.begin(), by_dist.begin() + k, by_dist.end());
       double wsum = 0.0, vsum = 0.0;
       for (std::size_t i = 0; i < k; ++i) {
@@ -63,7 +66,8 @@ Matrix KnnInference::infer(const PartialMatrix& observed) const {
           vsum = observed.value(o, c);
           break;
         }
-        const double w = 1.0 / std::pow(d, options_.distance_power);
+        // Inverse-distance weight.
+        const double w = 1.0 / d;
         wsum += w;
         vsum += w * observed.value(o, c);
       }

@@ -17,25 +17,19 @@ struct CellCoord {
 
 double euclidean_distance(const CellCoord& a, const CellCoord& b);
 
-struct KnnOptions {
-  std::size_t k = 4;          ///< neighbours per estimate
-  double distance_power = 1.0;///< inverse-distance weight exponent
-};
-
 class KnnInference final : public InferenceEngine {
  public:
   /// `coords[i]` is the centre of cell i (row i of the matrices).
-  KnnInference(std::vector<CellCoord> coords, KnnOptions options = {});
+  explicit KnnInference(std::vector<CellCoord> coords);
 
-  /// For every unobserved (cell, cycle): inverse-distance-weighted mean of
-  /// the k nearest cells observed in the same cycle; falls back to the
-  /// cell's own temporal mean, then to the global observed mean.
+  /// For every unobserved (cell, cycle): inverse-distance-weighted (1/d)
+  /// mean of the 4 nearest cells observed in the same cycle; falls back to
+  /// the cell's own temporal mean, then to the global observed mean.
   Matrix infer(const PartialMatrix& observed) const override;
   std::string name() const override { return "knn"; }
 
  private:
   std::vector<CellCoord> coords_;
-  KnnOptions options_;
 };
 
 }  // namespace drcell::cs

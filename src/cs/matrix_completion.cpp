@@ -29,6 +29,33 @@ double observed_rmse(const Matrix& row_factors, const Matrix& col_factors,
 }
 
 namespace {
+// L2 regularisation, scaled by each row's / column's observation count.
+constexpr double kLambda = 0.005;
+// ALS sweep budget of a cold (or untrusted warm) fit.
+constexpr std::size_t kIterations = 20;
+// Factor initialisation seed.
+constexpr std::uint64_t kSeed = 17;
+// Early stop on the max factor change of a sweep.
+constexpr double kConvergenceTol = 1e-5;
+// Sweep budget for a *trusted* warm resume. A window that changed by one
+// cycle's observations leaves the cached factors near the new optimum, so a
+// few polish sweeps replace the full from-noise budget (incremental ALS).
+// The reduced budget applies only when the cached factors predict the new
+// window's observations within kWarmTrustFactor of their own converged
+// RMSE — i.e. when the init is provably close; resumes between the trust
+// and accept thresholds keep the warm init (never worse than noise) but run
+// the full sweep budget.
+constexpr std::size_t kWarmIterations = 4;
+// Below this init/converged RMSE ratio the window barely changed and the
+// short kWarmIterations budget is safe (typical per-cycle evolution
+// measures 1.1-1.7).
+constexpr double kWarmTrustFactor = 2.0;
+// Above this ratio the window is treated as unrelated — episode reset,
+// slid/relabelled columns, different task — and the solve starts cold. A
+// cycle's worth of new entries stays well below it; an unrelated window
+// overshoots it by an order of magnitude.
+constexpr double kWarmRmseFactor = 4.0;
+
 // Weighted chunking policy for the ALS/LOO fan-outs (shared implementation
 // in util/chunking.h; boundaries only group solves, never change the
 // arithmetic). The ridge solves here are hundreds of ns each, so the
@@ -65,17 +92,7 @@ std::vector<std::size_t> half_sweep_bounds(
 MatrixCompletion::MatrixCompletion(MatrixCompletionOptions options)
     : options_(options) {
   DRCELL_CHECK(options_.rank > 0);
-  DRCELL_CHECK(options_.lambda > 0.0);
-  DRCELL_CHECK(options_.iterations > 0);
-  DRCELL_CHECK(options_.warm_iterations > 0);
-  DRCELL_CHECK(options_.warm_trust_factor >= 1.0);
-  DRCELL_CHECK(options_.warm_rmse_factor >= options_.warm_trust_factor);
   DRCELL_CHECK(options_.frobenius_tol >= 0.0);
-}
-
-void MatrixCompletion::reset_warm_start() const {
-  std::lock_guard<std::mutex> lock(warm_mutex_);
-  warm_.reset();
 }
 
 MatrixCompletion::Fit MatrixCompletion::fit(
@@ -127,20 +144,18 @@ MatrixCompletion::Fit MatrixCompletion::fit(
       // budget only below the (tighter) trust threshold.
       const double init_rmse = observed_rmse(
           warm_->fit.row_factors, warm_->fit.col_factors, result.mu, observed);
-      if (init_rmse <=
-          options_.warm_rmse_factor * warm_->rmse + options_.convergence_tol) {
+      if (init_rmse <= kWarmRmseFactor * warm_->rmse + kConvergenceTol) {
         result.row_factors = warm_->fit.row_factors;
         result.col_factors = warm_->fit.col_factors;
         warm_resumed = true;
         warm_trusted =
-            init_rmse <= options_.warm_trust_factor * warm_->rmse +
-                             options_.convergence_tol;
+            init_rmse <= kWarmTrustFactor * warm_->rmse + kConvergenceTol;
       }
     }
   }
   if (!warm_resumed) {
     // Same draw stream as the hand-rolled normal(0, 1) loops this replaces.
-    Rng rng(options_.seed);
+    Rng rng(kSeed);
     result.row_factors = random_normal_matrix(m, rank, rng);
     result.col_factors = random_normal_matrix(n, rank, rng);
   }
@@ -219,7 +234,7 @@ MatrixCompletion::Fit MatrixCompletion::fit(
           // Weighted-lambda ALS (Zhou et al.): scaling the ridge by the
           // number of observations keeps sparsely observed rows from
           // blowing up to compensate for small factors on the other side.
-          solver.factor(options_.lambda * static_cast<double>(obs.size()));
+          solver.factor(kLambda * static_cast<double>(obs.size()));
           factored = &obs;
         }
         const auto x = solver.solve_factored();
@@ -271,7 +286,7 @@ MatrixCompletion::Fit MatrixCompletion::fit(
         delta_sq += solve_delta[c];
         factor_sq += solve_factor[c];
       }
-      if (max_change < options_.convergence_tol) break;
+      if (max_change < kConvergenceTol) break;
       if (options_.frobenius_tol > 0.0 &&
           std::sqrt(delta_sq) <
               options_.frobenius_tol * std::max(std::sqrt(factor_sq), 1.0))
@@ -280,8 +295,7 @@ MatrixCompletion::Fit MatrixCompletion::fit(
   };
 
   const std::size_t sweep_budget =
-      warm_trusted ? std::min(options_.warm_iterations, options_.iterations)
-                   : options_.iterations;
+      warm_trusted ? kWarmIterations : kIterations;
   run_sweeps(sweep_budget);
 
   // Cold-solve fallback: a warm resume that failed to produce a usable
@@ -294,10 +308,10 @@ MatrixCompletion::Fit MatrixCompletion::fit(
   if (warm_resumed &&
       (row_f.has_non_finite() || col_f.has_non_finite() ||
        util::FaultInjection::check("als.converge"))) {
-    Rng rng(options_.seed);
+    Rng rng(kSeed);
     row_f = random_normal_matrix(m, rank, rng);
     col_f = random_normal_matrix(n, rank, rng);
-    run_sweeps(options_.iterations);
+    run_sweeps(kIterations);
   }
 
   if (options_.warm_start) {
@@ -371,7 +385,7 @@ std::vector<double> MatrixCompletion::loo_column_predictions(
             solver.add_row(f.col_factors.row(c),
                            observed.value(cell, c) - f.mu);
         const auto x = solver.solve(
-            options_.lambda * static_cast<double>(cols_of_row.size() - 1));
+            kLambda * static_cast<double>(cols_of_row.size() - 1));
         std::copy(x.begin(), x.end(), u.begin());
       }
       // Assessed column's factor without the held-out cell (row factors
@@ -383,7 +397,7 @@ std::vector<double> MatrixCompletion::loo_column_predictions(
           if (r != cell)
             solver.add_row(f.row_factors.row(r), observed.value(r, col) - f.mu);
         const auto x =
-            solver.solve(options_.lambda * static_cast<double>(count - 1));
+            solver.solve(kLambda * static_cast<double>(count - 1));
         std::copy(x.begin(), x.end(), v.begin());
       }
       double pred = f.mu;

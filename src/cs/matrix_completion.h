@@ -36,8 +36,8 @@
 //  * Cross-unit reductions (convergence stats, RMSE sums) are written per
 //    index during the parallel phase and reduced serially in ascending index
 //    order afterwards — never accumulated in claim order.
-//  * Any randomness is seeded from options_.seed (or per task index via
-//    ThreadPool::parallel_for_seeded), never from the executing thread.
+//  * Any randomness is seeded from (seed, index) — the factor seed, or the
+//    seed and a task index — never from the executing thread.
 // Consequence: infer(), loo_column_predictions() and the resulting quality
 // gate decisions are bit-identical for ANY worker count, including the
 // 0-worker (strictly serial) pool. tests/sparse_paths_test.cpp holds both
@@ -59,31 +59,11 @@ namespace drcell::cs {
 double observed_rmse(const Matrix& row_factors, const Matrix& col_factors,
                      double mu, const PartialMatrix& observed);
 
+/// The regularisation, sweep budgets, seed and warm-start thresholds are
+/// fixed constants of the engine (matrix_completion.cpp).
 struct MatrixCompletionOptions {
   std::size_t rank = 5;        ///< latent dimension r
-  double lambda = 0.005;       ///< L2 regularisation (scaled by per-row/col observation count)
-  std::size_t iterations = 20; ///< ALS sweeps
-  std::uint64_t seed = 17;     ///< factor initialisation seed
-  double convergence_tol = 1e-5; ///< early stop on max factor change
   bool warm_start = true;      ///< resume from the previous fit's factors
-  /// Sweep budget for a *trusted* warm resume. A window that changed by one
-  /// cycle's observations leaves the cached factors near the new optimum, so
-  /// a few polish sweeps replace the full from-noise budget (incremental
-  /// ALS). The reduced budget applies only when the cached factors predict
-  /// the new window's observations within `warm_trust_factor` of their own
-  /// converged RMSE — i.e. when the init is provably close; resumes between
-  /// the trust and accept thresholds keep the warm init (never worse than
-  /// noise) but run the full sweep budget.
-  std::size_t warm_iterations = 4;
-  /// Below this init/converged RMSE ratio the window barely changed and the
-  /// short warm_iterations budget is safe (typical per-cycle evolution
-  /// measures 1.1-1.7).
-  double warm_trust_factor = 2.0;
-  /// Above this ratio the window is treated as unrelated — episode reset,
-  /// slid/relabelled columns, different task — and the solve starts cold.
-  /// A cycle's worth of new entries stays well below it; an unrelated
-  /// window overshoots it by an order of magnitude.
-  double warm_rmse_factor = 4.0;
   /// Early exit when the Frobenius norm of the per-sweep factor delta drops
   /// below this fraction of the factor norm itself. Warm resumes over a
   /// window that changed by a few entries usually trip it after one or two
@@ -113,10 +93,6 @@ class MatrixCompletion final : public InferenceEngine {
   std::string name() const override { return "compressive-sensing"; }
 
   const MatrixCompletionOptions& options() const { return options_; }
-
-  /// Drops the cached factors; the next fit starts cold. Call when switching
-  /// to an unrelated sensing matrix mid-stream.
-  void reset_warm_start() const;
 
   /// Overrides the pool that runs the ridge solves of an ALS half-sweep and
   /// of the leave-one-out pass. nullptr restores the global pool; a 0-worker

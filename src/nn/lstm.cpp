@@ -268,40 +268,26 @@ const Matrix& Lstm::forward(const std::vector<SparseRowMatrix>& steps) {
   return h_.back();
 }
 
-const std::vector<Matrix>& Lstm::backward(const Matrix& grad_last_hidden,
-                                          bool compute_input_grads) {
-  DRCELL_CHECK_MSG(!h_.empty(), "LSTM backward before forward");
-  last_only_ws_.resize(h_.size());
-  for (std::size_t t = 0; t + 1 < h_.size(); ++t)
-    last_only_ws_[t].resize(batch_, hidden_size());
-  last_only_ws_.back() = grad_last_hidden;
-  return backward_sequence(last_only_ws_, compute_input_grads);
-}
-
-const std::vector<Matrix>& Lstm::backward_sequence(
-    const std::vector<Matrix>& grad_hidden_per_step,
-    bool compute_input_grads) {
+void Lstm::backward(const Matrix& grad_last_hidden) {
   const std::size_t t_max = h_.size();
   DRCELL_CHECK_MSG(t_max > 0, "LSTM backward before forward");
-  DRCELL_CHECK(grad_hidden_per_step.size() == t_max);
   const std::size_t hidden = hidden_size();
+  DRCELL_CHECK(grad_last_hidden.rows() == batch_ &&
+               grad_last_hidden.cols() == hidden);
 
   dz_.resize(t_max);
-  if (compute_input_grads) {
-    grad_x_.resize(t_max);
-  } else {
-    grad_x_.clear();
-  }
   dc_next_ws_.resize(batch_, hidden);
 
   for (std::size_t t = t_max; t-- > 0;) {
-    // Total gradient into h_t: external + recurrent. The first (t = T-1)
-    // iteration has no recurrent term; adding the zero matrix would be
-    // bit-identical, so it is skipped.
-    const Matrix& ext = grad_hidden_per_step[t];
-    DRCELL_CHECK(ext.rows() == batch_ && ext.cols() == hidden);
-    dh_ws_ = ext;
-    if (t + 1 < t_max) dh_ws_ += dh_next_ws_;
+    // Gradient into h_t: the external gradient at the last step, the
+    // recurrent one before it. The recurrent term is added onto zeros (not
+    // copied), so a -0.0 lands as +0.0 exactly as in the per-sample path.
+    if (t + 1 == t_max) {
+      dh_ws_ = grad_last_hidden;
+    } else {
+      dh_ws_.resize(batch_, hidden);
+      dh_ws_ += dh_next_ws_;
+    }
 
     const Matrix& gates = gates_[t];
     const Matrix& tct = tanh_c_[t];
@@ -312,10 +298,8 @@ const std::vector<Matrix>& Lstm::backward_sequence(
     BackendRegistry::active().lstm_gate_backward(gates, tct, c_prev, dh_ws_,
                                                  dc_next_ws_, dz, dc_prev_ws_);
 
-    // Gradients flowing to inputs and to the previous step (no transposes
-    // materialised).
-    if (compute_input_grads)
-      dz.matmul_transposed_other_into(wx_.value, grad_x_[t]);
+    // Gradient flowing to the previous step (no transpose materialised).
+    // Input gradients are never formed: nothing upstream of the LSTM trains.
     if (t > 0) dz.matmul_transposed_other_into(wh_.value, dh_next_ws_);
     std::swap(dc_next_ws_, dc_prev_ws_);
   }
@@ -384,7 +368,6 @@ const std::vector<Matrix>& Lstm::backward_sequence(
     }
     hcat_ws_.matmul_transposed_self_add(dzhcat_ws_, wh_.grad);
   }
-  return grad_x_;
 }
 
 Matrix Lstm::forward_reference(const std::vector<Matrix>& steps) {

@@ -95,24 +95,13 @@ class Lstm {
   /// well before one entry in four is set.
   static constexpr double kSparseGatherMaxDensity = 0.25;
 
-  /// All per-step hidden states from the previous forward() call
-  /// (useful for sequence-output heads and for tests).
-  const std::vector<Matrix>& hidden_states() const { return h_; }
-
-  /// BPTT from the gradient w.r.t. the final hidden state. Accumulates
-  /// parameter gradients and returns the gradients w.r.t. each input step
-  /// (a reference into a reused workspace, valid until the next backward).
-  /// `compute_input_grads = false` skips the per-step dz·Wxᵀ products —
-  /// the DRQN discards input gradients, and they are the most expensive
-  /// part of the backward pass after the parameter GEMMs. The returned
-  /// vector is empty in that mode.
-  const std::vector<Matrix>& backward(const Matrix& grad_last_hidden,
-                                      bool compute_input_grads = true);
-
-  /// BPTT from gradients w.r.t. every per-step hidden state.
-  const std::vector<Matrix>& backward_sequence(
-      const std::vector<Matrix>& grad_hidden_per_step,
-      bool compute_input_grads = true);
+  /// BPTT from the gradient w.r.t. the final hidden state; accumulates the
+  /// parameter gradients. Gradients w.r.t. the inputs are not formed: the
+  /// Q-networks feed the LSTM selection states (or their fixed spatial
+  /// projection), so nothing upstream trains, and the per-step dz·Wxᵀ
+  /// products would be the most expensive part of the pass after the
+  /// parameter GEMMs.
+  void backward(const Matrix& grad_last_hidden);
 
   /// Retained pre-refactor cell (the benchmark floor of the batched
   /// engine): fresh per-step allocations, Wxᵀ/Whᵀ materialised every step
@@ -155,8 +144,6 @@ class Lstm {
   Matrix recur_ws_;  // h_{t-1} Wh (forward)
   // Backward workspaces.
   std::vector<Matrix> dz_;      // per-step pre-activation gradients
-  std::vector<Matrix> grad_x_;  // returned input gradients
-  std::vector<Matrix> last_only_ws_;  // backward()'s zero-padded grads
   Matrix dh_ws_;       // gradient into h_t (external + recurrent)
   Matrix dh_next_ws_;  // dz_t Whᵀ flowing to step t-1
   Matrix dc_next_ws_;  // cell-state gradient flowing to step t-1

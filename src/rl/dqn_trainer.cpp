@@ -10,6 +10,9 @@ namespace drcell::rl {
 
 namespace {
 
+// Global-norm gradient clipping threshold applied before every Adam step.
+constexpr double kGradClipNorm = 5.0;
+
 std::vector<nn::Parameter*> parameters_of(QNetwork* net) {
   DRCELL_CHECK(net != nullptr);
   return net->parameters();
@@ -30,6 +33,9 @@ DqnTrainer::DqnTrainer(QNetworkPtr online, DqnOptions options,
   DRCELL_CHECK(options_.batch_size > 0);
   DRCELL_CHECK(options_.target_sync_interval > 0);
   DRCELL_CHECK(options_.min_replay >= options_.batch_size);
+  // train_step waits for min_replay transitions, and the ring never holds
+  // more than replay_capacity: a smaller ring would never train.
+  DRCELL_CHECK(options_.replay_capacity >= options_.min_replay);
   target_ = online_->clone_architecture(rng_);
   sync_target();
 }
@@ -119,11 +125,9 @@ void DqnTrainer::observe(Experience e) {
 
 double DqnTrainer::bootstrap_value(const Experience& e,
                                    const Matrix& q_next_target,
-                                   const Matrix& q_next_online,
                                    std::size_t row) const {
-  // Bootstrap from the fixed-target network (Eq. 7); optionally Double-DQN:
-  // argmax from the online network, value from the target network. Terminal
-  // transitions and dead-end masks contribute nothing.
+  // Bootstrap from the fixed-target network (Eq. 7). Terminal transitions
+  // and dead-end masks contribute nothing.
   if (e.terminal) return 0.0;
   if (!e.next_candidates.empty()) {
     // Candidate-subset bootstrap: argmax restricted to the stored
@@ -131,12 +135,11 @@ double DqnTrainer::bootstrap_value(const Experience& e,
     // masked_argmax's first-max-wins tie-breaking, so when the candidates
     // cover the allowed actions this equals the full masked bootstrap
     // exactly.
-    const Matrix& chooser = options_.double_dqn ? q_next_online : q_next_target;
     std::size_t best = e.next_candidates.front();
     double best_q = -std::numeric_limits<double>::infinity();
     for (const std::uint32_t a : e.next_candidates) {
-      if (chooser(row, a) > best_q) {
-        best_q = chooser(row, a);
+      if (q_next_target(row, a) > best_q) {
+        best_q = q_next_target(row, a);
         best = a;
       }
     }
@@ -149,16 +152,11 @@ double DqnTrainer::bootstrap_value(const Experience& e,
       break;
     }
   if (!any) return 0.0;
-  if (options_.double_dqn) {
-    const std::size_t a_star = masked_argmax(q_next_online, row, e.next_mask);
-    return q_next_target(row, a_star);
-  }
   return q_next_target(row, masked_argmax(q_next_target, row, e.next_mask));
 }
 
 double DqnTrainer::finish_update(double raw_loss_sum, double normalizer) {
-  if (options_.grad_clip_norm > 0.0)
-    nn::clip_grad_norm(online_->parameters(), options_.grad_clip_norm);
+  nn::clip_grad_norm(online_->parameters(), kGradClipNorm);
   // Pooled elementwise update — bit-identical to serial for any worker
   // count (optimizer.h), and the dominant per-step cost at the metro tier.
   optimizer_.step(pool_ ? pool_ : &util::ThreadPool::global());
@@ -211,12 +209,8 @@ double DqnTrainer::train_step_on_indices(
   }
 
   // The target and online networks are distinct objects, so their batch
-  // forwards run as two concurrent pool lanes. The online lane keeps its
-  // internal order (next-state forward, then current-state forward) so the
-  // activations cached for backward() always belong to q_pred; the
-  // Double-DQN snapshot is copied out before the second forward overwrites
-  // the online network's workspace. Results are bit-identical to the
-  // serial path for any worker count.
+  // forwards run as two concurrent pool lanes. Results are bit-identical to
+  // the serial path for any worker count.
   const Matrix* q_next_target = nullptr;
   const Matrix* q_pred = nullptr;
   util::ThreadPool& pool = pool_ ? *pool_ : util::ThreadPool::global();
@@ -226,12 +220,8 @@ double DqnTrainer::train_step_on_indices(
                           ? &target_->forward_batch_sparse(next_sseq_ws_)
                           : &target_->forward_batch(next_seq_ws_);
     } else if (sparse_batch) {
-      if (options_.double_dqn)
-        q_next_online_ws_ = online_->forward_batch_sparse(next_sseq_ws_);
       q_pred = &online_->forward_batch_sparse(state_sseq_ws_);
     } else {
-      if (options_.double_dqn)
-        q_next_online_ws_ = online_->forward_batch(next_seq_ws_);
       q_pred = &online_->forward_batch(state_seq_ws_);
     }
   });
@@ -242,8 +232,7 @@ double DqnTrainer::train_step_on_indices(
   mask_ws_.resize(b, actions);
   for (std::size_t i = 0; i < b; ++i) {
     const Experience& e = replay_.at(indices[i]);
-    const double boot =
-        bootstrap_value(e, *q_next_target, q_next_online_ws_, i);
+    const double boot = bootstrap_value(e, *q_next_target, i);
     targets_ws_(i, e.action) = e.reward + options_.gamma * boot;
     mask_ws_(i, e.action) = 1.0;
   }
@@ -290,9 +279,7 @@ double DqnTrainer::train_step_candidates_on_indices(
     }
   }
 
-  // Same two concurrent lanes as the full path (distinct network objects;
-  // the online lane orders its forwards so the cached activations belong to
-  // q_pred).
+  // Same two concurrent lanes as the full path (distinct network objects).
   const Matrix* q_next_target = nullptr;
   const Matrix* q_pred = nullptr;
   util::ThreadPool& pool = pool_ ? *pool_ : util::ThreadPool::global();
@@ -301,9 +288,6 @@ double DqnTrainer::train_step_candidates_on_indices(
       q_next_target =
           &target_->forward_batch_columns(next_sseq_ws_, next_cols_ws_);
     } else {
-      if (options_.double_dqn)
-        q_next_online_ws_ =
-            online_->forward_batch_columns(next_sseq_ws_, next_cols_ws_);
       q_pred = &online_->forward_batch_columns(state_sseq_ws_, action_cols_ws_);
     }
   });
@@ -318,13 +302,11 @@ double DqnTrainer::train_step_candidates_on_indices(
       // replicates masked_argmax's first-max-wins scan over the same
       // Q-values.
       const auto& cols = next_cols_ws_[i];
-      const Matrix& chooser =
-          options_.double_dqn ? q_next_online_ws_ : *q_next_target;
       std::size_t best = 0;
       double best_q = -std::numeric_limits<double>::infinity();
       for (std::size_t j = 0; j < cols.size(); ++j) {
-        if (chooser(i, j) > best_q) {
-          best_q = chooser(i, j);
+        if ((*q_next_target)(i, j) > best_q) {
+          best_q = (*q_next_target)(i, j);
           best = j;
         }
       }
@@ -447,8 +429,8 @@ double DqnTrainer::train_step_reference_on_indices(
   // The per-sample trainer the batched engine replaces, retained as the
   // reference it must match bit for bit: every transition runs as its own
   // B=1 timestep-major sequence through the networks' pre-refactor
-  // reference implementations — target forward, optional Double-DQN online
-  // forward, online forward, per-sample loss gradient (normalised by the
+  // reference implementations — target forward, online forward, per-sample
+  // loss gradient (normalised by the
   // whole minibatch's element count so it equals the batched gradient row),
   // backward — with gradients accumulating sample by sample.
   const std::size_t b = indices.size();
@@ -471,13 +453,7 @@ double DqnTrainer::train_step_reference_on_indices(
     const std::vector<Matrix> state_seq = to_reference_sequence(enc.state);
 
     const Matrix q_next_target = target_->forward_reference(next_seq);
-    double boot = 0.0;
-    if (options_.double_dqn) {
-      const Matrix q_next_online = online_->forward_reference(next_seq);
-      boot = bootstrap_value(e, q_next_target, q_next_online, 0);
-    } else {
-      boot = bootstrap_value(e, q_next_target, q_next_online_ws_, 0);
-    }
+    const double boot = bootstrap_value(e, q_next_target, 0);
     const Matrix q_pred = online_->forward_reference(state_seq);
 
     Matrix target_row(1, actions);

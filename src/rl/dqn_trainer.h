@@ -6,7 +6,7 @@
 // train_step() is batch-major end to end: the replay buffer assembles one
 // timestep-major minibatch from its encoded-sequence cache
 // (ReplayBuffer::fill_timestep_major), the target/online forwards, the
-// Double-DQN argmax, the masked TD loss and the backward pass all run over
+// bootstrap argmax, the masked TD loss and the backward pass all run over
 // [batch x m] matrices, and the per-sample loop survives only as
 // train_step_reference() — the retained reference path the batched engine
 // matches bit for bit under either compute backend, both sides running the
@@ -30,12 +30,10 @@ struct DqnOptions {
   double gamma = 0.9;                 ///< discount factor
   double learning_rate = 1e-3;        ///< Adam step size
   std::size_t batch_size = 32;        ///< replay minibatch
-  std::size_t replay_capacity = 20000;
+  std::size_t replay_capacity = 20000;  ///< must be >= min_replay
   std::size_t min_replay = 200;       ///< warm-up before training starts
   std::size_t target_sync_interval = 150;  ///< RPLACE_ITER of Algorithm 2
-  double grad_clip_norm = 5.0;        ///< global-norm clipping; 0 disables
   double huber_delta = 1.0;           ///< TD-error robustness threshold
-  bool double_dqn = false;            ///< Hasselt-style target (extension)
   /// Train on candidate action subsets (metro tier): the minibatch is
   /// assembled sparse, the online Q head is evaluated only at each
   /// transition's taken action and the bootstrap argmax only over its
@@ -151,7 +149,7 @@ class DqnTrainer {
   std::size_t masked_argmax(const Matrix& q, std::size_t row,
                             const std::vector<std::uint8_t>& mask) const;
   double bootstrap_value(const Experience& e, const Matrix& q_next_target,
-                         const Matrix& q_next_online, std::size_t row) const;
+                         std::size_t row) const;
   /// Shared epilogue of both update paths: clip, optimiser step, target
   /// sync cadence.
   double finish_update(double raw_loss_sum, double normalizer);
@@ -187,10 +185,9 @@ class DqnTrainer {
   std::size_t env_steps_ = 0;
   std::size_t train_steps_ = 0;
   // Minibatch workspaces reused across train steps (timestep-major batch,
-  // Double-DQN online snapshot, TD targets and action mask).
+  // TD targets and action mask).
   std::vector<Matrix> state_seq_ws_;
   std::vector<Matrix> next_seq_ws_;
-  Matrix q_next_online_ws_;
   Matrix targets_ws_;
   Matrix mask_ws_;
   // Sparse / candidate-path workspaces (metro tier).

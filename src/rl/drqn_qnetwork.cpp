@@ -1,25 +1,14 @@
 #include "rl/drqn_qnetwork.h"
 
-#include "nn/activations.h"
-#include "nn/sequential.h"
-
 namespace drcell::rl {
 
 DrqnQNetwork::DrqnQNetwork(std::size_t num_cells, std::size_t history_steps,
-                           std::size_t lstm_hidden, std::size_t head_hidden,
-                           Rng& rng)
+                           std::size_t lstm_hidden, Rng& rng)
     : num_cells_(num_cells),
       history_steps_(history_steps),
-      head_hidden_(head_hidden),
-      lstm_(num_cells, lstm_hidden, rng) {
+      lstm_(num_cells, lstm_hidden, rng),
+      head_(lstm_hidden, num_cells, rng) {
   DRCELL_CHECK(num_cells_ > 0 && history_steps_ > 0);
-  if (head_hidden_ > 0) {
-    head_.emplace<nn::Dense>(lstm_hidden, head_hidden_, rng);
-    head_.emplace<nn::ReLU>();
-    head_.emplace<nn::Dense>(head_hidden_, num_cells_, rng);
-  } else {
-    head_.emplace<nn::Dense>(lstm_hidden, num_cells_, rng);
-  }
 }
 
 const Matrix& DrqnQNetwork::forward_batch(
@@ -30,9 +19,7 @@ const Matrix& DrqnQNetwork::forward_batch(
 }
 
 void DrqnQNetwork::backward(const Matrix& grad_q) {
-  // The DRQN never consumes gradients w.r.t. its (one-hot state) inputs,
-  // so the LSTM skips the per-step dz·Wxᵀ products entirely.
-  lstm_.backward(head_.backward(grad_q), /*compute_input_grads=*/false);
+  lstm_.backward(head_.backward(grad_q));
 }
 
 const Matrix& DrqnQNetwork::forward_batch_sparse(
@@ -47,23 +34,14 @@ const Matrix& DrqnQNetwork::forward_batch_columns(
     const ActionColumns& columns) {
   DRCELL_CHECK_MSG(timestep_major_batch.size() == history_steps_,
                    "sequence length mismatch");
-  // All head layers but the output Dense run in full (they are
-  // hidden-width, not action-width); only the final m-wide projection is
-  // restricted to the candidate columns.
-  const Matrix* x = &lstm_.forward(timestep_major_batch);
-  for (std::size_t i = 0; i + 1 < head_.layer_count(); ++i)
-    x = &head_.layer(i).forward(*x);
-  auto& out = static_cast<nn::Dense&>(head_.layer(head_.layer_count() - 1));
-  return out.forward_columns(*x, columns);
+  // Only the m-wide output projection is restricted to the candidate
+  // columns; the LSTM runs in full.
+  return head_.forward_columns(lstm_.forward(timestep_major_batch), columns);
 }
 
 void DrqnQNetwork::backward_columns(const Matrix& grad_columns,
                                     const ActionColumns& columns) {
-  auto& out = static_cast<nn::Dense&>(head_.layer(head_.layer_count() - 1));
-  const Matrix* g = &out.backward_columns(grad_columns, columns);
-  for (std::size_t i = head_.layer_count() - 1; i-- > 0;)
-    g = &head_.layer(i).backward(*g);
-  lstm_.backward(*g, /*compute_input_grads=*/false);
+  lstm_.backward(head_.backward_columns(grad_columns, columns));
 }
 
 Matrix DrqnQNetwork::forward_reference(const std::vector<Matrix>& sequence) {
@@ -89,8 +67,7 @@ std::vector<nn::Parameter*> DrqnQNetwork::parameters() {
 
 std::unique_ptr<QNetwork> DrqnQNetwork::clone_architecture(Rng& rng) const {
   return std::make_unique<DrqnQNetwork>(num_cells_, history_steps_,
-                                        lstm_.hidden_size(), head_hidden_,
-                                        rng);
+                                        lstm_.hidden_size(), rng);
 }
 
 }  // namespace drcell::rl

@@ -1,21 +1,18 @@
 // The paper's Deep Recurrent Q-Network (Sec. 4.3, Eq. 8): an LSTM consumes
 // the k recent selection vectors step by step; its final hidden state is
-// mapped by a dense head to one Q-value per cell.
+// mapped by one dense output layer to one Q-value per cell.
 #pragma once
 
 #include "nn/dense.h"
 #include "nn/lstm.h"
-#include "nn/sequential.h"
 #include "rl/qnetwork.h"
 
 namespace drcell::rl {
 
 class DrqnQNetwork final : public QNetwork {
  public:
-  /// `head_hidden` = 0 connects the LSTM straight to the output layer;
-  /// otherwise one ReLU hidden layer of that width is inserted.
   DrqnQNetwork(std::size_t num_cells, std::size_t history_steps,
-               std::size_t lstm_hidden, std::size_t head_hidden, Rng& rng);
+               std::size_t lstm_hidden, Rng& rng);
 
   const Matrix& forward_batch(
       const std::vector<Matrix>& timestep_major_batch) override;
@@ -23,7 +20,7 @@ class DrqnQNetwork final : public QNetwork {
 
   /// Metro-tier fast paths: gather-GEMM LSTM input (bit-identical to the
   /// dense forward — see nn/lstm.h) and the candidate-restricted Q head
-  /// (final Dense evaluated only at each sample's candidate columns).
+  /// (the output Dense evaluated only at each sample's candidate columns).
   bool supports_sparse_batch() const override { return true; }
   const Matrix& forward_batch_sparse(
       const std::vector<SparseRowMatrix>& timestep_major_batch) override;
@@ -46,9 +43,8 @@ class DrqnQNetwork final : public QNetwork {
  private:
   std::size_t num_cells_;
   std::size_t history_steps_;
-  std::size_t head_hidden_;
   nn::Lstm lstm_;
-  nn::Sequential head_;
+  nn::Dense head_;
 };
 
 }  // namespace drcell::rl

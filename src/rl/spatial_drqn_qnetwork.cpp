@@ -135,7 +135,7 @@ void SpatialDrqnQNetwork::backward(const Matrix& grad_q) {
   // dquery = grad_q · Φ; the TD gradient is zero off the taken actions and
   // the matmul kernel skips those terms, so this costs O(nonzero · d).
   grad_q.matmul_into(phi_, dquery_ws_);
-  lstm_.backward(query_.backward(dquery_ws_), /*compute_input_grads=*/false);
+  lstm_.backward(query_.backward(dquery_ws_));
 }
 
 const Matrix& SpatialDrqnQNetwork::forward_batch_columns(
@@ -198,7 +198,7 @@ void SpatialDrqnQNetwork::backward_columns(const Matrix& grad_columns,
       for (std::size_t k = 0; k < d; ++k) dq[k] += g * frow[k];
     }
   }
-  lstm_.backward(query_.backward(dquery_ws_), /*compute_input_grads=*/false);
+  lstm_.backward(query_.backward(dquery_ws_));
 }
 
 Matrix SpatialDrqnQNetwork::forward_reference(

@@ -208,15 +208,4 @@ void ThreadPool::parallel_for(std::size_t n,
   }
 }
 
-void ThreadPool::parallel_for_seeded(std::uint64_t seed, std::size_t n,
-                                     FunctionRef<void(std::size_t, Rng&)> fn) {
-  parallel_for(n, [seed, &fn](std::size_t i) {
-    // Derive the stream from (seed, i) only — never from the executing
-    // thread — so outputs are identical for any worker count.
-    SplitMix64 mix(seed + 0x9e3779b97f4a7c15ULL * (i + 1));
-    Rng rng(mix.next());
-    fn(i, rng);
-  });
-}
-
 }  // namespace drcell::util

@@ -17,9 +17,6 @@
 //    assertion in bench_micro_components).
 //  * Results are deterministic: callers write results by index, so the
 //    output layout never depends on thread scheduling.
-//  * Stochastic tasks get a per-task Rng derived from (seed, index) via
-//    SplitMix64, making randomised fan-outs reproducible regardless of the
-//    worker count.
 //  * Exceptions are AGGREGATED, not short-circuited: every task in [0, n)
 //    runs even when earlier ones throw (each task body is individually
 //    guarded, so a throwing task never skips its chunk-mates). After the
@@ -44,9 +41,9 @@
 //     parallel phase and folded serially in ascending index order after the
 //     loop returns — floating-point addition is not associative, so
 //     claim-order accumulation would make results scheduling-dependent.
-//  3. Seeded per-task RNG: stochastic tasks derive their stream from
-//     (seed, index) via parallel_for_seeded — never from the executing
-//     thread or a shared generator.
+//  3. Seeded per-task RNG: stochastic tasks seed their stream from
+//     (seed, index) — never from the executing thread or a shared
+//     generator.
 // Chunking for load balance is fine as long as chunk boundaries only group
 // tasks and never change the arithmetic (see util/chunking.h for the shared
 // weighted policy used by the ALS/LOO paths in cs/matrix_completion.cpp).
@@ -77,7 +74,6 @@
 #include <vector>
 
 #include "util/function_ref.h"
-#include "util/rng.h"
 
 namespace drcell::util {
 
@@ -105,12 +101,6 @@ class ThreadPool {
   /// after a clean batch). Valid after parallel_for returns or throws;
   /// thread-local, so concurrent submitters see their own counts.
   static std::size_t last_batch_error_count();
-
-  /// parallel_for variant for stochastic tasks: fn additionally receives an
-  /// Rng seeded deterministically from (seed, i), so results do not depend
-  /// on which thread runs which index.
-  void parallel_for_seeded(std::uint64_t seed, std::size_t n,
-                           FunctionRef<void(std::size_t, Rng&)> fn);
 
   /// hardware_concurrency - 1 (the caller is the remaining lane), at least 0.
   static std::size_t default_worker_count();

@@ -12,7 +12,7 @@
 // fingerprint hit (the LOO pass over the unchanged window reuses the cached
 // factors), and a trusted warm polish (8 more cells sensed in the current
 // cycle: the cached factors still predict the window within
-// warm_trust_factor of their own RMSE, so the short warm_iterations budget
+// kWarmTrustFactor of their own RMSE, so the short kWarmIterations budget
 // runs).
 //
 // A legitimate change to the ALS or LOO arithmetic must re-record these

@@ -369,10 +369,10 @@ TEST_F(BackendConformance, BatchedTrainStepMatchesPerSample) {
 
     Rng seed_rng(11);
     rl::DqnTrainer batched(
-        std::make_unique<rl::DrqnQNetwork>(cells, k, 12, 0, seed_rng), opt, 5);
+        std::make_unique<rl::DrqnQNetwork>(cells, k, 12, seed_rng), opt, 5);
     Rng seed_rng2(11);
     rl::DqnTrainer reference(
-        std::make_unique<rl::DrqnQNetwork>(cells, k, 12, 0, seed_rng2), opt,
+        std::make_unique<rl::DrqnQNetwork>(cells, k, 12, seed_rng2), opt,
         5);
 
     Rng fill(7);
@@ -428,10 +428,10 @@ TEST_F(BackendConformance, TrainStepWorkerCountInvariance) {
 
   Rng seed_rng(21);
   rl::DqnTrainer serial(
-      std::make_unique<rl::DrqnQNetwork>(cells, k, 12, 0, seed_rng), opt, 5);
+      std::make_unique<rl::DrqnQNetwork>(cells, k, 12, seed_rng), opt, 5);
   Rng seed_rng2(21);
   rl::DqnTrainer pooled(
-      std::make_unique<rl::DrqnQNetwork>(cells, k, 12, 0, seed_rng2), opt, 5);
+      std::make_unique<rl::DrqnQNetwork>(cells, k, 12, seed_rng2), opt, 5);
   util::ThreadPool pool(3);
   pooled.set_thread_pool(&pool);
 
@@ -551,7 +551,7 @@ TEST_F(BackendConformance, TrainingWithinDocumentedBoundOfNative) {
     BackendRegistry::set_active(backend_name);
     Rng seed_rng(11);
     rl::DqnTrainer trainer(
-        std::make_unique<rl::DrqnQNetwork>(cells, k, 12, 0, seed_rng), opt, 5);
+        std::make_unique<rl::DrqnQNetwork>(cells, k, 12, seed_rng), opt, 5);
     Rng fill(7);
     for (int i = 0; i < 40; ++i)
       trainer.observe(random_experience(cells, k, fill));

@@ -87,7 +87,7 @@ TEST(BatchedForward, DrqnRowsMatchPerSampleBitIdentically) {
   expect_forward_batch_matches_per_sample(
       [] {
         Rng rng(2);
-        return std::make_unique<rl::DrqnQNetwork>(9, 3, 12, 6, rng);
+        return std::make_unique<rl::DrqnQNetwork>(9, 3, 12, rng);
       },
       9, 3);
 }
@@ -150,17 +150,12 @@ TEST(BatchedBackward, LstmGradsMatchPerSampleLoopBitIdentically) {
 
     for (auto* p : batched.parameters()) p->zero_grad();
     batched.forward(seq);
-    const auto grad_x_batched = batched.backward(grad_h);
-    ASSERT_EQ(grad_x_batched.size(), 4u);
+    batched.backward(grad_h);
 
     for (auto* p : per_sample.parameters()) p->zero_grad();
     for (std::size_t b = 0; b < batch; ++b) {
       per_sample.forward(slice_sample(seq, b));
-      const auto grad_x_single = per_sample.backward(slice_row(grad_h, b));
-      ASSERT_EQ(grad_x_single.size(), 4u);
-      for (std::size_t t = 0; t < 4; ++t)
-        EXPECT_EQ(slice_row(grad_x_batched[t], b), grad_x_single[t])
-            << "batch=" << batch << " sample=" << b << " t=" << t;
+      per_sample.backward(slice_row(grad_h, b));
     }
     const auto pa = batched.parameters();
     const auto pb = per_sample.parameters();
@@ -225,7 +220,7 @@ rl::QNetworkPtr make_qnet(Net net, std::uint64_t seed) {
       return std::make_unique<rl::MlpQNetwork>(
           6, 2, std::vector<std::size_t>{16}, rng);
     case Net::kDrqn:
-      return std::make_unique<rl::DrqnQNetwork>(6, 2, 12, 0, rng);
+      return std::make_unique<rl::DrqnQNetwork>(6, 2, 12, rng);
     case Net::kSpatialDrqn:
       // 3x2 grid, LSTM hidden 12, Fourier k 1 (d = 9), query hidden 4.
       return std::make_unique<rl::SpatialDrqnQNetwork>(3, 2, 2, 12, 1, 4,
@@ -238,18 +233,15 @@ rl::QNetworkPtr make_qnet(Net net, std::uint64_t seed) {
 /// retained per-sample reference path (B=1 sequences through the networks'
 /// pre-refactor reference implementations) over the same minibatches, must
 /// stay bit-identical: same losses, same parameters — for every shipped
-/// network, plain and Double-DQN, and any worker count serving the batched
-/// forwards. Default options: both sides run the active backend's gate
+/// network and any worker count serving the batched forwards. Default options: both sides run the active backend's gate
 /// kernels, so the contract is exact under every backend.
-void expect_train_step_matches_reference(Net net, bool double_dqn,
-                                         std::size_t workers) {
+void expect_train_step_matches_reference(Net net, std::size_t workers) {
   const std::size_t cells = 6, k = 2;
   rl::DqnOptions opt;
   opt.batch_size = 8;
   opt.min_replay = 8;
   opt.replay_capacity = 64;
   opt.target_sync_interval = 3;  // exercise the sync cadence too
-  opt.double_dqn = double_dqn;
 
   rl::DqnTrainer batched(make_qnet(net, 11), opt, 5);
   rl::DqnTrainer reference(make_qnet(net, 11), opt, 5);
@@ -282,23 +274,18 @@ void expect_train_step_matches_reference(Net net, bool double_dqn,
 }
 
 TEST(BatchedTrainStep, MlpMatchesReferenceBitIdentically) {
-  expect_train_step_matches_reference(Net::kMlp, false, 0);
-  expect_train_step_matches_reference(Net::kMlp, false, 3);
+  expect_train_step_matches_reference(Net::kMlp, 0);
+  expect_train_step_matches_reference(Net::kMlp, 3);
 }
 
 TEST(BatchedTrainStep, DrqnMatchesReferenceBitIdentically) {
-  expect_train_step_matches_reference(Net::kDrqn, false, 0);
-  expect_train_step_matches_reference(Net::kDrqn, false, 3);
-}
-
-TEST(BatchedTrainStep, DoubleDqnMatchesReferenceBitIdentically) {
-  expect_train_step_matches_reference(Net::kMlp, true, 0);
-  expect_train_step_matches_reference(Net::kDrqn, true, 3);
+  expect_train_step_matches_reference(Net::kDrqn, 0);
+  expect_train_step_matches_reference(Net::kDrqn, 3);
 }
 
 TEST(BatchedTrainStep, SpatialDrqnMatchesReferenceBitIdentically) {
-  expect_train_step_matches_reference(Net::kSpatialDrqn, false, 0);
-  expect_train_step_matches_reference(Net::kSpatialDrqn, true, 3);
+  expect_train_step_matches_reference(Net::kSpatialDrqn, 0);
+  expect_train_step_matches_reference(Net::kSpatialDrqn, 3);
 }
 
 TEST(FillTimestepMajor, MatchesManualAssemblyAndReusesCache) {

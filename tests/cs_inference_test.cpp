@@ -166,7 +166,7 @@ TEST(MatrixCompletion, RejectsBadOptions) {
   opt.rank = 0;
   EXPECT_THROW(MatrixCompletion{opt}, CheckError);
   opt.rank = 2;
-  opt.lambda = 0.0;
+  opt.frobenius_tol = -1.0;
   EXPECT_THROW(MatrixCompletion{opt}, CheckError);
 }
 
@@ -176,7 +176,7 @@ TEST(KnnInference, DistanceHelper) {
 
 TEST(KnnInference, InterpolatesFromNearestNeighbours) {
   // 4 cells on a line at x = 0, 1, 2, 3; observe the ends of one cycle.
-  KnnInference knn({{0, 0}, {1, 0}, {2, 0}, {3, 0}}, {.k = 2});
+  KnnInference knn({{0, 0}, {1, 0}, {2, 0}, {3, 0}});
   PartialMatrix p(4, 1);
   p.set(0, 0, 0.0);
   p.set(3, 0, 9.0);
@@ -186,10 +186,13 @@ TEST(KnnInference, InterpolatesFromNearestNeighbours) {
   EXPECT_LT(est(1, 0), 4.5);
   EXPECT_GT(est(2, 0), 4.5);
   EXPECT_LT(est(2, 0), 9.0);
+  // Inverse-distance weights 1/d: (0·1 + 9·½) / 1.5 and (0·½ + 9·1) / 1.5.
+  EXPECT_DOUBLE_EQ(est(1, 0), 3.0);
+  EXPECT_DOUBLE_EQ(est(2, 0), 6.0);
 }
 
 TEST(KnnInference, CoincidentCellCopiesValue) {
-  KnnInference knn({{0, 0}, {0, 0}, {5, 5}}, {.k = 2});
+  KnnInference knn({{0, 0}, {0, 0}, {5, 5}});
   PartialMatrix p(3, 1);
   p.set(0, 0, 42.0);
   const Matrix est = knn.infer(p);

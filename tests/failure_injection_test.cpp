@@ -347,16 +347,19 @@ TEST(HealthMonitor, NonFiniteLossTripsStickyAndResets) {
 }
 
 TEST(HealthMonitor, LossExplosionTripsAgainstBaseline) {
-  core::HealthOptions options;
-  options.loss_baseline = 4;
-  options.loss_window = 2;
-  options.loss_explosion_factor = 10.0;
-  core::HealthMonitor monitor(options);
-  for (int i = 0; i < 4; ++i) monitor.record_loss(1.0);  // baseline mean 1
+  // 64 baseline losses, then a 16-loss window against 1e3 x (|baseline| + 1).
+  core::HealthMonitor monitor;
+  for (int i = 0; i < 64; ++i) monitor.record_loss(1.0);  // baseline mean 1
   EXPECT_TRUE(monitor.healthy());
-  monitor.record_loss(1000.0);
-  monitor.record_loss(1000.0);  // window mean 1000 > 10 * (1 + 1)
+  for (int i = 0; i < 15; ++i) monitor.record_loss(3000.0);
+  EXPECT_TRUE(monitor.healthy());  // the window is not full yet
+  monitor.record_loss(3000.0);     // window mean 3000 > 1e3 * (1 + 1)
   EXPECT_EQ(monitor.status(), core::HealthStatus::kLossExplosion);
+
+  core::HealthMonitor calm;
+  for (int i = 0; i < 64; ++i) calm.record_loss(1.0);
+  for (int i = 0; i < 32; ++i) calm.record_loss(1999.0);  // below 2000
+  EXPECT_TRUE(calm.healthy());
 }
 
 TEST(HealthMonitor, QSentinels) {
@@ -365,11 +368,13 @@ TEST(HealthMonitor, QSentinels) {
   q(1, 2) = std::numeric_limits<double>::infinity();
   EXPECT_EQ(nan_monitor.check_q(q), core::HealthStatus::kNonFiniteQ);
 
-  core::HealthOptions bounded;
-  bounded.max_abs_q = 100.0;
-  core::HealthMonitor range_monitor(bounded);
+  // The magnitude bound is |Q| > 1e12.
+  core::HealthMonitor range_monitor;
   Matrix big(1, 2);
-  big(0, 1) = -1e6;
+  big(0, 1) = -1e12;
+  EXPECT_TRUE(range_monitor.healthy());
+  EXPECT_EQ(range_monitor.check_q(big), core::HealthStatus::kHealthy);
+  big(0, 1) = -1e13;
   EXPECT_EQ(range_monitor.check_q(big), core::HealthStatus::kQOutOfRange);
 }
 
@@ -537,8 +542,7 @@ TEST(SchedulerFaults, OnlineTrainStepDetectsNanWithinOneStep) {
   const ToyFleet fleet;
   core::DrCellConfig config = fleet.config;
   config.dqn.batch_size = 4;
-  config.dqn.min_replay = 4;   // train from the 4th step on
-  config.dqn.double_dqn = true;  // next-action chooser = the clean online net
+  config.dqn.min_replay = 4;  // train from the 4th step on
   core::DrCellAgent agent(6, config);
 
   core::CampaignScheduler::Options options;
@@ -558,11 +562,13 @@ TEST(SchedulerFaults, OnlineTrainStepDetectsNanWithinOneStep) {
 
   // Poison the TARGET network. The action path (online net) stays clean —
   // poisoning it would NaN every Q-value and masked_argmax would reject the
-  // decide with "no selectable action" before any train step ran. The
-  // Double-DQN target value, however, flows straight into the TD loss, so
-  // the very next train step records a NaN Huber loss.
-  for (nn::Parameter* p : agent.trainer().target().parameters())
-    p->value(0, 0) = std::numeric_limits<double>::quiet_NaN();
+  // decide with "no selectable action" before any train step ran. A NaN
+  // target would fail the bootstrap argmax the same way, so the target's
+  // output bias goes to +inf instead: every bootstrap value is then +inf,
+  // and the very next train step records a non-finite Huber loss.
+  nn::Parameter* output_bias = agent.trainer().target().parameters().back();
+  for (double& b : output_bias->value.data())
+    b = std::numeric_limits<double>::infinity();
   scheduler.step_wave();  // ONE wave = one train step
   EXPECT_EQ(agent.health().status(), core::HealthStatus::kNonFiniteLoss);
 }

@@ -25,6 +25,13 @@ struct EnvCase {
   std::uint64_t seed;
 };
 
+// Readable test ids ("cells=4/cycles=6/...") instead of a byte dump.
+void PrintTo(const EnvCase& c, std::ostream* os) {
+  *os << "cells=" << c.cells << "/cycles=" << c.cycles
+      << "/history=" << c.history << "/min_obs=" << c.min_obs
+      << "/seed=" << c.seed;
+}
+
 class EnvironmentProperty : public ::testing::TestWithParam<EnvCase> {};
 
 TEST_P(EnvironmentProperty, EpisodeInvariantsHold) {

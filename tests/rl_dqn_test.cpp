@@ -48,28 +48,22 @@ TEST(MlpQNetwork, CloneHasSameShapeFreshWeights) {
 
 TEST(DrqnQNetwork, OutputShapeAndName) {
   Rng rng(3);
-  DrqnQNetwork net(6, 3, 12, 0, rng);
+  DrqnQNetwork net(6, 3, 12, rng);
   std::vector<Matrix> seq(3, Matrix(2, 6));
   const Matrix q = net.forward(seq);
   EXPECT_EQ(q.rows(), 2u);
   EXPECT_EQ(q.cols(), 6u);
   EXPECT_EQ(net.name(), "drqn-lstm");
   EXPECT_EQ(net.lstm_hidden(), 12u);
-}
-
-TEST(DrqnQNetwork, HiddenHeadAddsParameters) {
-  Rng rng(4);
-  DrqnQNetwork direct(4, 2, 8, 0, rng);
-  DrqnQNetwork with_head(4, 2, 8, 16, rng);
-  EXPECT_EQ(direct.parameters().size(), 5u);     // lstm(3) + dense(2)
-  EXPECT_EQ(with_head.parameters().size(), 7u);  // lstm(3) + 2 dense layers
+  // The LSTM feeds one output layer: lstm(3) + dense(2).
+  EXPECT_EQ(net.parameters().size(), 5u);
 }
 
 TEST(DrqnQNetwork, HistoryChangesOutput) {
   // A recurrent Q-network must distinguish state windows that differ only
   // in the *older* slice.
   Rng rng(5);
-  DrqnQNetwork net(3, 2, 8, 0, rng);
+  DrqnQNetwork net(3, 2, 8, rng);
   std::vector<double> flat_a{1, 0, 0, 0, 0, 1};
   std::vector<double> flat_b{0, 1, 0, 0, 0, 1};
   const Matrix qa = net.forward(one_state_sequence(2, 3, flat_a));
@@ -79,7 +73,7 @@ TEST(DrqnQNetwork, HistoryChangesOutput) {
 
 TEST(DrqnQNetwork, BackwardProducesFiniteGradients) {
   Rng rng(6);
-  DrqnQNetwork net(4, 2, 8, 0, rng);
+  DrqnQNetwork net(4, 2, 8, rng);
   std::vector<Matrix> seq(2, Matrix(3, 4));
   for (auto& m : seq)
     for (double& v : m.data()) v = rng.bernoulli(0.5) ? 1.0 : 0.0;
@@ -163,6 +157,24 @@ TEST(DqnTrainer, ObserveValidatesShapes) {
   EXPECT_THROW(trainer.observe(std::move(bad)), CheckError);
 }
 
+TEST(DqnTrainer, RejectsReplayRingSmallerThanWarmup) {
+  // train_step waits for min_replay transitions; a ring that can never hold
+  // that many would never train.
+  Rng rng(12);
+  DqnOptions opt = fast_options();
+  opt.replay_capacity = 4;
+  opt.min_replay = 8;
+  EXPECT_THROW(
+      DqnTrainer(std::make_unique<MlpQNetwork>(
+                     3, 1, std::vector<std::size_t>{8}, rng),
+                 opt, 6),
+      CheckError);
+  opt.replay_capacity = 8;  // equal is enough
+  EXPECT_NO_THROW(DqnTrainer(std::make_unique<MlpQNetwork>(
+                                 3, 1, std::vector<std::size_t>{8}, rng),
+                             opt, 6));
+}
+
 /// Contextual bandit: cells 0..2, reward 1 when the action matches the cell
 /// flagged in the (single-step) state, else 0. Q-learning with gamma = 0
 /// must learn the identity policy.
@@ -174,7 +186,7 @@ void train_bandit_and_expect_identity(std::uint64_t seed) {
     net = std::make_unique<MlpQNetwork>(3, 1, std::vector<std::size_t>{16},
                                         rng);
   } else {
-    net = std::make_unique<NetT>(3, 1, 16, 0, rng);
+    net = std::make_unique<NetT>(3, 1, 16, rng);
   }
   DqnOptions opt = fast_options();
   opt.gamma = 0.0;
@@ -264,28 +276,6 @@ TEST(DqnTrainer, TerminalTransitionsDoNotBootstrap) {
   for (int i = 0; i < 200; ++i) trainer.train_step();
   const auto q = trainer.q_values({1.0, 0.0});
   EXPECT_NEAR(q[0], 0.5, 0.05);
-}
-
-TEST(DqnTrainer, DoubleDqnOptionRuns) {
-  Rng rng(27);
-  auto net = std::make_unique<MlpQNetwork>(3, 1, std::vector<std::size_t>{8},
-                                           rng);
-  DqnOptions opt = fast_options();
-  opt.double_dqn = true;
-  DqnTrainer trainer(std::move(net), opt, 28);
-  for (int i = 0; i < 16; ++i) {
-    Experience e;
-    e.state = {1, 0, 0};
-    e.action = i % 3;
-    e.reward = 1.0;
-    e.next_state = {0, 1, 0};
-    e.next_mask = {1, 1, 1};
-    e.terminal = false;
-    trainer.observe(std::move(e));
-  }
-  const double loss = trainer.train_step();
-  EXPECT_TRUE(std::isfinite(loss));
-  EXPECT_GT(trainer.train_steps(), 0u);
 }
 
 TEST(DqnTrainer, TargetSyncMakesNetworksAgree) {

@@ -228,8 +228,8 @@ TEST(SparseGather, LstmDensityFallbackStillMatchesDense) {
 TEST(SparseGather, DrqnForwardBatchSparseBitIdentical) {
   for (std::size_t batch : {std::size_t{1}, std::size_t{32}}) {
     Rng rng_a(11), rng_b(11);
-    rl::DrqnQNetwork dense_net(15, 3, 8, 4, rng_a);
-    rl::DrqnQNetwork sparse_net(15, 3, 8, 4, rng_b);
+    rl::DrqnQNetwork dense_net(15, 3, 8, rng_a);
+    rl::DrqnQNetwork sparse_net(15, 3, 8, rng_b);
     Rng data_rng(400 + batch);
     const auto seq = random_batch(3, batch, 15, true, 0.0, data_rng);
     EXPECT_EQ(dense_net.forward_batch(seq),
@@ -243,8 +243,8 @@ TEST(SparseGather, ForwardBatchColumnsMatchesFullForward) {
   // column, bit for bit (ragged per-sample column lists, padded rows).
   for (std::size_t batch : {std::size_t{1}, std::size_t{7}}) {
     Rng rng_a(13), rng_b(13);
-    rl::DrqnQNetwork full(12, 2, 6, 5, rng_a);
-    rl::DrqnQNetwork restricted(12, 2, 6, 5, rng_b);
+    rl::DrqnQNetwork full(12, 2, 6, rng_a);
+    rl::DrqnQNetwork restricted(12, 2, 6, rng_b);
     Rng data_rng(500 + batch);
     const auto seq = random_batch(2, batch, 12, true, 0.0, data_rng);
     const auto sseq = to_sparse_batch(seq);
@@ -271,8 +271,8 @@ TEST(SparseGather, BackwardColumnsMatchesScatteredFullBackward) {
   // is zero outside the candidate columns.
   const std::size_t batch = 5, cells = 10;
   Rng rng_a(17), rng_b(17);
-  rl::DrqnQNetwork full(cells, 2, 6, 4, rng_a);
-  rl::DrqnQNetwork restricted(cells, 2, 6, 4, rng_b);
+  rl::DrqnQNetwork full(cells, 2, 6, rng_a);
+  rl::DrqnQNetwork restricted(cells, 2, 6, rng_b);
   Rng data_rng(21);
   const auto seq = random_batch(2, batch, cells, true, 0.0, data_rng);
   const auto sseq = to_sparse_batch(seq);
@@ -311,7 +311,7 @@ TEST(SparseGather, BackwardColumnsMatchesScatteredFullBackward) {
 rl::QNetworkPtr make_drqn(std::size_t cells, std::size_t k,
                           std::uint64_t seed) {
   Rng rng(seed);
-  return std::make_unique<rl::DrqnQNetwork>(cells, k, 10, 0, rng);
+  return std::make_unique<rl::DrqnQNetwork>(cells, k, 10, rng);
 }
 
 TEST(CandidateActions, GreedyArgmaxEqualsFullMaskedArgmaxWhenCovering) {
@@ -386,41 +386,36 @@ TEST(CandidateActions, CoveringCandidateTrainStepMatchesFullBitIdentically) {
   rl::DqnOptions cand_opt = opt;
   cand_opt.candidate_training = true;
 
-  for (bool double_dqn : {false, true}) {
-    opt.double_dqn = cand_opt.double_dqn = double_dqn;
-    rl::DqnTrainer full(make_drqn(cells, k, 51), opt, 61);
-    rl::DqnTrainer candidate(make_drqn(cells, k, 51), cand_opt, 61);
+  rl::DqnTrainer full(make_drqn(cells, k, 51), opt, 61);
+  rl::DqnTrainer candidate(make_drqn(cells, k, 51), cand_opt, 61);
 
-    Rng fill(71);
-    for (int i = 0; i < 40; ++i) {
-      rl::Experience e = random_sparse_experience(cells, k, fill);
-      rl::Experience cov = e;
-      // Candidate copy: covering candidates instead of the mask.
-      cov.next_candidates.clear();
-      for (std::uint32_t c = 0; c < cells; ++c)
-        if (e.next_mask[c]) cov.next_candidates.push_back(c);
-      cov.next_mask.clear();
-      full.observe(std::move(e));
-      candidate.observe(std::move(cov));
-    }
-
-    Rng draw(81);
-    for (int step = 0; step < 10; ++step) {
-      std::vector<std::size_t> indices;
-      for (std::size_t i = 0; i < opt.batch_size; ++i)
-        indices.push_back(draw.uniform_index(40));
-      const double loss_full = full.train_step_on_indices(indices);
-      const double loss_cand = candidate.train_step_on_indices(indices);
-      ASSERT_EQ(loss_full, loss_cand)
-          << "step " << step << " double_dqn=" << double_dqn;
-    }
-    const auto pa = full.online().parameters();
-    const auto pb = candidate.online().parameters();
-    ASSERT_EQ(pa.size(), pb.size());
-    for (std::size_t i = 0; i < pa.size(); ++i)
-      EXPECT_EQ(pa[i]->value, pb[i]->value)
-          << "param " << i << " double_dqn=" << double_dqn;
+  Rng fill(71);
+  for (int i = 0; i < 40; ++i) {
+    rl::Experience e = random_sparse_experience(cells, k, fill);
+    rl::Experience cov = e;
+    // Candidate copy: covering candidates instead of the mask.
+    cov.next_candidates.clear();
+    for (std::uint32_t c = 0; c < cells; ++c)
+      if (e.next_mask[c]) cov.next_candidates.push_back(c);
+    cov.next_mask.clear();
+    full.observe(std::move(e));
+    candidate.observe(std::move(cov));
   }
+
+  Rng draw(81);
+  for (int step = 0; step < 10; ++step) {
+    std::vector<std::size_t> indices;
+    for (std::size_t i = 0; i < opt.batch_size; ++i)
+      indices.push_back(draw.uniform_index(40));
+    const double loss_full = full.train_step_on_indices(indices);
+    const double loss_cand = candidate.train_step_on_indices(indices);
+    ASSERT_EQ(loss_full, loss_cand) << "step " << step;
+  }
+  const auto pa = full.online().parameters();
+  const auto pb = candidate.online().parameters();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i)
+    EXPECT_EQ(pa[i]->value, pb[i]->value) << "param " << i;
 }
 
 TEST(CandidateActions, SparseBatchTrainStepMatchesForcedDense) {

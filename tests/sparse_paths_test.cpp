@@ -424,7 +424,7 @@ TEST(ReplayEncodedCache, TrainStepsStopReencodingTransitions) {
   options.batch_size = 8;
   options.min_replay = 8;
   rl::DqnTrainer trainer(
-      std::make_unique<rl::DrqnQNetwork>(6, 2, 8, 0, net_rng), options, 7);
+      std::make_unique<rl::DrqnQNetwork>(6, 2, 8, net_rng), options, 7);
   Rng fill(3);
   for (int i = 0; i < 16; ++i) trainer.observe(make_experience(fill, 6, 2));
 

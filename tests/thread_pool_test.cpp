@@ -35,23 +35,6 @@ TEST(ThreadPool, ResultsAreIndexOrderedAndThreadCountIndependent) {
   }
 }
 
-TEST(ThreadPool, SeededTasksAreReproducibleAcrossWorkerCounts) {
-  constexpr std::size_t n = 32;
-  constexpr std::uint64_t seed = 99;
-  std::vector<double> draws_serial(n), draws_pooled(n);
-
-  ThreadPool serial(0);
-  serial.parallel_for_seeded(
-      seed, n, [&](std::size_t i, Rng& rng) { draws_serial[i] = rng.normal(); });
-  ThreadPool pooled(3);
-  pooled.parallel_for_seeded(
-      seed, n, [&](std::size_t i, Rng& rng) { draws_pooled[i] = rng.normal(); });
-
-  EXPECT_EQ(draws_serial, draws_pooled);
-  // And the per-task streams are genuinely distinct.
-  EXPECT_NE(draws_serial[0], draws_serial[1]);
-}
-
 TEST(ThreadPool, PropagatesTaskExceptions) {
   ThreadPool pool(2);
   EXPECT_THROW(pool.parallel_for(16,
