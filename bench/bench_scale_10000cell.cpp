@@ -24,9 +24,13 @@
 #include "data/synthetic_field.h"
 #include "mcs/environment.h"
 #include "mcs/quality.h"
+#include "nn/loss.h"
+#include "nn/optimizer.h"
+#include "nn/serialize.h"
 #include "rl/dqn_trainer.h"
 #include "rl/drqn_qnetwork.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 using namespace drcell;
 
@@ -174,9 +178,102 @@ std::vector<std::uint32_t> random_ones(std::size_t lo, std::size_t hi,
   return out;
 }
 
+/// The dense full-action floor of `scale_train_step_10000cell`: the batched
+/// DQN update (rl::DqnTrainer's default options) with every minibatch
+/// densified into k [batch x cells] steps and the bootstrap and TD loss over
+/// the full cells-wide action space. Built from public API only — the
+/// library trains every network through its sparse minibatch path.
+class DenseFullActionStep {
+ public:
+  DenseFullActionStep(std::size_t cells, std::size_t k, std::size_t hidden,
+                      std::size_t batch, Rng& net_rng)
+      : cells_(cells),
+        k_(k),
+        batch_(batch),
+        online_(std::make_unique<rl::DrqnQNetwork>(cells, k, hidden, net_rng)),
+        target_(online_->clone_architecture(net_rng)),
+        adam_(online_->parameters(), 1e-3),
+        state_(k),
+        next_(k) {
+    nn::copy_parameters(online_->parameters(), target_->parameters());
+  }
+
+  /// Stores one transition: sparse one-index states over k·cells, a
+  /// cells-wide next mask.
+  void add(rl::Experience e) { pool_.push_back(std::move(e)); }
+
+  /// One update on a uniformly sampled minibatch; returns the TD loss.
+  double step(Rng& rng) {
+    constexpr double kGamma = 0.9, kHuberDelta = 1.0, kGradClipNorm = 5.0;
+    constexpr std::size_t kTargetSyncInterval = 150;
+    indices_.clear();
+    for (std::size_t i = 0; i < batch_; ++i)
+      indices_.push_back(rng.uniform_index(pool_.size()));
+    for (std::size_t j = 0; j < k_; ++j) {
+      state_[j].resize_overwrite(batch_, cells_);
+      next_[j].resize_overwrite(batch_, cells_);
+    }
+    for (std::size_t i = 0; i < batch_; ++i) {
+      densify_row(pool_[indices_[i]].state_ones, state_, i);
+      densify_row(pool_[indices_[i]].next_state_ones, next_, i);
+    }
+
+    const Matrix* q_next = nullptr;
+    const Matrix* q_pred = nullptr;
+    util::ThreadPool::global().parallel_for(2, [&](std::size_t lane) {
+      if (lane == 0)
+        q_next = &target_->forward_batch(next_);
+      else
+        q_pred = &online_->forward_batch(state_);
+    });
+
+    targets_.resize(batch_, cells_);
+    mask_.resize(batch_, cells_);
+    for (std::size_t i = 0; i < batch_; ++i) {
+      const rl::Experience& e = pool_[indices_[i]];
+      double boot = 0.0;
+      if (!e.terminal)
+        boot = (*q_next)(i, rl::masked_argmax_row(*q_next, i, e.next_mask));
+      targets_(i, e.action) = e.reward + kGamma * boot;
+      mask_(i, e.action) = 1.0;
+    }
+    const auto loss =
+        nn::masked_huber_loss(*q_pred, targets_, mask_, kHuberDelta);
+    adam_.zero_grad();
+    online_->backward(loss.grad);
+    nn::clip_grad_norm(online_->parameters(), kGradClipNorm);
+    adam_.step(&util::ThreadPool::global());
+    if (++steps_ % kTargetSyncInterval == 0)
+      nn::copy_parameters(online_->parameters(), target_->parameters());
+    return loss.value;
+  }
+
+ private:
+  /// Zeroes row `row` of every step, then sets the state's ones.
+  void densify_row(const std::vector<std::uint32_t>& ones,
+                   std::vector<Matrix>& steps, std::size_t row) const {
+    for (Matrix& step : steps) {
+      auto r = step.row(row);
+      std::fill(r.begin(), r.end(), 0.0);
+    }
+    for (const std::uint32_t flat : ones)
+      steps[flat / cells_](row, flat % cells_) = 1.0;
+  }
+
+  std::size_t cells_, k_, batch_;
+  rl::QNetworkPtr online_;
+  rl::QNetworkPtr target_;
+  nn::Adam adam_;
+  std::vector<rl::Experience> pool_;
+  std::vector<std::size_t> indices_;
+  std::vector<Matrix> state_, next_;
+  Matrix targets_, mask_;
+  std::size_t steps_ = 0;
+};
+
 /// The metro training tier headline: one full batched DRQN train step at
 /// 10,000 cells through the sparse gather + candidate-subset engine,
-/// against the dense full-action engine (force_dense_batch, 10k-wide mask
+/// against the dense full-action floor (DenseFullActionStep, 10k-wide mask
 /// bootstrap and TD loss) on equivalent transitions. The pair carries a
 /// hard >=3x self-gate in main() (skipped with --quick / --no-perf-gate;
 /// tests/sparse_gather_test.cpp pins the covering-candidate bit-identity
@@ -186,19 +283,17 @@ void bench_train_step(bench::JsonReporter& report, bool quick) {
   const std::size_t ones_per_step = 300;  // the per-cycle selection cap
   const std::size_t n_candidates = 64;
 
-  const auto make_trainer = [&](bool candidate) {
-    rl::DqnOptions opt;
-    opt.batch_size = 32;
-    opt.min_replay = 32;
-    opt.replay_capacity = pool;
-    opt.candidate_training = candidate;
-    opt.force_dense_batch = !candidate;
-    Rng rng(17);
-    return rl::DqnTrainer(
-        std::make_unique<rl::DrqnQNetwork>(cells, k, 64, rng), opt, 23);
-  };
-  rl::DqnTrainer fast = make_trainer(true);
-  rl::DqnTrainer dense = make_trainer(false);
+  rl::DqnOptions opt;
+  opt.batch_size = 32;
+  opt.min_replay = 32;
+  opt.replay_capacity = pool;
+  opt.candidate_training = true;
+  Rng fast_rng(17);
+  rl::DqnTrainer fast(
+      std::make_unique<rl::DrqnQNetwork>(cells, k, 64, fast_rng), opt, 23);
+  Rng dense_rng(17);
+  DenseFullActionStep dense(cells, k, 64, opt.batch_size, dense_rng);
+  Rng draw(23);
 
   Rng fill(29);
   for (std::size_t i = 0; i < pool; ++i) {
@@ -221,7 +316,7 @@ void bench_train_step(bench::JsonReporter& report, bool quick) {
     e.next_candidates = random_ones(0, cells, n_candidates, fill);
     full.next_mask.assign(cells, 1);
     fast.observe(std::move(e));
-    dense.observe(std::move(full));
+    dense.add(std::move(full));
   }
 
   const auto fast_run = bench::measure_ms(
@@ -229,7 +324,7 @@ void bench_train_step(bench::JsonReporter& report, bool quick) {
   // The dense step moves four [32 x 10000] state matrices plus the
   // full-width loss per iteration; cap its budget tightly.
   const auto dense_run = bench::measure_ms(
-      [&] { (void)dense.train_step(); }, quick ? 300.0 : 900.0, 20);
+      [&] { (void)dense.step(draw); }, quick ? 300.0 : 900.0, 20);
   report.add_with_reference("scale_train_step_10000cell", fast_run.wall_ms,
                             fast_run.iterations, 1e3 / fast_run.wall_ms,
                             dense_run.wall_ms, dense_run.iterations);

@@ -402,10 +402,17 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << json << "\n";
   }
 
+  if (quick) {
+    // One episode is a wiring smoke, too short to train a policy: report
+    // both errors without judging them.
+    std::cout << "quick run: DRQN MAE " << drqn.mean_cycle_error
+              << " vs RANDOM MAE " << rnd.mean_cycle_error
+              << " (comparison not gated)\n";
+    return 0;
+  }
   const bool beats_random = drqn.mean_cycle_error < rnd.mean_cycle_error;
   std::cout << (beats_random
                     ? "trained DRQN beats RANDOM on MAE at 10,000 cells\n"
                     : "FAIL: trained DRQN did not beat RANDOM on MAE\n");
-  if (quick) return 0;  // smoke runs skip the acceptance gate
   return beats_random ? 0 : 1;
 }

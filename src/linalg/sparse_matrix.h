@@ -46,7 +46,7 @@ class SparseRowMatrix {
   /// Fraction of entries stored; 1.0 for an empty shape (forces the dense
   /// path rather than dividing by zero).
   double density() const;
-  /// Heap bytes of the stored entries (the replay cache's budget unit).
+  /// Heap bytes of the stored entries.
   std::size_t byte_size() const {
     return idx_.size() * sizeof(std::uint32_t) +
            val_.size() * sizeof(double) + offsets_.size() * sizeof(std::size_t);

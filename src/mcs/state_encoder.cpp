@@ -74,12 +74,6 @@ void StateEncoder::ones_to_sequence_row(
   }
 }
 
-std::vector<Matrix> StateEncoder::to_sequence(
-    const std::vector<double>& flat_state) const {
-  const std::vector<const std::vector<double>*> one{&flat_state};
-  return to_sequence_batch(one);
-}
-
 std::vector<Matrix> StateEncoder::to_sequence_batch(
     const std::vector<const std::vector<double>*>& flat_states) const {
   DRCELL_CHECK(!flat_states.empty());

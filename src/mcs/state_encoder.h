@@ -28,9 +28,8 @@ class StateEncoder {
   std::vector<double> encode(const SelectionMatrix& selection,
                              std::size_t cycle) const;
 
-  /// Splits a flat state into the k per-step observation vectors that feed
-  /// the DRQN's LSTM (each 1 x m). Batch variant stacks several states.
-  std::vector<Matrix> to_sequence(const std::vector<double>& flat_state) const;
+  /// Splits flat states into the k per-step observation matrices that feed
+  /// the DRQN's LSTM, stacking state b as row b of each [batch x m] step.
   std::vector<Matrix> to_sequence_batch(
       const std::vector<const std::vector<double>*>& flat_states) const;
 
@@ -41,9 +40,9 @@ class StateEncoder {
   std::vector<std::uint32_t> encode_ones(const SelectionMatrix& selection,
                                          std::size_t cycle) const;
 
-  /// Sparse counterparts of to_sequence(): one [k x cells] SparseRowMatrix
-  /// whose row j holds step j's nonzeros (the replay cache's
-  /// per-transition layout) — from a flat state, or from an encode_ones()
+  /// Sparse counterparts of one to_sequence_batch() state: one [k x cells]
+  /// SparseRowMatrix whose row j holds step j's nonzeros (the replay
+  /// buffer's per-transition layout) — from a flat state, or from an encode_ones()
   /// index list (all values 1.0).
   void to_sparse_steps(const std::vector<double>& flat_state,
                        SparseRowMatrix& out) const;

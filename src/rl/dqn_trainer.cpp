@@ -44,13 +44,8 @@ double DqnTrainer::current_epsilon() const {
   return options_.epsilon.value(env_steps_);
 }
 
-std::vector<Matrix> DqnTrainer::to_sequence(
-    const std::vector<const std::vector<double>*>& states) const {
-  return encoder_.to_sequence_batch(states);
-}
-
-EncodedExperience DqnTrainer::encode_experience(const Experience& e) const {
-  // Cached sparse either way: dense states are scanned once here and never
+EncodedExperience DqnTrainer::encode_experience(Experience e) const {
+  // Stored sparse either way: dense states are scanned once here and never
   // re-densified; sparse (metro) states never materialise k·m vectors at
   // all.
   EncodedExperience enc;
@@ -61,21 +56,21 @@ EncodedExperience DqnTrainer::encode_experience(const Experience& e) const {
     encoder_.to_sparse_steps(e.state, enc.state);
     encoder_.to_sparse_steps(e.next_state, enc.next_state);
   }
+  enc.action = e.action;
+  enc.reward = e.reward;
+  enc.next_mask = std::move(e.next_mask);
+  enc.next_candidates = std::move(e.next_candidates);
+  enc.terminal = e.terminal;
   return enc;
-}
-
-std::size_t DqnTrainer::masked_argmax(
-    const Matrix& q, std::size_t row,
-    const std::vector<std::uint8_t>& mask) const {
-  return masked_argmax_row(q, row, mask);
 }
 
 std::size_t DqnTrainer::select_action(const std::vector<double>& state,
                                       const std::vector<std::uint8_t>& mask) {
   const double eps = current_epsilon();
   ++env_steps_;
-  const Matrix& q = online_->forward_batch(to_sequence({&state}));
-  const std::size_t best = masked_argmax(q, 0, mask);
+  const Matrix& q =
+      online_->forward_batch(encoder_.to_sequence_batch({&state}));
+  const std::size_t best = masked_argmax_row(q, 0, mask);
 
   std::vector<std::size_t> others;
   for (std::size_t a = 0; a < mask.size(); ++a)
@@ -87,12 +82,14 @@ std::size_t DqnTrainer::select_action(const std::vector<double>& state,
 
 std::size_t DqnTrainer::greedy_action(const std::vector<double>& state,
                                       const std::vector<std::uint8_t>& mask) {
-  const Matrix& q = online_->forward_batch(to_sequence({&state}));
-  return masked_argmax(q, 0, mask);
+  const Matrix& q =
+      online_->forward_batch(encoder_.to_sequence_batch({&state}));
+  return masked_argmax_row(q, 0, mask);
 }
 
 std::vector<double> DqnTrainer::q_values(const std::vector<double>& state) {
-  const Matrix& q = online_->forward_batch(to_sequence({&state}));
+  const Matrix& q =
+      online_->forward_batch(encoder_.to_sequence_batch({&state}));
   std::vector<double> out(q.cols());
   for (std::size_t a = 0; a < q.cols(); ++a) out[a] = q(0, a);
   return out;
@@ -120,10 +117,10 @@ void DqnTrainer::observe(Experience e) {
         e.next_mask.empty() || e.next_mask.size() == online_->num_actions(),
         "next_mask must be empty or full-width");
   }
-  replay_.add(std::move(e));
+  replay_.add(encode_experience(std::move(e)));
 }
 
-double DqnTrainer::bootstrap_value(const Experience& e,
+double DqnTrainer::bootstrap_value(const EncodedExperience& e,
                                    const Matrix& q_next_target,
                                    std::size_t row) const {
   // Bootstrap from the fixed-target network (Eq. 7). Terminal transitions
@@ -132,7 +129,7 @@ double DqnTrainer::bootstrap_value(const Experience& e,
   if (!e.next_candidates.empty()) {
     // Candidate-subset bootstrap: argmax restricted to the stored
     // candidates. Ascending cell ids with strict > replicate
-    // masked_argmax's first-max-wins tie-breaking, so when the candidates
+    // masked_argmax_row's first-max-wins tie-breaking, so when the candidates
     // cover the allowed actions this equals the full masked bootstrap
     // exactly.
     std::size_t best = e.next_candidates.front();
@@ -152,7 +149,8 @@ double DqnTrainer::bootstrap_value(const Experience& e,
       break;
     }
   if (!any) return 0.0;
-  return q_next_target(row, masked_argmax(q_next_target, row, e.next_mask));
+  return q_next_target(row,
+                       masked_argmax_row(q_next_target, row, e.next_mask));
 }
 
 double DqnTrainer::finish_update(double raw_loss_sum, double normalizer) {
@@ -190,23 +188,10 @@ double DqnTrainer::train_step_on_indices(
   DRCELL_CHECK(b > 0);
   const std::size_t actions = online_->num_actions();
 
-  // One timestep-major minibatch for the current and next states, assembled
-  // by the replay buffer straight from its encoded-sequence cache (a
-  // transition is encoded once, not once per epoch it gets sampled into).
-  // Networks with a sparse batch path consume the minibatch without
-  // densification — bit-identical values either way.
-  const auto encode = [this](const Experience& e) {
-    return encode_experience(e);
-  };
-  const bool sparse_batch = !options_.force_dense_batch &&
-                            online_->supports_sparse_batch() &&
-                            target_->supports_sparse_batch();
-  if (sparse_batch) {
-    replay_.fill_timestep_major_sparse(indices, encode, state_sseq_ws_,
-                                       next_sseq_ws_);
-  } else {
-    replay_.fill_timestep_major(indices, encode, state_seq_ws_, next_seq_ws_);
-  }
+  // One sparse timestep-major minibatch for the current and next states,
+  // appended from the transitions observe() encoded — bit-identical Q
+  // values to the densified minibatch (QNetwork::forward_batch_sparse).
+  replay_.fill_timestep_major_sparse(indices, state_sseq_ws_, next_sseq_ws_);
 
   // The target and online networks are distinct objects, so their batch
   // forwards run as two concurrent pool lanes. Results are bit-identical to
@@ -216,13 +201,9 @@ double DqnTrainer::train_step_on_indices(
   util::ThreadPool& pool = pool_ ? *pool_ : util::ThreadPool::global();
   pool.parallel_for(2, [&](std::size_t lane) {
     if (lane == 0) {
-      q_next_target = sparse_batch
-                          ? &target_->forward_batch_sparse(next_sseq_ws_)
-                          : &target_->forward_batch(next_seq_ws_);
-    } else if (sparse_batch) {
-      q_pred = &online_->forward_batch_sparse(state_sseq_ws_);
+      q_next_target = &target_->forward_batch_sparse(next_sseq_ws_);
     } else {
-      q_pred = &online_->forward_batch(state_seq_ws_);
+      q_pred = &online_->forward_batch_sparse(state_sseq_ws_);
     }
   });
 
@@ -231,7 +212,7 @@ double DqnTrainer::train_step_on_indices(
   targets_ws_.resize(b, actions);
   mask_ws_.resize(b, actions);
   for (std::size_t i = 0; i < b; ++i) {
-    const Experience& e = replay_.at(indices[i]);
+    const EncodedExperience& e = replay_.at(indices[i]);
     const double boot = bootstrap_value(e, *q_next_target, i);
     targets_ws_(i, e.action) = e.reward + options_.gamma * boot;
     mask_ws_(i, e.action) = 1.0;
@@ -258,14 +239,12 @@ double DqnTrainer::train_step_candidates_on_indices(
   DRCELL_CHECK_MSG(online_->supports_action_columns(),
                    "candidate_training needs a column-capable network");
 
-  replay_.fill_timestep_major_sparse(
-      indices, [this](const Experience& e) { return encode_experience(e); },
-      state_sseq_ws_, next_sseq_ws_);
+  replay_.fill_timestep_major_sparse(indices, state_sseq_ws_, next_sseq_ws_);
 
   action_cols_ws_.resize(b);
   next_cols_ws_.resize(b);
   for (std::size_t i = 0; i < b; ++i) {
-    const Experience& e = replay_.at(indices[i]);
+    const EncodedExperience& e = replay_.at(indices[i]);
     action_cols_ws_[i].assign(1, static_cast<std::uint32_t>(e.action));
     if (e.terminal) {
       // Never bootstrapped — any well-formed column keeps the batch
@@ -295,11 +274,11 @@ double DqnTrainer::train_step_candidates_on_indices(
   targets_ws_.resize(b, 1);
   mask_ws_.resize(b, 1);
   for (std::size_t i = 0; i < b; ++i) {
-    const Experience& e = replay_.at(indices[i]);
+    const EncodedExperience& e = replay_.at(indices[i]);
     double boot = 0.0;
     if (!e.terminal) {
       // Argmax over candidate positions (ascending cell ids, strict >):
-      // replicates masked_argmax's first-max-wins scan over the same
+      // replicates masked_argmax_row's first-max-wins scan over the same
       // Q-values.
       const auto& cols = next_cols_ws_[i];
       std::size_t best = 0;
@@ -441,16 +420,12 @@ double DqnTrainer::train_step_reference_on_indices(
   optimizer_.zero_grad();
   double raw_loss_sum = 0.0;
   for (std::size_t i = 0; i < b; ++i) {
-    const Experience& e = replay_.at(indices[i]);
-    const EncodedExperience& enc = replay_.encoded(
-        indices[i], [this](const Experience& ex) {
-          return encode_experience(ex);
-        });
-    // The cache stores sparse encodings; the reference implementations
+    const EncodedExperience& e = replay_.at(indices[i]);
+    // The replay stores sparse encodings; the reference implementations
     // consume dense B=1 sequences, so densify (outside any timed kernel
     // contract — the reference is the floor, not the fast path).
-    const std::vector<Matrix> next_seq = to_reference_sequence(enc.next_state);
-    const std::vector<Matrix> state_seq = to_reference_sequence(enc.state);
+    const std::vector<Matrix> next_seq = to_reference_sequence(e.next_state);
+    const std::vector<Matrix> state_seq = to_reference_sequence(e.state);
 
     const Matrix q_next_target = target_->forward_reference(next_seq);
     const double boot = bootstrap_value(e, q_next_target, 0);

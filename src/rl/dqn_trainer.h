@@ -3,15 +3,18 @@
 // RPLACE_ITER gradient steps, TD loss (Eqs. 5-7) restricted to the action
 // actually taken.
 //
-// train_step() is batch-major end to end: the replay buffer assembles one
-// timestep-major minibatch from its encoded-sequence cache
-// (ReplayBuffer::fill_timestep_major), the target/online forwards, the
-// bootstrap argmax, the masked TD loss and the backward pass all run over
-// [batch x m] matrices, and the per-sample loop survives only as
-// train_step_reference() — the retained reference path the batched engine
-// matches bit for bit under either compute backend, both sides running the
-// backend's own gate kernels (tests/batched_training_test.cpp,
-// docs/ARCHITECTURE.md, and the self-check in bench_micro_components).
+// observe() encodes each transition once into the replay buffer's sparse
+// form, whichever state representation it arrives in (dense vectors or
+// one-index lists). train_step() is batch-major end to end: the replay
+// buffer appends the stored rows into one sparse timestep-major minibatch
+// (ReplayBuffer::fill_timestep_major_sparse), every network runs it through
+// forward_batch_sparse, the bootstrap argmax, the masked TD loss and the
+// backward pass all run over [batch x m] matrices, and the per-sample loop
+// survives only as train_step_reference() — the retained reference path
+// the batched engine matches bit for bit under either compute backend,
+// both sides running the backend's own gate kernels
+// (tests/batched_training_test.cpp, docs/ARCHITECTURE.md, and the
+// self-check in bench_micro_components).
 #pragma once
 
 #include <memory>
@@ -20,6 +23,7 @@
 #include "mcs/state_encoder.h"
 #include "nn/optimizer.h"
 #include "rl/epsilon.h"
+#include "rl/experience.h"
 #include "rl/qnetwork.h"
 #include "rl/replay_buffer.h"
 #include "util/thread_pool.h"
@@ -34,20 +38,16 @@ struct DqnOptions {
   std::size_t min_replay = 200;       ///< warm-up before training starts
   std::size_t target_sync_interval = 150;  ///< RPLACE_ITER of Algorithm 2
   double huber_delta = 1.0;           ///< TD-error robustness threshold
-  /// Train on candidate action subsets (metro tier): the minibatch is
-  /// assembled sparse, the online Q head is evaluated only at each
-  /// transition's taken action and the bootstrap argmax only over its
-  /// stored next_candidates (Experience::next_candidates must be non-empty
-  /// for every non-terminal transition). Requires a network with
-  /// supports_action_columns(). The train-step arithmetic is bit-identical
-  /// to the full batched path whenever the candidates cover the allowed
-  /// actions (tests/sparse_gather_test.cpp); with genuine subsets the
-  /// *trajectory*, not the arithmetic, diverges — see docs/ARCHITECTURE.md.
+  /// Train on candidate action subsets (metro tier): the online Q head is
+  /// evaluated only at each transition's taken action and the bootstrap
+  /// argmax only over its stored next_candidates
+  /// (Experience::next_candidates must be non-empty for every non-terminal
+  /// transition). Requires a network with supports_action_columns(). The
+  /// train-step arithmetic is bit-identical to the full batched path
+  /// whenever the candidates cover the allowed actions
+  /// (tests/sparse_gather_test.cpp); with genuine subsets the *trajectory*,
+  /// not the arithmetic, diverges — see docs/ARCHITECTURE.md.
   bool candidate_training = false;
-  /// Disable the sparse minibatch fast path even when the network supports
-  /// it (verification/benchmarking: pins the dense engine as the floor the
-  /// sparse gather is gated against).
-  bool force_dense_batch = false;
   EpsilonSchedule epsilon{1.0, 0.05, 5000};
 };
 
@@ -102,7 +102,7 @@ class DqnTrainer {
       std::span<const std::uint32_t> state_ones,
       std::span<const std::uint32_t> candidates);
 
-  /// Stores a transition in the replay pool.
+  /// Checks a transition, encodes it once and stores it in the replay pool.
   void observe(Experience e);
 
   /// One batched minibatch update; returns the TD loss, or 0 while the
@@ -143,13 +143,10 @@ class DqnTrainer {
   void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
 
  private:
-  std::vector<Matrix> to_sequence(
-      const std::vector<const std::vector<double>*>& states) const;
-  EncodedExperience encode_experience(const Experience& e) const;
-  std::size_t masked_argmax(const Matrix& q, std::size_t row,
-                            const std::vector<std::uint8_t>& mask) const;
-  double bootstrap_value(const Experience& e, const Matrix& q_next_target,
-                         std::size_t row) const;
+  /// Encodes both states sparse and moves the bootstrap fields over.
+  EncodedExperience encode_experience(Experience e) const;
+  double bootstrap_value(const EncodedExperience& e,
+                         const Matrix& q_next_target, std::size_t row) const;
   /// Shared epilogue of both update paths: clip, optimiser step, target
   /// sync cadence.
   double finish_update(double raw_loss_sum, double normalizer);
@@ -170,7 +167,7 @@ class DqnTrainer {
   /// DqnOptions::candidate_training).
   double train_step_candidates_on_indices(
       std::span<const std::size_t> indices);
-  /// Densifies one cached sparse encoding into the B=1 timestep-major
+  /// Densifies one stored sparse encoding into the B=1 timestep-major
   /// sequence the reference implementations consume.
   std::vector<Matrix> to_reference_sequence(const SparseRowMatrix& s) const;
 
@@ -184,15 +181,13 @@ class DqnTrainer {
   util::ThreadPool* pool_ = nullptr;  // nullptr -> ThreadPool::global()
   std::size_t env_steps_ = 0;
   std::size_t train_steps_ = 0;
-  // Minibatch workspaces reused across train steps (timestep-major batch,
-  // TD targets and action mask).
-  std::vector<Matrix> state_seq_ws_;
-  std::vector<Matrix> next_seq_ws_;
-  Matrix targets_ws_;
-  Matrix mask_ws_;
-  // Sparse / candidate-path workspaces (metro tier).
+  // Minibatch workspaces reused across train steps (sparse timestep-major
+  // batch, TD targets and action mask).
   std::vector<SparseRowMatrix> state_sseq_ws_;
   std::vector<SparseRowMatrix> next_sseq_ws_;
+  Matrix targets_ws_;
+  Matrix mask_ws_;
+  // Candidate-path workspaces (metro tier).
   ActionColumns action_cols_ws_;  // width-1 taken-action columns
   ActionColumns next_cols_ws_;    // per-sample bootstrap candidates
   std::vector<SparseRowMatrix> sel_seq_ws_;  // B=1 action selection

@@ -21,7 +21,6 @@ class DrqnQNetwork final : public QNetwork {
   /// Metro-tier fast paths: gather-GEMM LSTM input (bit-identical to the
   /// dense forward — see nn/lstm.h) and the candidate-restricted Q head
   /// (the output Dense evaluated only at each sample's candidate columns).
-  bool supports_sparse_batch() const override { return true; }
   const Matrix& forward_batch_sparse(
       const std::vector<SparseRowMatrix>& timestep_major_batch) override;
   bool supports_action_columns() const override { return true; }

@@ -10,6 +10,11 @@
 // selection encodings are exactly one-hot unions), and `next_candidates`
 // records the candidate action subset generated at S' so the bootstrap
 // argmax can be restricted to it without storing a 10k-wide mask.
+//
+// This is the input form only: DqnTrainer::observe encodes either state
+// representation into the replay buffer's sparse EncodedExperience
+// (rl/replay_buffer.h) and drops the vectors, so the two representations
+// train bit-identically.
 #pragma once
 
 #include <cstdint>

@@ -41,6 +41,25 @@ const Matrix& MlpQNetwork::forward_batch(
   return net_.forward(flatten(timestep_major_batch));
 }
 
+const Matrix& MlpQNetwork::forward_batch_sparse(
+    const std::vector<SparseRowMatrix>& timestep_major_batch) {
+  DRCELL_CHECK_MSG(timestep_major_batch.size() == history_steps_,
+                   "sequence length mismatch");
+  const std::size_t batch = timestep_major_batch.front().rows();
+  flat_ws_.resize(batch, num_cells_ * history_steps_);
+  for (std::size_t t = 0; t < history_steps_; ++t) {
+    const SparseRowMatrix& step = timestep_major_batch[t];
+    DRCELL_CHECK(step.rows() == batch && step.cols() == num_cells_);
+    for (std::size_t b = 0; b < batch; ++b) {
+      const auto cols = step.row_indices(b);
+      const auto vals = step.row_values(b);
+      for (std::size_t e = 0; e < cols.size(); ++e)
+        flat_ws_(b, t * num_cells_ + cols[e]) = vals[e];
+    }
+  }
+  return net_.forward(flat_ws_);
+}
+
 void MlpQNetwork::backward(const Matrix& grad_q) { net_.backward(grad_q); }
 
 Matrix MlpQNetwork::forward_reference(const std::vector<Matrix>& sequence) {

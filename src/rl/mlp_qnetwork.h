@@ -16,6 +16,10 @@ class MlpQNetwork final : public QNetwork {
 
   const Matrix& forward_batch(
       const std::vector<Matrix>& timestep_major_batch) override;
+  /// Scatters the sparse steps into the flat window — the same matrix
+  /// flatten() builds from the densified steps — then runs the dense MLP.
+  const Matrix& forward_batch_sparse(
+      const std::vector<SparseRowMatrix>& timestep_major_batch) override;
   void backward(const Matrix& grad_q) override;
   Matrix forward_reference(const std::vector<Matrix>& sequence) override;
   void backward_reference(const Matrix& grad_q) override;

@@ -51,23 +51,21 @@ class QNetwork {
   /// forward_batch (same [batch x m] shape).
   virtual void backward(const Matrix& grad_q) = 0;
 
-  /// Sparse fast paths (metro tier). The sparse batch forward consumes the
-  /// same timestep-major layout with near-one-hot steps stored sparse and
-  /// must return values bit-identical to forward_batch on the densified
-  /// steps. The column-restricted pair evaluates/backpropagates the Q head
-  /// only at each sample's candidate actions: forward_batch_columns returns
-  /// [batch x max_width] (row i's entries past columns[i].size() are
-  /// padding) and every evaluated entry is bit-identical to the
-  /// corresponding full forward_batch entry; backward_columns takes the
-  /// matching gradient layout. Networks that do not implement a path keep
-  /// the default supports_* = false and the default bodies throw.
-  virtual bool supports_sparse_batch() const { return false; }
+  /// The training forward: the same timestep-major layout with the
+  /// near-one-hot steps stored sparse (the replay buffer's minibatch form).
+  /// Must return values bit-identical to forward_batch on the densified
+  /// steps; backward() then applies to it as to forward_batch.
   virtual const Matrix& forward_batch_sparse(
-      const std::vector<SparseRowMatrix>& timestep_major_batch) {
-    (void)timestep_major_batch;
-    ::drcell::detail::check_failed("supports_sparse_batch()", __FILE__,
-                                   __LINE__, name() + " has no sparse path");
-  }
+      const std::vector<SparseRowMatrix>& timestep_major_batch) = 0;
+
+  /// Candidate-column fast path (metro tier). The column-restricted pair
+  /// evaluates/backpropagates the Q head only at each sample's candidate
+  /// actions: forward_batch_columns returns [batch x max_width] (row i's
+  /// entries past columns[i].size() are padding) and every evaluated entry
+  /// is bit-identical to the corresponding full forward_batch entry;
+  /// backward_columns takes the matching gradient layout. Networks that do
+  /// not implement it keep the default supports_action_columns() = false
+  /// and the default bodies throw.
   virtual bool supports_action_columns() const { return false; }
   virtual const Matrix& forward_batch_columns(
       const std::vector<SparseRowMatrix>& timestep_major_batch,

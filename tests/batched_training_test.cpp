@@ -288,86 +288,62 @@ TEST(BatchedTrainStep, SpatialDrqnMatchesReferenceBitIdentically) {
   expect_train_step_matches_reference(Net::kSpatialDrqn, 3);
 }
 
-TEST(FillTimestepMajor, MatchesManualAssemblyAndReusesCache) {
-  const std::size_t cells = 4, k = 3;
-  mcs::StateEncoder encoder(cells, k);
-  rl::ReplayBuffer buffer(8);
-  Rng fill(13);
-  for (int i = 0; i < 8; ++i) {
-    rl::Experience e;
-    e.state.assign(k * cells, 0.0);
-    e.next_state.assign(k * cells, 0.0);
-    for (std::size_t j = 0; j < k * cells; ++j) {
-      e.state[j] = fill.uniform(0.0, 1.0);
-      e.next_state[j] = fill.uniform(0.0, 1.0);
-    }
-    e.next_mask.assign(cells, 1);
-    buffer.add(std::move(e));
-  }
-  const auto encode = [&](const rl::Experience& e) {
-    rl::EncodedExperience enc;
-    encoder.to_sparse_steps(e.state, enc.state);
-    encoder.to_sparse_steps(e.next_state, enc.next_state);
-    return enc;
-  };
-
-  const std::vector<std::size_t> indices{3, 0, 3, 6};
-  std::vector<Matrix> state_seq, next_seq;
-  buffer.fill_timestep_major(indices, encode, state_seq, next_seq);
-  ASSERT_EQ(state_seq.size(), k);
-  ASSERT_EQ(next_seq.size(), k);
-  for (std::size_t j = 0; j < k; ++j) {
-    ASSERT_EQ(state_seq[j].rows(), indices.size());
-    ASSERT_EQ(state_seq[j].cols(), cells);
-  }
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    const auto state_steps = encoder.to_sequence(buffer.at(indices[i]).state);
-    const auto next_steps =
-        encoder.to_sequence(buffer.at(indices[i]).next_state);
-    for (std::size_t j = 0; j < k; ++j) {
-      EXPECT_EQ(slice_row(state_seq[j], i), state_steps[j]) << i << "," << j;
-      EXPECT_EQ(slice_row(next_seq[j], i), next_steps[j]) << i << "," << j;
-    }
-  }
-  // Distinct transitions encode once each; repeats hit the cache.
-  EXPECT_EQ(buffer.encode_misses(), 3u);
-  buffer.fill_timestep_major(indices, encode, state_seq, next_seq);
-  EXPECT_EQ(buffer.encode_misses(), 3u);
+/// Ascending flat indices of the 1.0 entries of a 0/1 state vector.
+std::vector<std::uint32_t> ones_of(const std::vector<double>& flat) {
+  std::vector<std::uint32_t> ones;
+  for (std::size_t i = 0; i < flat.size(); ++i)
+    if (flat[i] == 1.0) ones.push_back(static_cast<std::uint32_t>(i));
+  return ones;
 }
 
-TEST(FillTimestepMajor, RingOverwriteInvalidatesCachedRows) {
-  const std::size_t cells = 3, k = 2;
-  mcs::StateEncoder encoder(cells, k);
-  rl::ReplayBuffer buffer(4);
-  const auto encode = [&](const rl::Experience& e) {
-    rl::EncodedExperience enc;
-    encoder.to_sparse_steps(e.state, enc.state);
-    encoder.to_sparse_steps(e.next_state, enc.next_state);
-    return enc;
-  };
-  const auto make = [&](double v) {
-    rl::Experience e;
-    e.state.assign(k * cells, v);
-    e.next_state.assign(k * cells, v + 0.5);
-    e.next_mask.assign(cells, 1);
-    return e;
-  };
-  for (int i = 0; i < 4; ++i) buffer.add(make(static_cast<double>(i)));
+/// observe() encodes dense state vectors and one-index lists into the same
+/// stored transition, so two identically seeded trainers fed the same
+/// transitions in either representation stay bit-identical: same losses,
+/// same parameters.
+void expect_dense_and_ones_states_train_identically(Net net) {
+  const std::size_t cells = 6, k = 2;
+  rl::DqnOptions opt;
+  opt.batch_size = 8;
+  opt.min_replay = 8;
+  opt.replay_capacity = 64;
+  opt.target_sync_interval = 3;
 
-  const std::vector<std::size_t> indices{0, 1};
-  std::vector<Matrix> state_seq, next_seq;
-  buffer.fill_timestep_major(indices, encode, state_seq, next_seq);
-  EXPECT_EQ(state_seq[0](0, 0), 0.0);
-  EXPECT_EQ(buffer.encode_misses(), 2u);
+  rl::DqnTrainer dense(make_qnet(net, 11), opt, 5);
+  rl::DqnTrainer ones(make_qnet(net, 11), opt, 5);
+  Rng fill(7);
+  for (int i = 0; i < 40; ++i) {
+    rl::Experience e = random_experience(cells, k, fill);
+    rl::Experience s;
+    s.sparse_states = true;
+    s.state_ones = ones_of(e.state);
+    s.next_state_ones = ones_of(e.next_state);
+    s.action = e.action;
+    s.reward = e.reward;
+    s.next_mask = e.next_mask;
+    s.terminal = e.terminal;
+    dense.observe(std::move(e));
+    ones.observe(std::move(s));
+  }
 
-  // The ring wraps: slot 0 now holds a different transition, and the batch
-  // assembly must re-encode it rather than serve the stale cached rows.
-  buffer.add(make(9.0));
-  buffer.fill_timestep_major(indices, encode, state_seq, next_seq);
-  EXPECT_EQ(state_seq[0](0, 0), 9.0);
-  EXPECT_EQ(next_seq[0](0, 0), 9.5);
-  EXPECT_EQ(state_seq[0](1, 0), 1.0);  // slot 1 untouched, served from cache
-  EXPECT_EQ(buffer.encode_misses(), 3u);
+  Rng draw(9);
+  for (int step = 0; step < 12; ++step) {
+    std::vector<std::size_t> indices;
+    for (std::size_t i = 0; i < opt.batch_size; ++i)
+      indices.push_back(draw.uniform_index(40));
+    ASSERT_EQ(dense.train_step_on_indices(indices),
+              ones.train_step_on_indices(indices))
+        << "step " << step;
+  }
+  const auto pa = dense.online().parameters();
+  const auto pb = ones.online().parameters();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i)
+    EXPECT_EQ(pa[i]->value, pb[i]->value) << "param " << i;
+}
+
+TEST(ReplayEncoding, DenseAndOneIndexStatesTrainBitIdentically) {
+  expect_dense_and_ones_states_train_identically(Net::kDrqn);
+  expect_dense_and_ones_states_train_identically(Net::kMlp);
 }
 
 }  // namespace

@@ -172,7 +172,7 @@ TEST(StateEncoder, ZeroPadsBeforeCampaignStart) {
 TEST(StateEncoder, ToSequenceSplitsSlices) {
   StateEncoder enc(2, 2);
   const std::vector<double> flat{1, 0, 0, 1};
-  const auto seq = enc.to_sequence(flat);
+  const auto seq = enc.to_sequence_batch({&flat});
   ASSERT_EQ(seq.size(), 2u);
   EXPECT_EQ(seq[0](0, 0), 1.0);
   EXPECT_EQ(seq[0](0, 1), 0.0);
@@ -194,7 +194,7 @@ TEST(StateEncoder, BatchConversionStacksRows) {
 TEST(StateEncoder, SizeMismatchThrows) {
   StateEncoder enc(2, 2);
   const std::vector<double> bad{1, 0, 0};
-  EXPECT_THROW(enc.to_sequence(bad), CheckError);
+  EXPECT_THROW(enc.to_sequence_batch({&bad}), CheckError);
 }
 
 TEST(StateEncoder, StateSize) {

@@ -110,11 +110,11 @@ TEST_P(ReplayProperty, CapacityAndRecency) {
   const auto [capacity, inserts] = GetParam();
   rl::ReplayBuffer buf(capacity);
   for (std::size_t i = 0; i < inserts; ++i) {
-    rl::Experience e;
-    e.state = {static_cast<double>(i)};
+    rl::EncodedExperience e;
+    e.state.reset(1, 1);
     e.action = 0;
     e.reward = static_cast<double>(i);
-    e.next_state = {0.0};
+    e.next_state.reset(1, 1);
     e.next_mask = {1};
     buf.add(std::move(e));
     EXPECT_LE(buf.size(), capacity);

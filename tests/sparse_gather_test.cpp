@@ -418,26 +418,24 @@ TEST(CandidateActions, CoveringCandidateTrainStepMatchesFullBitIdentically) {
     EXPECT_EQ(pa[i]->value, pb[i]->value) << "param " << i;
 }
 
-TEST(CandidateActions, SparseBatchTrainStepMatchesForcedDense) {
-  // The sparse minibatch fast path vs the same trainer pinned dense
-  // (force_dense_batch): identical losses and parameters — the routing
-  // flag must not change the arithmetic.
+TEST(CandidateActions, SparseStateTrainStepMatchesReference) {
+  // The sparse minibatch path on one-index (sparse_states) transitions vs
+  // the per-sample reference, which densifies every stored state into B=1
+  // sequences: identical losses and parameters.
   const std::size_t cells = 10, k = 2;
   rl::DqnOptions opt;
   opt.batch_size = 6;
   opt.min_replay = 6;
   opt.replay_capacity = 32;
-  rl::DqnOptions dense_opt = opt;
-  dense_opt.force_dense_batch = true;
 
   rl::DqnTrainer sparse(make_drqn(cells, k, 91), opt, 95);
-  rl::DqnTrainer dense(make_drqn(cells, k, 91), dense_opt, 95);
+  rl::DqnTrainer reference(make_drqn(cells, k, 91), opt, 95);
   Rng fill(97);
   for (int i = 0; i < 20; ++i) {
     rl::Experience e = random_sparse_experience(cells, k, fill);
     rl::Experience copy = e;
     sparse.observe(std::move(e));
-    dense.observe(std::move(copy));
+    reference.observe(std::move(copy));
   }
   Rng draw(99);
   for (int step = 0; step < 8; ++step) {
@@ -445,11 +443,11 @@ TEST(CandidateActions, SparseBatchTrainStepMatchesForcedDense) {
     for (std::size_t i = 0; i < opt.batch_size; ++i)
       indices.push_back(draw.uniform_index(20));
     ASSERT_EQ(sparse.train_step_on_indices(indices),
-              dense.train_step_on_indices(indices))
+              reference.train_step_reference_on_indices(indices))
         << "step " << step;
   }
   const auto pa = sparse.online().parameters();
-  const auto pb = dense.online().parameters();
+  const auto pb = reference.online().parameters();
   for (std::size_t i = 0; i < pa.size(); ++i)
     EXPECT_EQ(pa[i]->value, pb[i]->value) << "param " << i;
 }
@@ -536,34 +534,45 @@ TEST(CandidateSet, EmptyRecentFallsBackToFullyRandomSubset) {
   EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end());
 }
 
+/// A stored transition whose states are the encodings of dense vectors.
+rl::EncodedExperience encode_dense(const mcs::StateEncoder& encoder,
+                                   const std::vector<double>& state,
+                                   const std::vector<double>& next_state) {
+  rl::EncodedExperience enc;
+  encoder.to_sparse_steps(state, enc.state);
+  encoder.to_sparse_steps(next_state, enc.next_state);
+  return enc;
+}
+
 TEST(FillTimestepMajorSparse, DensifiedMatchesDenseFill) {
+  // The sparse minibatch, densified, equals the dense timestep-major batch
+  // of the same states (StateEncoder::to_sequence_batch), repeats included.
   const std::size_t cells = 6, k = 3;
   mcs::StateEncoder encoder(cells, k);
   rl::ReplayBuffer buffer(8);
+  std::vector<std::vector<double>> states, nexts;
   Rng fill(7);
   for (int i = 0; i < 8; ++i) {
-    rl::Experience e;
-    e.state.assign(k * cells, 0.0);
-    e.next_state.assign(k * cells, 0.0);
+    std::vector<double> state(k * cells, 0.0), next(k * cells, 0.0);
     for (std::size_t j = 0; j < k; ++j) {
-      e.state[j * cells + fill.uniform_index(cells)] = 1.0;
-      e.next_state[j * cells + fill.uniform_index(cells)] = 1.0;
+      state[j * cells + fill.uniform_index(cells)] = 1.0;
+      next[j * cells + fill.uniform_index(cells)] = 1.0;
     }
-    e.next_mask.assign(cells, 1);
-    buffer.add(std::move(e));
+    buffer.add(encode_dense(encoder, state, next));
+    states.push_back(std::move(state));
+    nexts.push_back(std::move(next));
   }
-  const auto encode = [&](const rl::Experience& e) {
-    rl::EncodedExperience enc;
-    encoder.to_sparse_steps(e.state, enc.state);
-    encoder.to_sparse_steps(e.next_state, enc.next_state);
-    return enc;
-  };
 
   const std::vector<std::size_t> indices{5, 1, 5, 0, 2};
-  std::vector<Matrix> dstate, dnext;
-  buffer.fill_timestep_major(indices, encode, dstate, dnext);
+  std::vector<const std::vector<double>*> batch_states, batch_nexts;
+  for (const std::size_t i : indices) {
+    batch_states.push_back(&states[i]);
+    batch_nexts.push_back(&nexts[i]);
+  }
+  const auto dstate = encoder.to_sequence_batch(batch_states);
+  const auto dnext = encoder.to_sequence_batch(batch_nexts);
   std::vector<SparseRowMatrix> sstate, snext;
-  buffer.fill_timestep_major_sparse(indices, encode, sstate, snext);
+  buffer.fill_timestep_major_sparse(indices, sstate, snext);
 
   ASSERT_EQ(sstate.size(), k);
   ASSERT_EQ(snext.size(), k);
@@ -574,43 +583,29 @@ TEST(FillTimestepMajorSparse, DensifiedMatchesDenseFill) {
 }
 
 TEST(FillTimestepMajorSparse, RingOverwriteInvalidatesCachedRows) {
-  // The sparse twin of the dense ring-overwrite regression: after the
-  // replay ring wraps, the sparse batch assembly must re-encode the
-  // overwritten slot rather than append the stale cached sparse rows, and
-  // untouched slots must keep being served from the cache.
+  // After the replay ring wraps, the batch assembly must append the
+  // overwritten slot's new rows, not the evicted transition's, and
+  // untouched slots keep their rows.
   const std::size_t cells = 3, k = 2;
   mcs::StateEncoder encoder(cells, k);
   rl::ReplayBuffer buffer(4);
-  const auto encode = [&](const rl::Experience& e) {
-    rl::EncodedExperience enc;
-    encoder.to_sparse_steps(e.state, enc.state);
-    encoder.to_sparse_steps(e.next_state, enc.next_state);
-    return enc;
-  };
   // Nonzero fill values so every encoded row actually stores entries.
   const auto make = [&](double v) {
-    rl::Experience e;
-    e.state.assign(k * cells, v);
-    e.next_state.assign(k * cells, v + 0.5);
-    e.next_mask.assign(cells, 1);
-    return e;
+    return encode_dense(encoder, std::vector<double>(k * cells, v),
+                        std::vector<double>(k * cells, v + 0.5));
   };
   for (int i = 0; i < 4; ++i) buffer.add(make(1.0 + static_cast<double>(i)));
 
   const std::vector<std::size_t> indices{0, 1};
   std::vector<SparseRowMatrix> state_seq, next_seq;
-  buffer.fill_timestep_major_sparse(indices, encode, state_seq, next_seq);
+  buffer.fill_timestep_major_sparse(indices, state_seq, next_seq);
   EXPECT_EQ(state_seq[0].to_dense()(0, 0), 1.0);
-  EXPECT_EQ(buffer.encode_misses(), 2u);
 
-  // The ring wraps: slot 0 now holds a different transition; the sparse
-  // fill must re-encode it while slot 1 still comes from the cache.
   buffer.add(make(9.0));
-  buffer.fill_timestep_major_sparse(indices, encode, state_seq, next_seq);
+  buffer.fill_timestep_major_sparse(indices, state_seq, next_seq);
   EXPECT_EQ(state_seq[0].to_dense()(0, 0), 9.0);
   EXPECT_EQ(next_seq[0].to_dense()(0, 0), 9.5);
-  EXPECT_EQ(state_seq[0].to_dense()(1, 0), 2.0);  // slot 1 served from cache
-  EXPECT_EQ(buffer.encode_misses(), 3u);
+  EXPECT_EQ(state_seq[0].to_dense()(1, 0), 2.0);  // slot 1 untouched
 }
 
 TEST(CandidateActions, CandidateQValuesMatchFullForwardAndGreedyArgmax) {
@@ -902,7 +897,6 @@ TEST(SpatialDrqn, CloneArchitectureMatchesShapes) {
   EXPECT_EQ(clone->num_actions(), net.num_actions());
   EXPECT_EQ(clone->history_steps(), net.history_steps());
   EXPECT_EQ(clone->name(), net.name());
-  EXPECT_TRUE(clone->supports_sparse_batch());
   EXPECT_TRUE(clone->supports_action_columns());
   const auto pa = net.parameters();
   const auto pb = clone->parameters();

@@ -2,8 +2,7 @@
 // incremental observation lists vs the seed's dense-scan reference,
 // consistency under LOO clear-then-restore churn, the cached window
 // fingerprint shared across infer + quality gate, ThreadPool-parallel ALS
-// bit-identity with the serial path, and the replay buffer's encoded-
-// sequence cache.
+// bit-identity with the serial path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,9 +16,6 @@
 #include "data/synthetic_field.h"
 #include "mcs/quality.h"
 #include "mcs/sensing_task.h"
-#include "rl/dqn_trainer.h"
-#include "rl/drqn_qnetwork.h"
-#include "rl/replay_buffer.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -321,118 +317,6 @@ TEST(ParallelLoo, PooledSolvesBitIdenticalToSerial) {
   const mcs::QualityContext pooled_ctx{task,    window, col, col,
                                        nullptr, pooled_engine};
   EXPECT_EQ(gate.probability(serial_ctx), gate.probability(pooled_ctx));
-}
-
-rl::Experience make_experience(Rng& rng, std::size_t cells, std::size_t k) {
-  rl::Experience e;
-  e.state.assign(k * cells, 0.0);
-  e.state[rng.uniform_index(k * cells)] = 1.0;
-  e.action = rng.uniform_index(cells);
-  e.reward = rng.uniform(-1.0, 5.0);
-  e.next_state.assign(k * cells, 0.0);
-  e.next_state[rng.uniform_index(k * cells)] = 1.0;
-  e.next_mask.assign(cells, 1);
-  return e;
-}
-
-TEST(ReplayEncodedCache, InvalidatedWhenRingOverwritesSlot) {
-  Rng rng(1);
-  rl::ReplayBuffer buf(2);
-  buf.add(make_experience(rng, 4, 1));
-  buf.add(make_experience(rng, 4, 1));
-
-  std::size_t encode_calls = 0;
-  const auto encode = [&](const rl::Experience& e) {
-    ++encode_calls;
-    rl::EncodedExperience enc;
-    enc.state.reset(1, e.state.size());
-    enc.next_state.reset(1, e.state.size());
-    for (std::size_t i = 0; i < e.state.size(); ++i) {
-      if (e.state[i] != 0.0) enc.state.append(0, i, e.state[i]);
-      if (e.next_state[i] != 0.0) enc.next_state.append(0, i, e.next_state[i]);
-    }
-    return enc;
-  };
-
-  (void)buf.encoded(0, encode);
-  (void)buf.encoded(0, encode);
-  (void)buf.encoded(1, encode);
-  EXPECT_EQ(encode_calls, 2u);  // one per distinct transition
-  EXPECT_EQ(buf.encode_misses(), 2u);
-
-  // The ring overwrites slot 0 — its cache entry must be recomputed, while
-  // slot 1 stays cached.
-  buf.add(make_experience(rng, 4, 1));
-  const auto& re = buf.encoded(0, encode);
-  EXPECT_EQ(encode_calls, 3u);
-  EXPECT_EQ(re.state.to_dense()(0, 0), buf.at(0).state[0]);
-  (void)buf.encoded(1, encode);
-  EXPECT_EQ(encode_calls, 3u);
-
-  buf.clear();
-  EXPECT_EQ(buf.size(), 0u);
-}
-
-TEST(ReplayEncodedCache, ByteBudgetStopsCachingButKeepsServing) {
-  Rng rng(2);
-  // Each sparse [1 x 4] one-hot encoding costs 4 (index) + 8 (value) +
-  // 8 (row offset) = 20 bytes; state + next_state = 40. The budget fits
-  // exactly one encoding.
-  rl::ReplayBuffer buf(4, /*max_cache_bytes=*/40);
-  for (int i = 0; i < 4; ++i) buf.add(make_experience(rng, 4, 1));
-
-  std::size_t encode_calls = 0;
-  const auto encode = [&](const rl::Experience& e) {
-    ++encode_calls;
-    rl::EncodedExperience enc;
-    enc.state.reset(1, e.state.size());
-    enc.next_state.reset(1, e.state.size());
-    for (std::size_t i = 0; i < e.state.size(); ++i) {
-      if (e.state[i] != 0.0) enc.state.append(0, i, e.state[i]);
-      if (e.next_state[i] != 0.0) enc.next_state.append(0, i, e.next_state[i]);
-    }
-    return enc;
-  };
-
-  (void)buf.encoded(0, encode);  // cached (fills the budget)
-  EXPECT_EQ(buf.cache_bytes(), 40u);
-  (void)buf.encoded(0, encode);
-  EXPECT_EQ(encode_calls, 1u);
-
-  // Over budget: slot 1 is served from scratch, re-encoded on every call,
-  // and still returns the right transition's encoding.
-  const auto& e1 = buf.encoded(1, encode);
-  const std::size_t hot = static_cast<std::size_t>(
-      std::find(buf.at(1).state.begin(), buf.at(1).state.end(), 1.0) -
-      buf.at(1).state.begin());
-  EXPECT_EQ(e1.state.to_dense()(0, hot), 1.0);
-  (void)buf.encoded(1, encode);
-  EXPECT_EQ(encode_calls, 3u);
-  EXPECT_EQ(buf.cache_bytes(), 40u);
-
-  // Overwriting the cached slot releases its budget; the next miss caches
-  // again.
-  for (int i = 0; i < 4; ++i) buf.add(make_experience(rng, 4, 1));
-  EXPECT_EQ(buf.cache_bytes(), 0u);
-  (void)buf.encoded(2, encode);
-  EXPECT_EQ(buf.cache_bytes(), 40u);
-}
-
-TEST(ReplayEncodedCache, TrainStepsStopReencodingTransitions) {
-  Rng net_rng(1);
-  rl::DqnOptions options;
-  options.batch_size = 8;
-  options.min_replay = 8;
-  rl::DqnTrainer trainer(
-      std::make_unique<rl::DrqnQNetwork>(6, 2, 8, net_rng), options, 7);
-  Rng fill(3);
-  for (int i = 0; i < 16; ++i) trainer.observe(make_experience(fill, 6, 2));
-
-  for (int step = 0; step < 30; ++step) (void)trainer.train_step();
-  // 30 steps x 8 sampled transitions would be 240 encodes without the
-  // cache; with it, each of the 16 stored transitions encodes at most once.
-  EXPECT_GT(trainer.replay().encode_misses(), 0u);
-  EXPECT_LE(trainer.replay().encode_misses(), trainer.replay().size());
 }
 
 }  // namespace
