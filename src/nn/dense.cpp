@@ -51,25 +51,30 @@ const Matrix& Dense::forward_columns(const Matrix& input,
   for (const auto& cols : columns)
     max_width = std::max(max_width, cols.size());
   DRCELL_CHECK_MSG(max_width > 0, "Dense: empty column subsets");
+  // Zero-filled: the accumulators, and the padding past each row's width.
   out_cols_ws_.resize(input.rows(), max_width);
   const std::size_t in = w_.value.rows();
+  const std::size_t out = w_.value.cols();
+  const double* w = w_.value.data().data();
+  const double* bias = b_.value.data().data();
   for (std::size_t r = 0; r < input.rows(); ++r) {
     const double* xr = cached_input_.row(r).data();
     double* orow = out_cols_ws_.row(r).data();
-    const auto& cols = columns[r];
-    for (std::size_t j = 0; j < cols.size(); ++j) {
-      const std::size_t c = cols[j];
-      DRCELL_DCHECK_MSG(c < w_.value.cols(), "Dense: column out of range");
-      // Same per-element recurrence as the dense GEMM: k ascending,
-      // zero inputs skipped.
-      double acc = 0.0;
-      for (std::size_t k = 0; k < in; ++k) {
-        const double v = xr[k];
-        if (v == 0.0) continue;
-        acc += v * w_.value(k, c);
-      }
-      orow[j] = acc + b_.value(0, c);
+    const std::uint32_t* cols = columns[r].data();
+    const std::size_t width = columns[r].size();
+    for (std::size_t j = 0; j < width; ++j)
+      DRCELL_DCHECK_MSG(cols[j] < out, "Dense: column out of range");
+    // W is walked row by row (k outer, contiguous reads) with the listed
+    // columns inner. Each output element still sees the dense GEMM's
+    // recurrence — k ascending, zero inputs skipped, bias added last — so
+    // it is bit-identical to the full forward's entry.
+    for (std::size_t k = 0; k < in; ++k) {
+      const double v = xr[k];
+      if (v == 0.0) continue;
+      const double* wk = w + k * out;
+      for (std::size_t j = 0; j < width; ++j) orow[j] += v * wk[cols[j]];
     }
+    for (std::size_t j = 0; j < width; ++j) orow[j] += bias[cols[j]];
   }
   return out_cols_ws_;
 }

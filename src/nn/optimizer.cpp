@@ -30,9 +30,9 @@ Adam::Adam(std::vector<Parameter*> params, double learning_rate, double beta1,
 // through `this`) alias each other and emits a scalar loop; with it the
 // loop vectorises. The per-element arithmetic is unchanged — elementwise
 // mul/add/div/sqrt with no reassociation — so the update is bit-identical
-// to the scalar form, it just runs several lanes at a time (at the
-// 10,000-cell metro tier the optimiser pass covers ~3.2M parameters and
-// dominated the train step before this).
+// to the scalar form, it just runs several lanes at a time (the
+// 10,000-cell DrqnQNetwork of bench_scale_10000cell has ~3.2M parameters;
+// the metro tier's SpatialDrqnQNetwork has ~144K).
 
 void Adam::step(util::ThreadPool* pool) {
   ++t_;

@@ -24,9 +24,9 @@ class Adam {
   /// index-exclusive parameter ranges — per thread_pool.h's determinism
   /// contract the result is bit-identical to the serial pass for any
   /// worker count (the update touches each element exactly once, with no
-  /// cross-element arithmetic). At the 10k-cell tier (~3.2M parameters per
-  /// step) that is the difference between the optimiser pass mattering and
-  /// not.
+  /// cross-element arithmetic). On the 10,000-cell DrqnQNetwork of
+  /// bench_scale_10000cell (~3.2M parameters) a serial pass added 8–13 ms
+  /// to a ~20 ms train step on a 4-vCPU VM (bench/README.md).
   void step(util::ThreadPool* pool = nullptr);
   /// Clears all gradients.
   void zero_grad();

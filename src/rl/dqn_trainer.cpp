@@ -1,5 +1,6 @@
 #include "rl/dqn_trainer.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "nn/loss.h"
@@ -87,14 +88,6 @@ std::size_t DqnTrainer::greedy_action(const std::vector<double>& state,
   return masked_argmax_row(q, 0, mask);
 }
 
-std::vector<double> DqnTrainer::q_values(const std::vector<double>& state) {
-  const Matrix& q =
-      online_->forward_batch(encoder_.to_sequence_batch({&state}));
-  std::vector<double> out(q.cols());
-  for (std::size_t a = 0; a < q.cols(); ++a) out[a] = q(0, a);
-  return out;
-}
-
 void DqnTrainer::observe(Experience e) {
   DRCELL_CHECK(e.action < online_->num_actions());
   if (e.sparse_states) {
@@ -108,14 +101,20 @@ void DqnTrainer::observe(Experience e) {
     DRCELL_CHECK(e.next_state.size() == encoder_.state_size());
   }
   check_candidate_ids(e.next_candidates);
-  if (e.next_candidates.empty()) {
-    // Full-action bootstrap needs the mask (terminal transitions never
-    // bootstrap, so theirs may stay empty).
-    DRCELL_CHECK(e.terminal || e.next_mask.size() == online_->num_actions());
-  } else {
-    DRCELL_CHECK_MSG(
-        e.next_mask.empty() || e.next_mask.size() == online_->num_actions(),
-        "next_mask must be empty or full-width");
+  DRCELL_CHECK_MSG(
+      e.next_mask.empty() || e.next_mask.size() == online_->num_actions(),
+      "next_mask must be empty or full-width");
+  if (!e.terminal && e.next_candidates.empty()) {
+    // Checked here, not when a train step samples the transition: a stored
+    // transition with nothing to bootstrap over would fail every minibatch
+    // that draws it until the ring overwrites it.
+    DRCELL_CHECK_MSG(!options_.candidate_training,
+                     "candidate_training needs next_candidates on every "
+                     "non-terminal transition");
+    DRCELL_CHECK_MSG(std::any_of(e.next_mask.begin(), e.next_mask.end(),
+                                 [](std::uint8_t allowed) { return allowed; }),
+                     "a non-terminal transition without next_candidates "
+                     "needs a next_mask that allows an action");
   }
   replay_.add(encode_experience(std::move(e)));
 }
@@ -123,8 +122,9 @@ void DqnTrainer::observe(Experience e) {
 double DqnTrainer::bootstrap_value(const EncodedExperience& e,
                                    const Matrix& q_next_target,
                                    std::size_t row) const {
-  // Bootstrap from the fixed-target network (Eq. 7). Terminal transitions
-  // and dead-end masks contribute nothing.
+  // The reference path's bootstrap from the fixed-target network (Eq. 7)
+  // over a full-width Q row, independent of the column scan in
+  // train_step_on_indices. Terminal transitions contribute nothing.
   if (e.terminal) return 0.0;
   if (!e.next_candidates.empty()) {
     // Candidate-subset bootstrap: argmax restricted to the stored
@@ -142,13 +142,6 @@ double DqnTrainer::bootstrap_value(const EncodedExperience& e,
     }
     return q_next_target(row, best);
   }
-  bool any = false;
-  for (std::uint8_t allowed : e.next_mask)
-    if (allowed) {
-      any = true;
-      break;
-    }
-  if (!any) return 0.0;
   return q_next_target(row,
                        masked_argmax_row(q_next_target, row, e.next_mask));
 }
@@ -156,7 +149,7 @@ double DqnTrainer::bootstrap_value(const EncodedExperience& e,
 double DqnTrainer::finish_update(double raw_loss_sum, double normalizer) {
   nn::clip_grad_norm(online_->parameters(), kGradClipNorm);
   // Pooled elementwise update — bit-identical to serial for any worker
-  // count (optimizer.h), and the dominant per-step cost at the metro tier.
+  // count (optimizer.h); it pays on the ~3.2M-parameter 10k-cell step.
   optimizer_.step(pool_ ? pool_ : &util::ThreadPool::global());
   ++train_steps_;
   if (train_steps_ % options_.target_sync_interval == 0) sync_target();
@@ -181,64 +174,15 @@ double DqnTrainer::train_step_reference() {
 
 double DqnTrainer::train_step_on_indices(
     std::span<const std::size_t> indices) {
-  if (options_.candidate_training)
-    return train_step_candidates_on_indices(indices);
-
-  const std::size_t b = indices.size();
-  DRCELL_CHECK(b > 0);
-  const std::size_t actions = online_->num_actions();
-
   // One sparse timestep-major minibatch for the current and next states,
-  // appended from the transitions observe() encoded — bit-identical Q
-  // values to the densified minibatch (QNetwork::forward_batch_sparse).
-  replay_.fill_timestep_major_sparse(indices, state_sseq_ws_, next_sseq_ws_);
-
-  // The target and online networks are distinct objects, so their batch
-  // forwards run as two concurrent pool lanes. Results are bit-identical to
-  // the serial path for any worker count.
-  const Matrix* q_next_target = nullptr;
-  const Matrix* q_pred = nullptr;
-  util::ThreadPool& pool = pool_ ? *pool_ : util::ThreadPool::global();
-  pool.parallel_for(2, [&](std::size_t lane) {
-    if (lane == 0) {
-      q_next_target = &target_->forward_batch_sparse(next_sseq_ws_);
-    } else {
-      q_pred = &online_->forward_batch_sparse(state_sseq_ws_);
-    }
-  });
-
-  // Regress the taken action's Q-value towards R + γ max Q'(S', A') with a
-  // masked Huber loss (Eqs. 5-7).
-  targets_ws_.resize(b, actions);
-  mask_ws_.resize(b, actions);
-  for (std::size_t i = 0; i < b; ++i) {
-    const EncodedExperience& e = replay_.at(indices[i]);
-    const double boot = bootstrap_value(e, *q_next_target, i);
-    targets_ws_(i, e.action) = e.reward + options_.gamma * boot;
-    mask_ws_(i, e.action) = 1.0;
-  }
-
-  const auto loss = nn::masked_huber_loss(*q_pred, targets_ws_, mask_ws_,
-                                          options_.huber_delta);
-  optimizer_.zero_grad();
-  online_->backward(loss.grad);
-  return finish_update(loss.raw_sum, loss.normalizer);
-}
-
-double DqnTrainer::train_step_candidates_on_indices(
-    std::span<const std::size_t> indices) {
-  // The metro-tier update: sparse minibatch, Q head evaluated at one column
-  // (the taken action) per prediction row and at the stored candidates per
-  // bootstrap row, masked Huber over [b x 1]. Every evaluated Q-value, the
-  // loss and the resulting parameter update are bit-identical to the full
-  // batched path whenever each transition's candidates cover its allowed
-  // actions (the covering contract pinned by tests/sparse_gather_test.cpp);
-  // the head work drops from O(b·m·hidden) to O(b·K·hidden).
+  // appended from the transitions observe() encoded. The online Q head is
+  // evaluated only at each row's taken action and the fixed-target head
+  // only at its bootstrap columns, so the masked Huber loss runs over
+  // [b x 1]: exactly the taken-action entries of a full-width [b x m] loss,
+  // and the same parameter update, at O(b·(1 + columns)·hidden) head work
+  // instead of O(b·m·hidden).
   const std::size_t b = indices.size();
   DRCELL_CHECK(b > 0);
-  DRCELL_CHECK_MSG(online_->supports_action_columns(),
-                   "candidate_training needs a column-capable network");
-
   replay_.fill_timestep_major_sparse(indices, state_sseq_ws_, next_sseq_ws_);
 
   action_cols_ws_.resize(b);
@@ -246,19 +190,24 @@ double DqnTrainer::train_step_candidates_on_indices(
   for (std::size_t i = 0; i < b; ++i) {
     const EncodedExperience& e = replay_.at(indices[i]);
     action_cols_ws_[i].assign(1, static_cast<std::uint32_t>(e.action));
+    // Bootstrap columns: the stored candidates, else the ascending allowed
+    // actions of the mask. A terminal row is never bootstrapped; one
+    // well-formed column keeps the batch rectangular.
+    auto& cols = next_cols_ws_[i];
     if (e.terminal) {
-      // Never bootstrapped — any well-formed column keeps the batch
-      // rectangular without influencing the update.
-      next_cols_ws_[i].assign(1, 0);
+      cols.assign(1, 0);
+    } else if (!e.next_candidates.empty()) {
+      cols = e.next_candidates;
     } else {
-      DRCELL_CHECK_MSG(!e.next_candidates.empty(),
-                       "candidate training needs next_candidates on every "
-                       "non-terminal transition");
-      next_cols_ws_[i] = e.next_candidates;
+      cols.clear();
+      for (std::size_t a = 0; a < e.next_mask.size(); ++a)
+        if (e.next_mask[a]) cols.push_back(static_cast<std::uint32_t>(a));
     }
   }
 
-  // Same two concurrent lanes as the full path (distinct network objects).
+  // The target and online networks are distinct objects, so their batch
+  // forwards run as two concurrent pool lanes. Results are bit-identical to
+  // the serial path for any worker count.
   const Matrix* q_next_target = nullptr;
   const Matrix* q_pred = nullptr;
   util::ThreadPool& pool = pool_ ? *pool_ : util::ThreadPool::global();
@@ -271,19 +220,20 @@ double DqnTrainer::train_step_candidates_on_indices(
     }
   });
 
+  // Regress the taken action's Q-value towards R + γ max Q'(S', A') with a
+  // masked Huber loss (Eqs. 5-7).
   targets_ws_.resize(b, 1);
   mask_ws_.resize(b, 1);
   for (std::size_t i = 0; i < b; ++i) {
     const EncodedExperience& e = replay_.at(indices[i]);
     double boot = 0.0;
     if (!e.terminal) {
-      // Argmax over candidate positions (ascending cell ids, strict >):
-      // replicates masked_argmax_row's first-max-wins scan over the same
-      // Q-values.
-      const auto& cols = next_cols_ws_[i];
+      // First maximum over the row's ascending columns (strict >), as
+      // masked_argmax_row scans, so a covering column list bootstraps
+      // exactly as the full masked argmax would.
       std::size_t best = 0;
       double best_q = -std::numeric_limits<double>::infinity();
-      for (std::size_t j = 0; j < cols.size(); ++j) {
+      for (std::size_t j = 0; j < next_cols_ws_[i].size(); ++j) {
         if ((*q_next_target)(i, j) > best_q) {
           best_q = (*q_next_target)(i, j);
           best = j;
@@ -295,9 +245,8 @@ double DqnTrainer::train_step_candidates_on_indices(
     mask_ws_(i, 0) = 1.0;
   }
 
-  // One masked entry per row, so the default normalizer (mask count = b)
-  // matches the full path's — the per-row loss terms and gradients are the
-  // full path's masked entries, nothing more.
+  // One masked entry per row, so the normalizer (mask count = b) is the
+  // full-width loss's too.
   const auto loss = nn::masked_huber_loss(*q_pred, targets_ws_, mask_ws_,
                                           options_.huber_delta);
   optimizer_.zero_grad();
@@ -380,12 +329,6 @@ std::size_t DqnTrainer::select_action_candidates(
     return candidates[j];
   }
   return candidates[best];
-}
-
-std::size_t DqnTrainer::greedy_action_candidates(
-    std::span<const std::uint32_t> state_ones,
-    std::span<const std::uint32_t> candidates) {
-  return candidates[candidate_argmax(state_ones, candidates)];
 }
 
 std::vector<Matrix> DqnTrainer::to_reference_sequence(

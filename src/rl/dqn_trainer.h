@@ -5,15 +5,18 @@
 //
 // observe() encodes each transition once into the replay buffer's sparse
 // form, whichever state representation it arrives in (dense vectors or
-// one-index lists). train_step() is batch-major end to end: the replay
-// buffer appends the stored rows into one sparse timestep-major minibatch
-// (ReplayBuffer::fill_timestep_major_sparse), every network runs it through
-// forward_batch_sparse, the bootstrap argmax, the masked TD loss and the
-// backward pass all run over [batch x m] matrices, and the per-sample loop
-// survives only as train_step_reference() — the retained reference path
-// the batched engine matches bit for bit under either compute backend,
-// both sides running the backend's own gate kernels
-// (tests/batched_training_test.cpp, docs/ARCHITECTURE.md, and the
+// one-index lists). train_step() has one update body, batch-major end to
+// end: the replay buffer appends the stored rows into one sparse
+// timestep-major minibatch (ReplayBuffer::fill_timestep_major_sparse), the
+// online network evaluates its Q head only at each row's taken action and
+// the fixed target only at the row's bootstrap columns (its stored
+// next_candidates, else the allowed actions of its next_mask), both through
+// QNetwork::forward_batch_columns, and the masked TD loss and the backward
+// pass run over those columns. The per-sample loop survives only as
+// train_step_reference() — full-width B=1 forwards and backwards, the
+// retained reference path the batched engine matches bit for bit under
+// either compute backend, both sides running the backend's own gate
+// kernels (tests/batched_training_test.cpp, docs/ARCHITECTURE.md, and the
 // self-check in bench_micro_components).
 #pragma once
 
@@ -38,15 +41,10 @@ struct DqnOptions {
   std::size_t min_replay = 200;       ///< warm-up before training starts
   std::size_t target_sync_interval = 150;  ///< RPLACE_ITER of Algorithm 2
   double huber_delta = 1.0;           ///< TD-error robustness threshold
-  /// Train on candidate action subsets (metro tier): the online Q head is
-  /// evaluated only at each transition's taken action and the bootstrap
-  /// argmax only over its stored next_candidates
-  /// (Experience::next_candidates must be non-empty for every non-terminal
-  /// transition). Requires a network with supports_action_columns(). The
-  /// train-step arithmetic is bit-identical to the full batched path
-  /// whenever the candidates cover the allowed actions
-  /// (tests/sparse_gather_test.cpp); with genuine subsets the *trajectory*,
-  /// not the arithmetic, diverges — see docs/ARCHITECTURE.md.
+  /// Declares candidate-subset training (metro tier): observe() then
+  /// rejects a non-terminal transition without next_candidates. Every
+  /// train step already bootstraps over a transition's stored candidates
+  /// when it has them; this flag selects no code path.
   bool candidate_training = false;
   EpsilonSchedule epsilon{1.0, 0.05, 5000};
 };
@@ -77,25 +75,19 @@ class DqnTrainer {
   std::size_t greedy_action(const std::vector<double>& state,
                             const std::vector<std::uint8_t>& mask);
 
-  /// Candidate-subset variants (metro tier): the state arrives as its
+  /// Candidate-subset variant (metro tier): the state arrives as its
   /// sparse one-index list (mcs::SparseMcsEnvironment::state_ones) and only
   /// `candidates` (strictly ascending cell ids, all currently selectable)
   /// are scored — one B=1 sparse forward of the restricted Q head instead
-  /// of a k·m dense encode plus full-width forward. The δ-greedy variant
-  /// draws its exploration from the candidate set and advances the
-  /// schedule; every scored Q-value is bit-identical to the full forward's.
+  /// of a k·m dense encode plus full-width forward. It draws its
+  /// exploration from the candidate set and advances the schedule; every
+  /// scored Q-value is bit-identical to the full forward's.
   std::size_t select_action_candidates(
       std::span<const std::uint32_t> state_ones,
       std::span<const std::uint32_t> candidates);
-  std::size_t greedy_action_candidates(
-      std::span<const std::uint32_t> state_ones,
-      std::span<const std::uint32_t> candidates);
-
-  /// Q-values for one state (diagnostics / tests).
-  std::vector<double> q_values(const std::vector<double>& state);
 
   /// Q-values of `candidates`, in candidate order, from the same B=1
-  /// sparse restricted forward greedy_action_candidates argmaxes over —
+  /// sparse restricted forward select_action_candidates argmaxes over —
   /// for policies that post-process candidate scores (e.g. test-time
   /// symmetry averaging) instead of taking the raw argmax.
   std::vector<double> candidate_q_values(
@@ -103,14 +95,17 @@ class DqnTrainer {
       std::span<const std::uint32_t> candidates);
 
   /// Checks a transition, encodes it once and stores it in the replay pool.
+  /// A non-terminal transition must have next_candidates, or a next_mask
+  /// that allows at least one action (and, under candidate_training,
+  /// next_candidates).
   void observe(Experience e);
 
   /// One batched minibatch update; returns the TD loss, or 0 while the
   /// pool is below the warm-up threshold.
   double train_step();
 
-  /// The batched update core on a caller-chosen minibatch (exposed so
-  /// tests and the bench can drive both paths over the identical batch).
+  /// The batched update on a caller-chosen minibatch (exposed so tests and
+  /// the bench can drive it and the reference over the identical batch).
   double train_step_on_indices(std::span<const std::size_t> indices);
 
   /// The retained per-sample reference update (benchmark floor, same
@@ -145,10 +140,13 @@ class DqnTrainer {
  private:
   /// Encodes both states sparse and moves the bootstrap fields over.
   EncodedExperience encode_experience(Experience e) const;
+  /// The reference path's max Q'(S', A') over e's candidate or allowed
+  /// actions, read from row `row` of a full-width target Q matrix (0 for
+  /// a terminal transition).
   double bootstrap_value(const EncodedExperience& e,
                          const Matrix& q_next_target, std::size_t row) const;
-  /// Shared epilogue of both update paths: clip, optimiser step, target
-  /// sync cadence.
+  /// Shared epilogue of the batched and the reference update: clip,
+  /// optimiser step, target sync cadence.
   double finish_update(double raw_loss_sum, double normalizer);
   /// DRCELL_CHECKs that every id is < num_actions().
   void check_candidate_ids(std::span<const std::uint32_t> candidates) const;
@@ -163,10 +161,6 @@ class DqnTrainer {
   /// one B=1 sparse column-restricted forward.
   std::size_t candidate_argmax(std::span<const std::uint32_t> state_ones,
                                std::span<const std::uint32_t> candidates);
-  /// The candidate-training minibatch update (see
-  /// DqnOptions::candidate_training).
-  double train_step_candidates_on_indices(
-      std::span<const std::size_t> indices);
   /// Densifies one stored sparse encoding into the B=1 timestep-major
   /// sequence the reference implementations consume.
   std::vector<Matrix> to_reference_sequence(const SparseRowMatrix& s) const;
@@ -182,15 +176,15 @@ class DqnTrainer {
   std::size_t env_steps_ = 0;
   std::size_t train_steps_ = 0;
   // Minibatch workspaces reused across train steps (sparse timestep-major
-  // batch, TD targets and action mask).
+  // batch, Q-head columns, TD targets and loss mask).
   std::vector<SparseRowMatrix> state_sseq_ws_;
   std::vector<SparseRowMatrix> next_sseq_ws_;
+  ActionColumns action_cols_ws_;  // width-1 taken-action columns
+  ActionColumns next_cols_ws_;    // per-sample bootstrap columns
   Matrix targets_ws_;
   Matrix mask_ws_;
-  // Candidate-path workspaces (metro tier).
-  ActionColumns action_cols_ws_;  // width-1 taken-action columns
-  ActionColumns next_cols_ws_;    // per-sample bootstrap candidates
-  std::vector<SparseRowMatrix> sel_seq_ws_;  // B=1 action selection
+  // B=1 candidate action-selection workspaces (metro tier).
+  std::vector<SparseRowMatrix> sel_seq_ws_;
   ActionColumns sel_cols_ws_;
 };
 

@@ -22,19 +22,12 @@ void DrqnQNetwork::backward(const Matrix& grad_q) {
   lstm_.backward(head_.backward(grad_q));
 }
 
-const Matrix& DrqnQNetwork::forward_batch_sparse(
-    const std::vector<SparseRowMatrix>& timestep_major_batch) {
-  DRCELL_CHECK_MSG(timestep_major_batch.size() == history_steps_,
-                   "sequence length mismatch");
-  return head_.forward(lstm_.forward(timestep_major_batch));
-}
-
 const Matrix& DrqnQNetwork::forward_batch_columns(
     const std::vector<SparseRowMatrix>& timestep_major_batch,
     const ActionColumns& columns) {
   DRCELL_CHECK_MSG(timestep_major_batch.size() == history_steps_,
                    "sequence length mismatch");
-  // Only the m-wide output projection is restricted to the candidate
+  // Only the m-wide output projection is restricted to the listed
   // columns; the LSTM runs in full.
   return head_.forward_columns(lstm_.forward(timestep_major_batch), columns);
 }

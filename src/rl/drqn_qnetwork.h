@@ -18,12 +18,9 @@ class DrqnQNetwork final : public QNetwork {
       const std::vector<Matrix>& timestep_major_batch) override;
   void backward(const Matrix& grad_q) override;
 
-  /// Metro-tier fast paths: gather-GEMM LSTM input (bit-identical to the
-  /// dense forward — see nn/lstm.h) and the candidate-restricted Q head
-  /// (the output Dense evaluated only at each sample's candidate columns).
-  const Matrix& forward_batch_sparse(
-      const std::vector<SparseRowMatrix>& timestep_major_batch) override;
-  bool supports_action_columns() const override { return true; }
+  /// The training pair: gather-GEMM LSTM input (bit-identical to the
+  /// dense forward — see nn/lstm.h) and the column-restricted Q head (the
+  /// output Dense evaluated only at each sample's listed columns).
   const Matrix& forward_batch_columns(
       const std::vector<SparseRowMatrix>& timestep_major_batch,
       const ActionColumns& columns) override;

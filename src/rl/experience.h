@@ -14,7 +14,8 @@
 // This is the input form only: DqnTrainer::observe encodes either state
 // representation into the replay buffer's sparse EncodedExperience
 // (rl/replay_buffer.h) and drops the vectors, so the two representations
-// train bit-identically.
+// train bit-identically. Either way a train step evaluates the target Q
+// head only at the bootstrap actions (DqnTrainer::train_step_on_indices).
 #pragma once
 
 #include <cstdint>
@@ -37,9 +38,9 @@ struct Experience {
   std::vector<std::uint32_t> state_ones;       ///< S's 1.0 entries
   std::vector<std::uint32_t> next_state_ones;  ///< S''s 1.0 entries
   /// Candidate actions at S' (ascending cell ids, a subset of the allowed
-  /// actions). Non-empty: the bootstrap argmax is restricted to it and
-  /// `next_mask` may be left empty. Empty: full action space via
-  /// `next_mask` as before.
+  /// actions). Non-empty: the bootstrap argmax runs over them and
+  /// `next_mask` may be left empty. Empty: it runs over the actions
+  /// `next_mask` allows, which must be at least one unless `terminal`.
   std::vector<std::uint32_t> next_candidates;
 };
 

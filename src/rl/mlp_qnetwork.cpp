@@ -1,24 +1,37 @@
 #include "rl/mlp_qnetwork.h"
 
 #include "nn/activations.h"
-#include "nn/dense.h"
 
 namespace drcell::rl {
+
+namespace {
+
+/// The hidden Dense + ReLU layers, drawn in order from `rng`.
+nn::Sequential make_hidden(std::size_t in,
+                           const std::vector<std::size_t>& hidden_sizes,
+                           Rng& rng) {
+  nn::Sequential hidden;
+  for (std::size_t h : hidden_sizes) {
+    DRCELL_CHECK(h > 0);
+    hidden.emplace<nn::Dense>(in, h, rng);
+    hidden.emplace<nn::ReLU>();
+    in = h;
+  }
+  return hidden;
+}
+
+}  // namespace
 
 MlpQNetwork::MlpQNetwork(std::size_t num_cells, std::size_t history_steps,
                          std::vector<std::size_t> hidden_sizes, Rng& rng)
     : num_cells_(num_cells),
       history_steps_(history_steps),
-      hidden_sizes_(std::move(hidden_sizes)) {
+      hidden_sizes_(std::move(hidden_sizes)),
+      hidden_(make_hidden(num_cells * history_steps, hidden_sizes_, rng)),
+      head_(hidden_sizes_.empty() ? num_cells * history_steps
+                                  : hidden_sizes_.back(),
+            num_cells, rng) {
   DRCELL_CHECK(num_cells_ > 0 && history_steps_ > 0);
-  std::size_t in = num_cells_ * history_steps_;
-  for (std::size_t h : hidden_sizes_) {
-    DRCELL_CHECK(h > 0);
-    net_.emplace<nn::Dense>(in, h, rng);
-    net_.emplace<nn::ReLU>();
-    in = h;
-  }
-  net_.emplace<nn::Dense>(in, num_cells_, rng);
 }
 
 const Matrix& MlpQNetwork::flatten(const std::vector<Matrix>& sequence) {
@@ -36,13 +49,26 @@ const Matrix& MlpQNetwork::flatten(const std::vector<Matrix>& sequence) {
   return flat_ws_;
 }
 
-const Matrix& MlpQNetwork::forward_batch(
-    const std::vector<Matrix>& timestep_major_batch) {
-  return net_.forward(flatten(timestep_major_batch));
+const Matrix& MlpQNetwork::hidden_forward(const Matrix& flat) {
+  return hidden_.layer_count() > 0 ? hidden_.forward(flat) : flat;
 }
 
-const Matrix& MlpQNetwork::forward_batch_sparse(
-    const std::vector<SparseRowMatrix>& timestep_major_batch) {
+void MlpQNetwork::hidden_backward(const Matrix& grad_hidden) {
+  if (hidden_.layer_count() > 0) (void)hidden_.backward(grad_hidden);
+}
+
+const Matrix& MlpQNetwork::forward_batch(
+    const std::vector<Matrix>& timestep_major_batch) {
+  return head_.forward(hidden_forward(flatten(timestep_major_batch)));
+}
+
+void MlpQNetwork::backward(const Matrix& grad_q) {
+  hidden_backward(head_.backward(grad_q));
+}
+
+const Matrix& MlpQNetwork::forward_batch_columns(
+    const std::vector<SparseRowMatrix>& timestep_major_batch,
+    const ActionColumns& columns) {
   DRCELL_CHECK_MSG(timestep_major_batch.size() == history_steps_,
                    "sequence length mismatch");
   const std::size_t batch = timestep_major_batch.front().rows();
@@ -57,24 +83,32 @@ const Matrix& MlpQNetwork::forward_batch_sparse(
         flat_ws_(b, t * num_cells_ + cols[e]) = vals[e];
     }
   }
-  return net_.forward(flat_ws_);
+  return head_.forward_columns(hidden_forward(flat_ws_), columns);
 }
 
-void MlpQNetwork::backward(const Matrix& grad_q) { net_.backward(grad_q); }
+void MlpQNetwork::backward_columns(const Matrix& grad_columns,
+                                   const ActionColumns& columns) {
+  hidden_backward(head_.backward_columns(grad_columns, columns));
+}
 
 Matrix MlpQNetwork::forward_reference(const std::vector<Matrix>& sequence) {
   // Pre-refactor behaviour: the flattened window is a fresh allocation per
   // call, and every layer allocates its output.
-  Matrix flat = flatten(sequence);
-  return net_.forward_reference(flat);
+  Matrix x = flatten(sequence);
+  if (hidden_.layer_count() > 0) x = hidden_.forward_reference(x);
+  return head_.forward_reference(x);
 }
 
 void MlpQNetwork::backward_reference(const Matrix& grad_q) {
-  (void)net_.backward_reference(grad_q);
+  const Matrix grad_hidden = head_.backward_reference(grad_q);
+  if (hidden_.layer_count() > 0) (void)hidden_.backward_reference(grad_hidden);
 }
 
 std::vector<nn::Parameter*> MlpQNetwork::parameters() {
-  return net_.parameters();
+  auto ps = hidden_.parameters();
+  const auto head_ps = head_.parameters();
+  ps.insert(ps.end(), head_ps.begin(), head_ps.end());
+  return ps;
 }
 
 std::unique_ptr<QNetwork> MlpQNetwork::clone_architecture(Rng& rng) const {

@@ -3,6 +3,7 @@
 // against in the network-architecture ablation.
 #pragma once
 
+#include "nn/dense.h"
 #include "nn/sequential.h"
 #include "rl/qnetwork.h"
 
@@ -16,11 +17,15 @@ class MlpQNetwork final : public QNetwork {
 
   const Matrix& forward_batch(
       const std::vector<Matrix>& timestep_major_batch) override;
-  /// Scatters the sparse steps into the flat window — the same matrix
-  /// flatten() builds from the densified steps — then runs the dense MLP.
-  const Matrix& forward_batch_sparse(
-      const std::vector<SparseRowMatrix>& timestep_major_batch) override;
   void backward(const Matrix& grad_q) override;
+  /// Scatters the sparse steps into the flat window — the same matrix
+  /// flatten() builds from the densified steps — runs the hidden stack,
+  /// and evaluates the output layer only at the listed columns.
+  const Matrix& forward_batch_columns(
+      const std::vector<SparseRowMatrix>& timestep_major_batch,
+      const ActionColumns& columns) override;
+  void backward_columns(const Matrix& grad_columns,
+                        const ActionColumns& columns) override;
   Matrix forward_reference(const std::vector<Matrix>& sequence) override;
   void backward_reference(const Matrix& grad_q) override;
   std::vector<nn::Parameter*> parameters() override;
@@ -31,11 +36,18 @@ class MlpQNetwork final : public QNetwork {
 
  private:
   const Matrix& flatten(const std::vector<Matrix>& sequence);
+  /// The hidden stack's output, or the flat window itself when there are
+  /// no hidden layers.
+  const Matrix& hidden_forward(const Matrix& flat);
+  void hidden_backward(const Matrix& grad_hidden);
 
   std::size_t num_cells_;
   std::size_t history_steps_;
   std::vector<std::size_t> hidden_sizes_;
-  nn::Sequential net_;
+  // Declared (so drawn) before head_: the Xavier draw order and the
+  // parameters() order are the hidden layers', then the head's.
+  nn::Sequential hidden_;
+  nn::Dense head_;
   Matrix flat_ws_;  // [batch x k·m] flattened window, reused across calls
 };
 

@@ -2,14 +2,20 @@
 // dense DQN (the ablation baseline of Sec. 4.3: "one common way is using
 // dense layers") implement this interface, so one trainer serves both.
 //
-// The interface is batch-major: the primitive is forward_batch over a
-// timestep-major batch (k matrices, each [batch x m] — all samples' step-t
-// selection vectors stacked), and the per-sample forward() is simply the
-// B = 1 case. Implementations must uphold the batched determinism contract
-// (see nn/layer.h): row b of the batched Q output is bit-identical to a
-// B = 1 forward of sample b, and backward() accumulates parameter
-// gradients in ascending batch-row order so batched training replays a
-// per-sample loop addition for addition.
+// The interface is batch-major over a timestep-major batch (k matrices,
+// each [batch x m] — all samples' step-t selection vectors stacked). It has
+// two forward/backward pairs:
+//  * forward_batch / backward, full width over dense steps: action
+//    selection (DqnTrainer::select_action, the scheduler's batched DECIDE
+//    phase) and the dense bench floors; forward() is the B = 1 case;
+//  * forward_batch_columns / backward_columns, over sparse steps with the
+//    Q head evaluated only at listed actions: the one training pair
+//    (every DqnTrainer train step) and candidate-subset action selection.
+// Implementations must uphold the batched determinism contract (see
+// nn/layer.h): row b of the batched Q output is bit-identical to a B = 1
+// forward of sample b, both pairs agree entry for entry, and the backward
+// passes accumulate parameter gradients in ascending batch-row order so
+// batched training replays a per-sample loop addition for addition.
 #pragma once
 
 #include <cstdint>
@@ -52,38 +58,19 @@ class QNetwork {
   virtual void backward(const Matrix& grad_q) = 0;
 
   /// The training forward: the same timestep-major layout with the
-  /// near-one-hot steps stored sparse (the replay buffer's minibatch form).
-  /// Must return values bit-identical to forward_batch on the densified
-  /// steps; backward() then applies to it as to forward_batch.
-  virtual const Matrix& forward_batch_sparse(
-      const std::vector<SparseRowMatrix>& timestep_major_batch) = 0;
-
-  /// Candidate-column fast path (metro tier). The column-restricted pair
-  /// evaluates/backpropagates the Q head only at each sample's candidate
-  /// actions: forward_batch_columns returns [batch x max_width] (row i's
-  /// entries past columns[i].size() are padding) and every evaluated entry
-  /// is bit-identical to the corresponding full forward_batch entry;
-  /// backward_columns takes the matching gradient layout. Networks that do
-  /// not implement it keep the default supports_action_columns() = false
-  /// and the default bodies throw.
-  virtual bool supports_action_columns() const { return false; }
+  /// near-one-hot steps stored sparse (the replay buffer's minibatch form),
+  /// and the Q head evaluated only at each sample's listed actions
+  /// (strictly ascending ids). Returns [batch x max_width]: row i's entries
+  /// past columns[i].size() are padding, and every evaluated entry is
+  /// bit-identical to the corresponding entry of forward_batch on the
+  /// densified steps. backward_columns takes the matching gradient layout
+  /// and accumulates exactly the parameter gradients of a full backward()
+  /// whose gradient is zero off the listed columns.
   virtual const Matrix& forward_batch_columns(
       const std::vector<SparseRowMatrix>& timestep_major_batch,
-      const ActionColumns& columns) {
-    (void)timestep_major_batch;
-    (void)columns;
-    ::drcell::detail::check_failed("supports_action_columns()", __FILE__,
-                                   __LINE__,
-                                   name() + " has no candidate-column path");
-  }
+      const ActionColumns& columns) = 0;
   virtual void backward_columns(const Matrix& grad_columns,
-                                const ActionColumns& columns) {
-    (void)grad_columns;
-    (void)columns;
-    ::drcell::detail::check_failed("supports_action_columns()", __FILE__,
-                                   __LINE__,
-                                   name() + " has no candidate-column path");
-  }
+                                const ActionColumns& columns) = 0;
 
   /// Retained pre-batching reference path (the benchmark floor the batched
   /// engine is gated against, per the repo's retained-naive-reference

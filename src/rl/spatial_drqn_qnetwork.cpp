@@ -122,18 +122,9 @@ const Matrix& SpatialDrqnQNetwork::forward_batch(
   return q_full_ws_;
 }
 
-const Matrix& SpatialDrqnQNetwork::forward_batch_sparse(
-    const std::vector<SparseRowMatrix>& timestep_major_batch) {
-  DRCELL_CHECK_MSG(timestep_major_batch.size() == history_steps_,
-                   "sequence length mismatch");
-  const Matrix& q = forward_query(lstm_.forward(project(timestep_major_batch)));
-  q.matmul_transposed_other_into(phi_, q_full_ws_);
-  return q_full_ws_;
-}
-
 void SpatialDrqnQNetwork::backward(const Matrix& grad_q) {
-  // dquery = grad_q · Φ; the TD gradient is zero off the taken actions and
-  // the matmul kernel skips those terms, so this costs O(nonzero · d).
+  // dquery = grad_q · Φ; the matmul kernel skips zero gradient entries, so
+  // a gradient that is zero off a few actions costs O(nonzero · d).
   grad_q.matmul_into(phi_, dquery_ws_);
   lstm_.backward(query_.backward(dquery_ws_));
 }

@@ -54,9 +54,6 @@ class SpatialDrqnQNetwork final : public QNetwork {
       const std::vector<Matrix>& timestep_major_batch) override;
   void backward(const Matrix& grad_q) override;
 
-  const Matrix& forward_batch_sparse(
-      const std::vector<SparseRowMatrix>& timestep_major_batch) override;
-  bool supports_action_columns() const override { return true; }
   const Matrix& forward_batch_columns(
       const std::vector<SparseRowMatrix>& timestep_major_batch,
       const ActionColumns& columns) override;

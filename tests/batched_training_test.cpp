@@ -288,6 +288,67 @@ TEST(BatchedTrainStep, SpatialDrqnMatchesReferenceBitIdentically) {
   expect_train_step_matches_reference(Net::kSpatialDrqn, 3);
 }
 
+/// One minibatch mixes every kind of bootstrap row the update handles:
+/// covering candidates (the allowed actions, next_mask dropped), genuine
+/// candidate subsets of ragged width, mask-only rows and terminal rows.
+/// The batched step evaluates the target head at each row's own columns
+/// and must still match the per-sample reference, which bootstraps from
+/// full-width B=1 forwards, loss for loss and parameter for parameter.
+void expect_mixed_bootstrap_rows_match_reference(Net net,
+                                                 std::size_t workers) {
+  const std::size_t cells = 6, k = 2;
+  rl::DqnOptions opt;
+  opt.batch_size = 10;
+  opt.min_replay = 10;
+  opt.replay_capacity = 64;
+  opt.target_sync_interval = 3;
+
+  rl::DqnTrainer batched(make_qnet(net, 13), opt, 5);
+  rl::DqnTrainer reference(make_qnet(net, 13), opt, 5);
+  util::ThreadPool pool(workers);
+  batched.set_thread_pool(&pool);
+
+  Rng fill(17);
+  for (int i = 0; i < 48; ++i) {
+    rl::Experience e = random_experience(cells, k, fill);
+    e.terminal = i % 4 == 3;
+    if (i % 4 == 0) {
+      for (std::uint32_t c = 0; c < cells; ++c)
+        if (e.next_mask[c]) e.next_candidates.push_back(c);
+      e.next_mask.clear();
+    } else if (i % 4 == 1) {
+      for (std::uint32_t c = 0; c < cells; ++c)
+        if (fill.bernoulli(0.4)) e.next_candidates.push_back(c);
+      if (e.next_candidates.empty()) e.next_candidates.push_back(4);
+    }
+    rl::Experience copy = e;
+    batched.observe(std::move(e));
+    reference.observe(std::move(copy));
+  }
+
+  Rng draw(19);
+  for (int step = 0; step < 12; ++step) {
+    std::vector<std::size_t> indices;
+    for (std::size_t i = 0; i < opt.batch_size; ++i)
+      indices.push_back(draw.uniform_index(48));
+    const double loss_batched = batched.train_step_on_indices(indices);
+    const double loss_reference =
+        reference.train_step_reference_on_indices(indices);
+    ASSERT_EQ(loss_batched, loss_reference) << "step " << step;
+  }
+  const auto pa = batched.online().parameters();
+  const auto pb = reference.online().parameters();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i)
+    EXPECT_EQ(pa[i]->value, pb[i]->value) << "param " << i;
+}
+
+TEST(BatchedTrainStep, MixedBootstrapRowsMatchReferenceBitIdentically) {
+  for (const Net net : {Net::kMlp, Net::kDrqn, Net::kSpatialDrqn})
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{3}})
+      expect_mixed_bootstrap_rows_match_reference(net, workers);
+}
+
 /// Ascending flat indices of the 1.0 entries of a 0/1 state vector.
 std::vector<std::uint32_t> ones_of(const std::vector<double>& flat) {
   std::vector<std::uint32_t> ones;

@@ -31,6 +31,15 @@ DrCellConfig fast_config(std::size_t history = 2) {
   return config;
 }
 
+/// Q-values of every action at the state whose 1.0 entries are `ones`.
+std::vector<double> all_q_values(DrCellAgent& agent, std::size_t cells,
+                                 const std::vector<std::uint32_t>& ones) {
+  std::vector<std::uint32_t> actions(cells);
+  for (std::size_t a = 0; a < cells; ++a)
+    actions[a] = static_cast<std::uint32_t>(a);
+  return agent.trainer().candidate_q_values(ones, actions);
+}
+
 TEST(DrCellAgent, ConstructionAndGreedyAction) {
   DrCellAgent agent(5, fast_config());
   const std::vector<double> state(10, 0.0);
@@ -58,11 +67,8 @@ TEST(DrCellAgent, WeightRoundTripPreservesPolicy) {
   b.load_weights(ss);
 
   // Same weights -> identical Q-values everywhere we probe.
-  for (int probe = 0; probe < 5; ++probe) {
-    std::vector<double> state(10, 0.0);
-    state[probe] = 1.0;
-    EXPECT_EQ(a.trainer().q_values(state), b.trainer().q_values(state));
-  }
+  for (std::uint32_t probe = 0; probe < 5; ++probe)
+    EXPECT_EQ(all_q_values(a, 5, {probe}), all_q_values(b, 5, {probe}));
 }
 
 TEST(DrCellAgent, CopyWeightsToMatchesSerialisation) {
@@ -71,8 +77,7 @@ TEST(DrCellAgent, CopyWeightsToMatchesSerialisation) {
   cfg.seed = 77;
   DrCellAgent b(4, cfg);
   a.copy_weights_to(b);
-  const std::vector<double> state(8, 0.0);
-  EXPECT_EQ(a.trainer().q_values(state), b.trainer().q_values(state));
+  EXPECT_EQ(all_q_values(a, 4, {}), all_q_values(b, 4, {}));
 }
 
 TEST(Trainer, EnvironmentFactoryChecksConsistency) {

@@ -175,6 +175,62 @@ TEST(DqnTrainer, RejectsReplayRingSmallerThanWarmup) {
                              opt, 6));
 }
 
+/// A well-formed non-terminal 3-cell transition with a full-width mask.
+Experience three_cell_transition() {
+  Experience e;
+  e.state = {1.0, 0.0, 0.0};
+  e.action = 1;
+  e.reward = 0.5;
+  e.next_state = {0.0, 1.0, 0.0};
+  e.next_mask = {1, 0, 1};
+  return e;
+}
+
+TEST(DqnTrainer, CandidateTrainingRejectsTransitionWithoutCandidates) {
+  // Declared candidate training bootstraps over stored candidates; a
+  // non-terminal transition without them is rejected at observe(), before
+  // it can reach the replay pool.
+  Rng rng(13);
+  DqnOptions opt = fast_options();
+  opt.candidate_training = true;
+  DqnTrainer trainer(
+      std::make_unique<MlpQNetwork>(3, 1, std::vector<std::size_t>{8}, rng),
+      opt, 14);
+  EXPECT_THROW(trainer.observe(three_cell_transition()), CheckError);
+  EXPECT_EQ(trainer.replay().size(), 0u);
+
+  Experience with_candidates = three_cell_transition();
+  with_candidates.next_candidates = {0, 2};
+  EXPECT_NO_THROW(trainer.observe(std::move(with_candidates)));
+  Experience terminal = three_cell_transition();
+  terminal.terminal = true;
+  EXPECT_NO_THROW(trainer.observe(std::move(terminal)));
+  EXPECT_EQ(trainer.replay().size(), 2u);
+}
+
+TEST(DqnTrainer, RejectsNonTerminalTransitionWithNoAllowedAction) {
+  // A non-terminal transition must have an action to bootstrap over: an
+  // all-zero or missing next_mask without candidates is rejected, while a
+  // terminal transition may carry either.
+  Rng rng(15);
+  DqnTrainer trainer(
+      std::make_unique<MlpQNetwork>(3, 1, std::vector<std::size_t>{8}, rng),
+      fast_options(), 16);
+  Experience dead_end = three_cell_transition();
+  dead_end.next_mask = {0, 0, 0};
+  EXPECT_THROW(trainer.observe(dead_end), CheckError);
+  Experience no_mask = three_cell_transition();
+  no_mask.next_mask.clear();
+  EXPECT_THROW(trainer.observe(no_mask), CheckError);
+  EXPECT_EQ(trainer.replay().size(), 0u);
+
+  dead_end.terminal = true;
+  EXPECT_NO_THROW(trainer.observe(std::move(dead_end)));
+  no_mask.terminal = true;
+  EXPECT_NO_THROW(trainer.observe(std::move(no_mask)));
+  EXPECT_EQ(trainer.replay().size(), 2u);
+}
+
 /// Contextual bandit: cells 0..2, reward 1 when the action matches the cell
 /// flagged in the (single-step) state, else 0. Q-learning with gamma = 0
 /// must learn the identity policy.
@@ -274,7 +330,9 @@ TEST(DqnTrainer, TerminalTransitionsDoNotBootstrap) {
     trainer.observe(std::move(e));
   }
   for (int i = 0; i < 200; ++i) trainer.train_step();
-  const auto q = trainer.q_values({1.0, 0.0});
+  // Q(state {1, 0}, action 0): the state's one 1.0 entry is index 0.
+  const auto q = trainer.candidate_q_values(std::vector<std::uint32_t>{0},
+                                            std::vector<std::uint32_t>{0});
   EXPECT_NEAR(q[0], 0.5, 0.05);
 }
 

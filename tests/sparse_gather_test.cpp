@@ -5,11 +5,11 @@
 //    the densified operand — the dense kernels accumulate each output
 //    element in ascending-k order and skip zero terms, and the gather
 //    replays exactly those additions in exactly that order;
-//  * the candidate-restricted Q head scores every candidate bit-identically
-//    to the full forward, so the candidate argmax equals the full masked
-//    argmax whenever the candidates cover the allowed actions — and under
-//    covering candidates a whole candidate train step matches the full
-//    batched train step parameter for parameter;
+//  * the column-restricted Q head scores every listed column
+//    bit-identically to the full forward, so the candidate argmax equals
+//    the full masked argmax whenever the candidates cover the allowed
+//    actions — and a train step on covering candidates matches one on the
+//    equivalent next_mask parameter for parameter;
 //  * the candidate-set generator degenerates to the exact action space in
 //    the covering case and otherwise returns a deterministic, strictly
 //    ascending subset of the unsensed cells.
@@ -225,7 +225,17 @@ TEST(SparseGather, LstmDensityFallbackStillMatchesDense) {
     EXPECT_EQ(pa[i]->grad, pb[i]->grad) << "param " << i;
 }
 
+/// Every action, for every batch row: the full-cover column list.
+rl::ActionColumns all_columns(std::size_t batch, std::size_t cells) {
+  std::vector<std::uint32_t> all(cells);
+  for (std::size_t c = 0; c < cells; ++c)
+    all[c] = static_cast<std::uint32_t>(c);
+  return rl::ActionColumns(batch, all);
+}
+
 TEST(SparseGather, DrqnForwardBatchSparseBitIdentical) {
+  // The sparse training forward at full cover reproduces the dense
+  // forward's whole Q matrix.
   for (std::size_t batch : {std::size_t{1}, std::size_t{32}}) {
     Rng rng_a(11), rng_b(11);
     rl::DrqnQNetwork dense_net(15, 3, 8, rng_a);
@@ -233,7 +243,8 @@ TEST(SparseGather, DrqnForwardBatchSparseBitIdentical) {
     Rng data_rng(400 + batch);
     const auto seq = random_batch(3, batch, 15, true, 0.0, data_rng);
     EXPECT_EQ(dense_net.forward_batch(seq),
-              sparse_net.forward_batch_sparse(to_sparse_batch(seq)))
+              sparse_net.forward_batch_columns(to_sparse_batch(seq),
+                                               all_columns(batch, 15)))
         << "batch=" << batch;
   }
 }
@@ -296,7 +307,7 @@ TEST(SparseGather, BackwardColumnsMatchesScatteredFullBackward) {
 
   for (auto* p : full.parameters()) p->zero_grad();
   for (auto* p : restricted.parameters()) p->zero_grad();
-  full.forward_batch_sparse(sseq);
+  full.forward_batch(seq);
   full.backward(grad_full);
   restricted.forward_batch_columns(sseq, columns);
   restricted.backward_columns(grad_cols, columns);
@@ -339,8 +350,10 @@ TEST(CandidateActions, GreedyArgmaxEqualsFullMaskedArgmaxWhenCovering) {
       mask[5] = 1;
       candidates.push_back(5);
     }
-    EXPECT_EQ(trainer.greedy_action(state, mask),
-              trainer.greedy_action_candidates(ones, candidates))
+    const std::vector<double> qs = trainer.candidate_q_values(ones, candidates);
+    const std::size_t best = static_cast<std::size_t>(
+        std::max_element(qs.begin(), qs.end()) - qs.begin());
+    EXPECT_EQ(trainer.greedy_action(state, mask), candidates[best])
         << "trial " << trial;
   }
 }
@@ -371,12 +384,11 @@ rl::Experience random_sparse_experience(std::size_t cells, std::size_t k,
 }
 
 TEST(CandidateActions, CoveringCandidateTrainStepMatchesFullBitIdentically) {
-  // Two identically seeded trainers over the same minibatches: one trains
-  // full-width (next_mask bootstrap, full Q head + masked loss), one on
-  // candidate subsets that exactly cover the allowed actions. The covering
-  // contract: losses and post-update parameters bit-identical — candidate
-  // training changes the trajectory distribution only, never the
-  // arithmetic.
+  // Two identically seeded trainers over the same minibatches: one
+  // bootstraps over each transition's next_mask, one over candidate
+  // subsets that exactly cover the allowed actions. The covering contract:
+  // losses and post-update parameters bit-identical — candidate training
+  // changes the trajectory distribution only, never the arithmetic.
   const std::size_t cells = 12, k = 2;
   rl::DqnOptions opt;
   opt.batch_size = 8;
@@ -611,11 +623,13 @@ TEST(FillTimestepMajorSparse, RingOverwriteInvalidatesCachedRows) {
 TEST(CandidateActions, CandidateQValuesMatchFullForwardAndGreedyArgmax) {
   // candidate_q_values must hand back exactly the scores the greedy
   // candidate path argmaxes over — bit-identical to the full forward's
-  // entries at the candidate columns, with the argmax agreeing with
-  // greedy_action_candidates (same first-max tie-break).
+  // entries at the candidate columns, with the argmax agreeing with the
+  // dense greedy_action over the candidates as its mask (same first-max
+  // tie-break).
   const std::size_t cells = 14, k = 2;
   rl::DqnOptions opt;
   rl::DqnTrainer trainer(make_drqn(cells, k, 33), opt, 47);
+  const mcs::StateEncoder encoder(cells, k);
   Rng rng(53);
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<double> state(k * cells, 0.0);
@@ -632,13 +646,16 @@ TEST(CandidateActions, CandidateQValuesMatchFullForwardAndGreedyArgmax) {
 
     const std::vector<double> qs = trainer.candidate_q_values(ones, candidates);
     ASSERT_EQ(qs.size(), candidates.size()) << "trial " << trial;
-    const std::vector<double> full = trainer.q_values(state);
+    const Matrix full =
+        trainer.online().forward(encoder.to_sequence_batch({&state}));
     for (std::size_t j = 0; j < candidates.size(); ++j)
-      EXPECT_EQ(qs[j], full[candidates[j]]) << "trial " << trial << " j=" << j;
+      EXPECT_EQ(qs[j], full(0, candidates[j]))
+          << "trial " << trial << " j=" << j;
+    std::vector<std::uint8_t> mask(cells, 0);
+    for (const std::uint32_t c : candidates) mask[c] = 1;
     const std::size_t best = static_cast<std::size_t>(
         std::max_element(qs.begin(), qs.end()) - qs.begin());
-    EXPECT_EQ(candidates[best],
-              trainer.greedy_action_candidates(ones, candidates))
+    EXPECT_EQ(candidates[best], trainer.greedy_action(state, mask))
         << "trial " << trial;
   }
 }
@@ -653,7 +670,6 @@ TEST(CandidateActions, OutOfRangeCandidateIdsAreRejected) {
   const std::vector<std::uint32_t> ones = {3, cells + 5};
   const std::vector<std::uint32_t> bad = {2, 7, cells};
   EXPECT_THROW(trainer.candidate_q_values(ones, bad), CheckError);
-  EXPECT_THROW(trainer.greedy_action_candidates(ones, bad), CheckError);
   const std::size_t steps = trainer.env_steps();
   EXPECT_THROW(trainer.select_action_candidates(ones, bad), CheckError);
   EXPECT_EQ(trainer.env_steps(), steps);
@@ -679,7 +695,7 @@ TEST(SpatialDrqn, TrainerRejectsOutOfRangeCandidateIds) {
   EXPECT_THROW(trainer.candidate_q_values(ones, std::vector<std::uint32_t>{
                                                     5, 36}),
                CheckError);
-  EXPECT_THROW(trainer.greedy_action_candidates(
+  EXPECT_THROW(trainer.select_action_candidates(
                    ones, std::vector<std::uint32_t>{1000}),
                CheckError);
 }
@@ -699,8 +715,6 @@ TEST(SpatialDrqn, TrainerRejectsInvalidStateOnes) {
       {1, 7, 40}, {1, 12}, {7, 1}, {3, 3}};
   for (const auto& ones : bad_states) {
     EXPECT_THROW(trainer.candidate_q_values(ones, candidates), CheckError);
-    EXPECT_THROW(trainer.greedy_action_candidates(ones, candidates),
-                 CheckError);
     const std::size_t steps = trainer.env_steps();
     EXPECT_THROW(trainer.select_action_candidates(ones, candidates),
                  CheckError);
@@ -742,8 +756,9 @@ TEST(SpatialDrqn, FeatureMatrixShapeAndCountColumn) {
 }
 
 TEST(SpatialDrqn, SparseForwardBitIdenticalToDense) {
-  // The x·Φ trunk projection is the sparse gather-GEMM; both input paths
-  // must produce bit-identical Q over all cells. Exercised with one-hot
+  // The x·Φ trunk projection is the sparse gather-GEMM; the sparse
+  // training forward at full cover must reproduce the dense forward's Q
+  // over all cells bit for bit. Exercised with one-hot
   // selection rows and mixed-density rows, and with both query heads
   // (direct map and ReLU hidden layer).
   for (std::size_t query_hidden : {std::size_t{0}, std::size_t{7}}) {
@@ -755,7 +770,8 @@ TEST(SpatialDrqn, SparseForwardBitIdenticalToDense) {
         Rng data_rng(600 + batch + (one_hot ? 1 : 0));
         const auto seq = random_batch(2, batch, 30, one_hot, 0.15, data_rng);
         EXPECT_EQ(dense_net.forward_batch(seq),
-                  sparse_net.forward_batch_sparse(to_sparse_batch(seq)))
+                  sparse_net.forward_batch_columns(to_sparse_batch(seq),
+                                                   all_columns(batch, 30)))
             << "qh=" << query_hidden << " batch=" << batch
             << " one_hot=" << one_hot;
       }
@@ -821,7 +837,7 @@ TEST(SpatialDrqn, BackwardColumnsMatchesScatteredFullBackward) {
 
   for (auto* p : full.parameters()) p->zero_grad();
   for (auto* p : restricted.parameters()) p->zero_grad();
-  full.forward_batch_sparse(sseq);
+  full.forward_batch(seq);
   full.backward(grad_full);
   restricted.forward_batch_columns(sseq, columns);
   restricted.backward_columns(grad_cols, columns);
@@ -897,7 +913,6 @@ TEST(SpatialDrqn, CloneArchitectureMatchesShapes) {
   EXPECT_EQ(clone->num_actions(), net.num_actions());
   EXPECT_EQ(clone->history_steps(), net.history_steps());
   EXPECT_EQ(clone->name(), net.name());
-  EXPECT_TRUE(clone->supports_action_columns());
   const auto pa = net.parameters();
   const auto pb = clone->parameters();
   ASSERT_EQ(pa.size(), pb.size());
@@ -910,8 +925,10 @@ TEST(SpatialDrqn, CloneArchitectureMatchesShapes) {
 TEST(SpatialDrqn, TrainerGreedyCandidatesAgreeWithCandidateQValues) {
   // The pairing the metro example's D4-averaged selector depends on: with
   // the spatial network under the trainer, candidate_q_values scores the
-  // same restricted forward greedy_action_candidates argmaxes over.
+  // same restricted forward select_action_candidates argmaxes over (at
+  // exploration rate 0).
   rl::DqnOptions opt;
+  opt.epsilon = rl::EpsilonSchedule(0.0, 0.0, 1);
   Rng net_rng(71);
   rl::DqnTrainer trainer(
       std::make_unique<rl::SpatialDrqnQNetwork>(6, 6, 2, 8, 2, 0, net_rng),
@@ -935,7 +952,7 @@ TEST(SpatialDrqn, TrainerGreedyCandidatesAgreeWithCandidateQValues) {
     const std::size_t best = static_cast<std::size_t>(
         std::max_element(qs.begin(), qs.end()) - qs.begin());
     EXPECT_EQ(candidates[best],
-              trainer.greedy_action_candidates(ones, candidates))
+              trainer.select_action_candidates(ones, candidates))
         << "trial " << trial;
   }
 }

@@ -5,7 +5,10 @@ Builds every example, every bench and perfbench with
 -ffunction-sections -fdata-sections and links them with -Wl,--gc-sections,
 so each binary keeps only the functions its entry point can reach. Then it
 lists the drcell:: functions defined in libdrcell.a that none of those
-binaries contains: code that only the tests keep alive.
+binaries contains: code that only the tests keep alive. A second list
+names the functions that bench binaries link but no example and not
+perfbench does: code that only bench floors and bench-local references keep
+alive.
 
 The build is Debug (-O0), so a function the optimiser would inline into
 every caller still shows up as reached rather than as a false positive. A
@@ -103,8 +106,12 @@ def main():
 
     library = defined_functions(os.path.join(main_dir, "libdrcell.a"))
     linked = set()
+    linked_outside_benches = set()
     for b in binaries:
-        linked.update(defined_functions(b))
+        functions = defined_functions(b)
+        linked.update(functions)
+        if not os.path.basename(b).startswith("bench_"):
+            linked_outside_benches.update(functions)
 
     ours = sorted(m for m in library if DRCELL_SYMBOL.match(m))
     names = demangle(ours)
@@ -112,19 +119,33 @@ def main():
     # D0/D1/D2) with one demangled name; list each function once.
     total = {names[m] for m in ours}
     reached = {names[m] for m in ours if m in linked}
+    reached_outside_benches = {names[m] for m in ours
+                               if m in linked_outside_benches}
     unreached = sorted({(library[m], names[m]) for m in ours
                         if names[m] not in reached})
+    bench_only = sorted({(library[m], names[m]) for m in ours
+                         if names[m] in reached and
+                         names[m] not in reached_outside_benches})
 
     print("reachability: %d of %d drcell:: functions in libdrcell.a are in "
           "none of the %d production binaries (examples, benches, perfbench)"
           % (len(unreached), len(total), len(binaries)))
+    print_grouped(unreached)
+    print("reachability: %d of %d drcell:: functions are in a bench binary "
+          "but in no example and not in perfbench"
+          % (len(bench_only), len(total)))
+    print_grouped(bench_only)
+    return 0
+
+
+def print_grouped(functions):
+    """Prints (object, name) pairs as one object header per run of names."""
     member = None
-    for obj, name in unreached:
+    for obj, name in functions:
         if obj != member:
             member = obj
             print(obj)
         print("  " + name)
-    return 0
 
 
 if __name__ == "__main__":
