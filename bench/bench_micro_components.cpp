@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "pre_refactor_drqn.h"
 #include "linalg/sparse_matrix.h"
 #include "cs/committee.h"
 #include "cs/knn_inference.h"
@@ -547,13 +548,15 @@ void bench_lstm_gate(bench::JsonReporter& report, bool quick) {
 
 /// Paper-scale DRQN trainer (57 cells, k = 2, 64 LSTM units, batch 32 —
 /// the Sensor-Scope configuration of Sec. 5.3) over a 512-transition pool.
+/// `Net` is rl::DrqnQNetwork, or bench::PreRefactorDrqn for the floor.
+template <typename Net>
 rl::DqnTrainer make_paper_scale_trainer(std::uint64_t net_seed) {
   Rng net_rng(net_seed);
   rl::DqnOptions options;
   options.batch_size = 32;
   options.min_replay = 32;
-  rl::DqnTrainer trainer(
-      std::make_unique<rl::DrqnQNetwork>(57, 2, 64, net_rng), options, 7);
+  rl::DqnTrainer trainer(std::make_unique<Net>(57, 2, 64, net_rng), options,
+                         7);
   Rng fill(3);
   for (int i = 0; i < 512; ++i) {
     rl::Experience e;
@@ -591,37 +594,14 @@ void bench_rl(bench::JsonReporter& report, bool quick) {
   report.add("drqn_forward_batch32", fwd_batch.wall_ms, fwd_batch.iterations,
              1e3 / fwd_batch.wall_ms);
 
-  // Parameter self-check before timing anything, so a perf run can never
-  // report a speedup for a path that silently diverged: the production
-  // batched engine vs the per-sample reference path, both on the active
-  // backend's kernels, after 5 shared minibatch updates. Bit-identical
-  // under exact-contract backends; a tolerance backend's per-sample path
-  // runs differently shaped GEMMs, so it is held to the documented 1e-8
-  // max-abs bound instead (docs/ARCHITECTURE.md).
+  // Parameter self-check before timing anything (pre_refactor_drqn.h):
+  // the production batched engine vs the per-sample floor, both on the
+  // active backend's kernels.
   {
-    rl::DqnTrainer batched = make_paper_scale_trainer(2);
-    rl::DqnTrainer reference = make_paper_scale_trainer(2);
-    Rng draw(11);
-    for (int step = 0; step < 5; ++step) {
-      std::vector<std::size_t> indices;
-      for (int i = 0; i < 32; ++i) indices.push_back(draw.uniform_index(512));
-      (void)batched.train_step_on_indices(indices);
-      (void)reference.train_step_reference_on_indices(indices);
-    }
-    const auto pb = batched.online().parameters();
-    const auto pr = reference.online().parameters();
-    const bool exact = BackendRegistry::active().exact_contract();
-    for (std::size_t i = 0; i < pb.size(); ++i) {
-      const bool ok = exact
-                          ? pb[i]->value == pr[i]->value
-                          : (pb[i]->value - pr[i]->value).max_abs() <= 1e-8;
-      if (!ok) {
-        std::cerr << "FAIL: batched train step diverged from the per-sample "
-                     "reference path (parameter "
-                  << i << ")\n";
-        std::exit(1);
-      }
-    }
+    rl::DqnTrainer batched = make_paper_scale_trainer<rl::DrqnQNetwork>(2);
+    rl::DqnTrainer floor_trainer =
+        make_paper_scale_trainer<bench::PreRefactorDrqn>(2);
+    bench::check_floor_parity(batched, floor_trainer, 512);
   }
 
   // The headline measurement: one batched minibatch update at the
@@ -629,15 +609,17 @@ void bench_rl(bench::JsonReporter& report, bool quick) {
   // forwards plus 32 backwards into three [32 x F] GEMM passes and one
   // batched backward — the shape the blocked kernel and the AᵀB/ABᵀ
   // primitives are built for.
-  rl::DqnTrainer trainer = make_paper_scale_trainer(2);
+  rl::DqnTrainer trainer = make_paper_scale_trainer<rl::DrqnQNetwork>(2);
   const auto train = bench::measure_ms([&] { (void)trainer.train_step(); },
                                        quick ? 150.0 : 400.0, 5000);
   report.add("dqn_train_step", train.wall_ms, train.iterations,
              1e3 / train.wall_ms);
 
-  // Paired against the retained per-sample reference update. Hard >=3x
-  // self-gate below; also gated in CI against the committed baseline ratio.
-  rl::DqnTrainer ref_trainer = make_paper_scale_trainer(2);
+  // Paired against the retained per-sample reference update on the
+  // pre-refactor DRQN (pre_refactor_drqn.h). Hard >=3x self-gate below;
+  // also gated in CI against the committed baseline ratio.
+  rl::DqnTrainer ref_trainer =
+      make_paper_scale_trainer<bench::PreRefactorDrqn>(2);
   const auto train_ref = bench::measure_ms(
       [&] { (void)ref_trainer.train_step_reference(); },
       quick ? 150.0 : 400.0, 5000);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "pre_refactor_drqn.h"
 #include "cs/committee.h"
 #include "cs/knn_inference.h"
 #include "cs/mean_inference.h"
@@ -284,40 +285,52 @@ void bench_selection(const mcs::SensingTask& task,
             << ")\n";
 }
 
-/// The paper's DRQN architecture at the 1000-cell deployment scale (k = 2,
-/// 64 LSTM units, batch 32): one batched minibatch update vs the retained
-/// per-sample reference. At this width the reference materialises a ~2 MB
-/// Wxᵀ per sample per step, so the batched engine's advantage grows with
-/// the cell count.
+/// A trainer on `Net` (rl::DrqnQNetwork, or bench::PreRefactorDrqn for the
+/// floor) at the paper's DRQN architecture (k = 2, 64 LSTM units, batch
+/// 32) over a 256-transition pool.
+template <typename Net>
+rl::DqnTrainer make_scale_trainer(std::size_t cells) {
+  Rng net_rng(2);
+  rl::DqnOptions options;
+  options.batch_size = 32;
+  options.min_replay = 32;
+  rl::DqnTrainer trainer(std::make_unique<Net>(cells, 2, 64, net_rng),
+                         options, 7);
+  Rng fill(3);
+  for (int i = 0; i < 256; ++i) {
+    rl::Experience e;
+    e.state.assign(2 * cells, 0.0);
+    e.state[fill.uniform_index(2 * cells)] = 1.0;
+    e.action = fill.uniform_index(cells);
+    e.reward = fill.uniform(-1.0, 56.0);
+    e.next_state.assign(2 * cells, 0.0);
+    e.next_mask.assign(cells, 1);
+    trainer.observe(std::move(e));
+  }
+  return trainer;
+}
+
+/// The DRQN train step at the 1000-cell deployment scale: one batched
+/// minibatch update vs the retained per-sample reference on the
+/// pre-refactor DRQN (pre_refactor_drqn.h). At this width the floor
+/// materialises a ~2 MB Wxᵀ per sample per step, so the batched engine's
+/// advantage grows with the cell count.
 void bench_train_step(std::size_t cells, bench::JsonReporter& report,
                       bool quick) {
-  const auto make_trainer = [&] {
-    Rng net_rng(2);
-    rl::DqnOptions options;
-    options.batch_size = 32;
-    options.min_replay = 32;
-    rl::DqnTrainer trainer(
-        std::make_unique<rl::DrqnQNetwork>(cells, 2, 64, net_rng),
-        options, 7);
-    Rng fill(3);
-    for (int i = 0; i < 256; ++i) {
-      rl::Experience e;
-      e.state.assign(2 * cells, 0.0);
-      e.state[fill.uniform_index(2 * cells)] = 1.0;
-      e.action = fill.uniform_index(cells);
-      e.reward = fill.uniform(-1.0, 56.0);
-      e.next_state.assign(2 * cells, 0.0);
-      e.next_mask.assign(cells, 1);
-      trainer.observe(std::move(e));
-    }
-    return trainer;
-  };
+  // Parameter self-check before timing anything (pre_refactor_drqn.h).
+  {
+    rl::DqnTrainer batched = make_scale_trainer<rl::DrqnQNetwork>(cells);
+    rl::DqnTrainer floor_trainer =
+        make_scale_trainer<bench::PreRefactorDrqn>(cells);
+    bench::check_floor_parity(batched, floor_trainer, 256);
+  }
 
   const double target = quick ? 200.0 : 600.0;
-  rl::DqnTrainer batched = make_trainer();
+  rl::DqnTrainer batched = make_scale_trainer<rl::DrqnQNetwork>(cells);
   const auto run = bench::measure_ms([&] { (void)batched.train_step(); },
                                      target, 500);
-  rl::DqnTrainer reference = make_trainer();
+  rl::DqnTrainer reference =
+      make_scale_trainer<bench::PreRefactorDrqn>(cells);
   const auto ref_run = bench::measure_ms(
       [&] { (void)reference.train_step_reference(); }, target, 500);
   report.add_with_reference("scale_train_step_1000cell", run.wall_ms,

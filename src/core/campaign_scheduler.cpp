@@ -152,11 +152,9 @@ bool CampaignScheduler::decide_batched(const std::vector<std::size_t>& active) {
       // Q sentinel: a poisoned shared network shows up here first. check_q
       // trips the owning agent's sticky monitor; the HEALTH phase of the
       // next wave acts on it (rollback / fallback / quarantine).
-      if (options_.fault.health_check_every_waves > 0) {
-        if (DrCellAgent* agent =
-                trainable_agent_of(slots_[members[0]].selector.get()))
-          agent->health().check_q(q);
-      }
+      if (DrCellAgent* agent =
+              trainable_agent_of(slots_[members[0]].selector.get()))
+        agent->health().check_q(q);
       for (std::size_t r = 0; r < members.size(); ++r) {
         Slot& slot = slots_[members[r]];
         slot.pending_action =
@@ -250,9 +248,6 @@ void CampaignScheduler::handle_unhealthy_agent(DrCellAgent* agent,
 }
 
 void CampaignScheduler::health_phase() {
-  const FaultToleranceOptions& ft = options_.fault;
-  if (ft.health_check_every_waves == 0) return;
-  const bool scan_parameters = waves_ % ft.health_check_every_waves == 0;
   // Distinct serving agents of the non-quarantined slots, first-seen order.
   std::vector<DrCellAgent*> agents;
   for (const Slot& slot : slots_) {
@@ -265,9 +260,8 @@ void CampaignScheduler::health_phase() {
   for (DrCellAgent* agent : agents) {
     // Sentinels tripped since the last wave (NaN loss out of a train step,
     // non-finite Q row) are sticky; the parameter scan adds direct weight
-    // poisoning on the configured cadence.
-    if (agent->health().healthy() && scan_parameters)
-      agent->check_parameter_health();
+    // poisoning.
+    if (agent->health().healthy()) agent->check_parameter_health();
     if (!agent->health().healthy())
       handle_unhealthy_agent(agent, agent->health().reason());
   }

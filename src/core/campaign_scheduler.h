@@ -5,8 +5,8 @@
 // Wave anatomy (step_wave):
 //
 //   0. HEALTH/RECOVER — serial: consult every serving agent's numeric
-//      sentinels (core/health_monitor.h; parameter scans on the configured
-//      cadence, loss/Q sentinels tripped earlier stay sticky). An unhealthy
+//      sentinels (core/health_monitor.h; a parameter scan every wave,
+//      loss/Q sentinels tripped earlier stay sticky). An unhealthy
 //      agent triggers rollback from the auto-checkpoint ring, else baseline
 //      fallback, else quarantine (see "Fault tolerance" below). Then, on
 //      the configured cadence, snapshot the whole fleet into the in-memory
@@ -121,9 +121,10 @@ class CampaignScheduler {
       const std::string& id, std::size_t slot)>;
 
   /// Tuning of the per-campaign fault domains (see the file comment): the
-  /// rollback ring, the health-check cadence and the degraded-mode
-  /// fallback. The step retry count, quarantine threshold and rollback
-  /// budget are fixed (campaign_scheduler.cpp).
+  /// rollback ring and the degraded-mode fallback. The step retry count,
+  /// quarantine threshold and rollback budget are fixed
+  /// (campaign_scheduler.cpp), and every wave's HEALTH phase scans each
+  /// serving agent's parameters.
   struct FaultToleranceOptions {
     /// Snapshot the fleet into the checkpoint ring every N waves (0 = no
     /// auto-checkpointing; rollback then degrades straight to fallback/
@@ -131,10 +132,6 @@ class CampaignScheduler {
     std::size_t checkpoint_every_waves = 0;
     /// Ring capacity (last K snapshots are kept).
     std::size_t checkpoint_ring = 3;
-    /// Agent parameter-scan cadence in waves (0 disables agent health
-    /// monitoring entirely; loss/Q sentinels tripped by the policies
-    /// themselves are still acted on each wave).
-    std::size_t health_check_every_waves = 1;
     /// Degraded-mode selector builder; nullptr = quarantine instead.
     FallbackFactory fallback_factory;
   };

@@ -6,9 +6,8 @@
 // (core/campaign_scheduler.h), which consults the monitor after every wave.
 //
 // Cost model: record_loss is O(1); check_q is one O(B·m) scan of a Q batch
-// the caller already paid a forward for; check_parameters is O(#params)
-// and is the only check worth rate-limiting (CampaignScheduler::
-// FaultToleranceOptions::health_check_every_waves).
+// the caller already paid a forward for; check_parameters is O(#params),
+// which the campaign scheduler pays once per serving agent per wave.
 //
 // Status is STICKY: once a sentinel trips, status() stays unhealthy (and
 // reason() says why) until reset() — e.g. after a rollback restored known-

@@ -1,6 +1,7 @@
-// The ReLU layer and the scalar activation functions the LSTM cell's
-// reference path reuses (the production gate pass runs the fastmath array
-// kernels of util/fastmath.h instead).
+// The ReLU layer and the scalar activation functions of the std:: LSTM gate
+// pass (lstm_gate_{forward,backward}_reference, the "reference" compute
+// backend's gates); the fused gate pass runs the fastmath array kernels of
+// util/fastmath.h instead.
 #pragma once
 
 #include "nn/layer.h"
@@ -8,7 +9,7 @@
 namespace drcell::nn {
 
 /// Scalar std::-based sigmoid (numerically stable in both tails) — the
-/// reference-path form; the fused LSTM gate pass uses fastmath instead.
+/// std:: gate pass's form; the fused LSTM gate pass uses fastmath instead.
 double sigmoid(double x);
 double dsigmoid_from_output(double y);  // y = sigmoid(x) -> y(1-y)
 double dtanh_from_output(double y);     // y = tanh(x)    -> 1-y²

@@ -42,10 +42,6 @@ class Dense : public Layer {
   /// listed columns.
   const Matrix& backward_columns(const Matrix& grad_columns,
                                  const ColumnSubsets& columns);
-  /// Pre-refactor implementations: allocate the product per call and build
-  /// Wᵀ for the input gradient. Bit-identical to the workspace path.
-  Matrix forward_reference(const Matrix& input) override;
-  Matrix backward_reference(const Matrix& grad_output) override;
   std::vector<Parameter*> parameters() override { return {&w_, &b_}; }
   std::string name() const override { return "Dense"; }
 

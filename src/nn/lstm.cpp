@@ -370,73 +370,4 @@ void Lstm::backward(const Matrix& grad_last_hidden) {
   }
 }
 
-Matrix Lstm::forward_reference(const std::vector<Matrix>& steps) {
-  // The pre-refactor forward: per-step products and gate blocks allocated
-  // fresh every call, the zero initial hidden state multiplied through.
-  DRCELL_CHECK_MSG(!steps.empty(), "LSTM forward on empty sequence");
-  const std::size_t hidden = hidden_size();
-  batch_ = steps.front().rows();
-  sparse_x_ = false;
-
-  const std::size_t t_max = steps.size();
-  x_.assign(steps.begin(), steps.end());
-  gates_.assign(t_max, Matrix(batch_, 4 * hidden));
-  c_.assign(t_max, Matrix(batch_, hidden));
-  tanh_c_.assign(t_max, Matrix(batch_, hidden));
-  h_.assign(t_max, Matrix(batch_, hidden));
-
-  const Matrix h_initial(batch_, hidden);
-  for (std::size_t t = 0; t < t_max; ++t) {
-    const Matrix& xt = steps[t];
-    DRCELL_CHECK_MSG(xt.rows() == batch_ && xt.cols() == input_size(),
-                     "LSTM: inconsistent step shape");
-    Matrix z = xt.matmul(wx_.value);
-    z += (t > 0 ? h_[t - 1] : h_initial).matmul(wh_.value);
-    for (std::size_t r = 0; r < batch_; ++r)
-      for (std::size_t col = 0; col < 4 * hidden; ++col)
-        z(r, col) += b_.value(0, col);
-    // The production gate pass, with no previous cell state at t = 0
-    // exactly as finish_step() runs it.
-    BackendRegistry::active().lstm_gate_forward(
-        z, t > 0 ? &c_[t - 1] : nullptr, gates_[t], c_[t], tanh_c_[t], h_[t]);
-  }
-  return h_.back();
-}
-
-std::vector<Matrix> Lstm::backward_reference(const Matrix& grad_last_hidden) {
-  // The pre-refactor BPTT: Wxᵀ and Whᵀ materialised every step, parameter
-  // gradients accumulated through a freshly allocated product per step.
-  const std::size_t t_max = h_.size();
-  DRCELL_CHECK_MSG(t_max > 0, "LSTM backward before forward");
-  const std::size_t hidden = hidden_size();
-
-  std::vector<Matrix> grad_x(t_max);
-  Matrix dh_next(batch_, hidden);
-  Matrix dc_next(batch_, hidden);
-
-  for (std::size_t t = t_max; t-- > 0;) {
-    Matrix dh = t + 1 == t_max ? grad_last_hidden
-                               : Matrix(batch_, hidden);
-    DRCELL_CHECK(dh.rows() == batch_ && dh.cols() == hidden);
-    dh += dh_next;
-
-    Matrix dz(batch_, 4 * hidden);
-    Matrix dc_prev(batch_, hidden);
-    BackendRegistry::active().lstm_gate_backward(
-        gates_[t], tanh_c_[t], t > 0 ? &c_[t - 1] : nullptr, dh, dc_next, dz,
-        dc_prev);
-
-    wx_.grad += x_[t].matmul_transposed_self(dz);
-    if (t > 0) wh_.grad += h_[t - 1].matmul_transposed_self(dz);
-    for (std::size_t r = 0; r < batch_; ++r)
-      for (std::size_t col = 0; col < 4 * hidden; ++col)
-        b_.grad(0, col) += dz(r, col);
-
-    grad_x[t] = dz.matmul(wx_.value.transposed());
-    dh_next = dz.matmul(wh_.value.transposed());
-    dc_next = std::move(dc_prev);
-  }
-  return grad_x;
-}
-
 }  // namespace drcell::nn

@@ -21,9 +21,9 @@
 //
 // Gate nonlinearities run through the active compute backend's gate pass
 // (linalg/backend.h): the fused fastmath kernel (below) under the native
-// backend, the std::-based pass under the reference backend. The retained
-// per-sample path (forward_reference/backward_reference) calls the same
-// backend pass, so the bit-identity above holds under either backend; the
+// backend, the std::-based pass under the reference backend. The
+// per-sample oracle (DqnTrainer::train_step_reference) runs this same cell
+// at B = 1, so the bit-identity above holds under either backend; the
 // two backends differ from each other by the fastmath bound (≤1e-12
 // relative per activation on the training range, measured ≲1e-15 —
 // tests/fastmath_test.cpp). docs/ARCHITECTURE.md states the full contract.
@@ -102,14 +102,6 @@ class Lstm {
   /// products would be the most expensive part of the pass after the
   /// parameter GEMMs.
   void backward(const Matrix& grad_last_hidden);
-
-  /// Retained pre-refactor cell (the benchmark floor of the batched
-  /// engine): fresh per-step allocations, Wxᵀ/Whᵀ materialised every step
-  /// of the backward recursion, parameter gradients accumulated per step.
-  /// The gates run through the active backend's pass, as in forward(), so
-  /// for B = 1 this is bit-identical to forward()/backward().
-  Matrix forward_reference(const std::vector<Matrix>& steps);
-  std::vector<Matrix> backward_reference(const Matrix& grad_last_hidden);
 
   std::vector<Parameter*> parameters() { return {&wx_, &wh_, &b_}; }
 

@@ -27,11 +27,6 @@ class Sequential {
   const Matrix& forward(const Matrix& input);
   const Matrix& backward(const Matrix& grad_output);
 
-  /// Chains the layers' retained pre-workspace reference calls (fresh
-  /// allocations per call). Bit-identical to forward()/backward().
-  Matrix forward_reference(const Matrix& input);
-  Matrix backward_reference(const Matrix& grad_output);
-
   std::vector<Parameter*> parameters();
   std::size_t layer_count() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_.at(i); }

@@ -333,8 +333,9 @@ std::size_t DqnTrainer::select_action_candidates(
 
 std::vector<Matrix> DqnTrainer::to_reference_sequence(
     const SparseRowMatrix& s) const {
-  // Fresh per-call allocations on purpose — this feeds the retained
-  // pre-refactor reference path, whose convention is allocation-heavy.
+  // Densifies a stored sparse state into the dense B = 1 timestep-major
+  // sequence the full-width forward_batch takes, so the oracle does not
+  // share the training step's sparse input path.
   std::vector<Matrix> seq(s.rows());
   for (std::size_t j = 0; j < s.rows(); ++j) {
     seq[j].resize(1, s.cols());
@@ -348,12 +349,12 @@ std::vector<Matrix> DqnTrainer::to_reference_sequence(
 
 double DqnTrainer::train_step_reference_on_indices(
     std::span<const std::size_t> indices) {
-  // The per-sample trainer the batched engine replaces, retained as the
-  // reference it must match bit for bit: every transition runs as its own
-  // B=1 timestep-major sequence through the networks' pre-refactor
-  // reference implementations — target forward, online forward, per-sample
-  // loss gradient (normalised by the
-  // whole minibatch's element count so it equals the batched gradient row),
+  // The per-sample update of Algorithm 2, retained as the oracle the
+  // batched engine must match bit for bit: every transition runs as its own
+  // dense B=1 timestep-major sequence through each network's full-width
+  // forward_batch/backward — target forward, full-width bootstrap, online
+  // forward, per-sample masked loss gradient (normalised by the whole
+  // minibatch's element count so it equals the batched gradient row),
   // backward — with gradients accumulating sample by sample.
   const std::size_t b = indices.size();
   DRCELL_CHECK(b > 0);
@@ -364,15 +365,11 @@ double DqnTrainer::train_step_reference_on_indices(
   double raw_loss_sum = 0.0;
   for (std::size_t i = 0; i < b; ++i) {
     const EncodedExperience& e = replay_.at(indices[i]);
-    // The replay stores sparse encodings; the reference implementations
-    // consume dense B=1 sequences, so densify (outside any timed kernel
-    // contract — the reference is the floor, not the fast path).
     const std::vector<Matrix> next_seq = to_reference_sequence(e.next_state);
     const std::vector<Matrix> state_seq = to_reference_sequence(e.state);
 
-    const Matrix q_next_target = target_->forward_reference(next_seq);
-    const double boot = bootstrap_value(e, q_next_target, 0);
-    const Matrix q_pred = online_->forward_reference(state_seq);
+    const double boot = bootstrap_value(e, target_->forward_batch(next_seq), 0);
+    const Matrix& q_pred = online_->forward_batch(state_seq);
 
     Matrix target_row(1, actions);
     Matrix mask_row(1, actions);
@@ -381,7 +378,7 @@ double DqnTrainer::train_step_reference_on_indices(
     const auto loss = nn::masked_huber_loss(q_pred, target_row, mask_row,
                                             options_.huber_delta, normalizer);
     raw_loss_sum += loss.raw_sum;
-    online_->backward_reference(loss.grad);
+    online_->backward(loss.grad);
   }
   return finish_update(raw_loss_sum, normalizer);
 }

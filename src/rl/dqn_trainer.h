@@ -13,11 +13,11 @@
 // next_candidates, else the allowed actions of its next_mask), both through
 // QNetwork::forward_batch_columns, and the masked TD loss and the backward
 // pass run over those columns. The per-sample loop survives only as
-// train_step_reference() — full-width B=1 forwards and backwards, the
-// retained reference path the batched engine matches bit for bit under
-// either compute backend, both sides running the backend's own gate
+// train_step_reference() — each network's own full-width forward_batch /
+// backward at B = 1, the oracle the batched engine matches bit for bit
+// under either compute backend, both sides running the backend's own gate
 // kernels (tests/batched_training_test.cpp, docs/ARCHITECTURE.md, and the
-// self-check in bench_micro_components).
+// self-checks in bench_micro_components and bench_scale_1000cell).
 #pragma once
 
 #include <memory>
@@ -108,14 +108,15 @@ class DqnTrainer {
   /// the bench can drive it and the reference over the identical batch).
   double train_step_on_indices(std::span<const std::size_t> indices);
 
-  /// The retained per-sample reference update (benchmark floor, same
-  /// convention as Matrix::matmul_naive): samples the same draw stream,
-  /// then forwards/backpropagates each transition as its own B=1 sequence
-  /// through the networks' pre-refactor reference implementations —
-  /// per-call allocations, transposes materialised per step, gradients
-  /// accumulated sample by sample. Bit-identical to train_step() by the
-  /// batched determinism contract; kept for the bit-identity tests and the
-  /// train_step_batched bench pair.
+  /// The retained per-sample reference update (Algorithm 2's one
+  /// transition at a time): samples the same draw stream, then
+  /// forwards/backpropagates each transition as its own dense B=1 sequence
+  /// through the network's full-width forward_batch/backward, bootstraps
+  /// over the full-width target row and accumulates gradients sample by
+  /// sample. Bit-identical to train_step() by the batched determinism
+  /// contract; kept as the oracle of the bit-identity tests. The bench
+  /// floors (train_step_batched, scale_train_step_1000cell) run it on the
+  /// bench-local pre-refactor DRQN of bench/pre_refactor_drqn.h.
   double train_step_reference();
   double train_step_reference_on_indices(
       std::span<const std::size_t> indices);
@@ -162,7 +163,7 @@ class DqnTrainer {
   std::size_t candidate_argmax(std::span<const std::uint32_t> state_ones,
                                std::span<const std::uint32_t> candidates);
   /// Densifies one stored sparse encoding into the B=1 timestep-major
-  /// sequence the reference implementations consume.
+  /// sequence the reference update feeds to forward_batch.
   std::vector<Matrix> to_reference_sequence(const SparseRowMatrix& s) const;
 
   QNetworkPtr online_;

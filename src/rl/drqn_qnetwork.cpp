@@ -37,20 +37,6 @@ void DrqnQNetwork::backward_columns(const Matrix& grad_columns,
   lstm_.backward(head_.backward_columns(grad_columns, columns));
 }
 
-Matrix DrqnQNetwork::forward_reference(const std::vector<Matrix>& sequence) {
-  DRCELL_CHECK_MSG(sequence.size() == history_steps_,
-                   "sequence length mismatch");
-  const Matrix last_hidden = lstm_.forward_reference(sequence);
-  return head_.forward_reference(last_hidden);
-}
-
-void DrqnQNetwork::backward_reference(const Matrix& grad_q) {
-  // Pre-refactor behaviour: input gradients computed (and discarded), with
-  // Wxᵀ/Whᵀ materialised every step.
-  const Matrix grad_hidden = head_.backward_reference(grad_q);
-  (void)lstm_.backward_reference(grad_hidden);
-}
-
 std::vector<nn::Parameter*> DrqnQNetwork::parameters() {
   auto ps = lstm_.parameters();
   const auto head_ps = head_.parameters();

@@ -91,19 +91,6 @@ void MlpQNetwork::backward_columns(const Matrix& grad_columns,
   hidden_backward(head_.backward_columns(grad_columns, columns));
 }
 
-Matrix MlpQNetwork::forward_reference(const std::vector<Matrix>& sequence) {
-  // Pre-refactor behaviour: the flattened window is a fresh allocation per
-  // call, and every layer allocates its output.
-  Matrix x = flatten(sequence);
-  if (hidden_.layer_count() > 0) x = hidden_.forward_reference(x);
-  return head_.forward_reference(x);
-}
-
-void MlpQNetwork::backward_reference(const Matrix& grad_q) {
-  const Matrix grad_hidden = head_.backward_reference(grad_q);
-  if (hidden_.layer_count() > 0) (void)hidden_.backward_reference(grad_hidden);
-}
-
 std::vector<nn::Parameter*> MlpQNetwork::parameters() {
   auto ps = hidden_.parameters();
   const auto head_ps = head_.parameters();

@@ -7,7 +7,8 @@
 // two forward/backward pairs:
 //  * forward_batch / backward, full width over dense steps: action
 //    selection (DqnTrainer::select_action, the scheduler's batched DECIDE
-//    phase) and the dense bench floors; forward() is the B = 1 case;
+//    phase), the per-sample oracle DqnTrainer::train_step_reference (at
+//    B = 1) and the dense bench floors; forward() is the B = 1 case;
 //  * forward_batch_columns / backward_columns, over sparse steps with the
 //    Q head evaluated only at listed actions: the one training pair
 //    (every DqnTrainer train step) and candidate-subset action selection.
@@ -71,16 +72,6 @@ class QNetwork {
       const ActionColumns& columns) = 0;
   virtual void backward_columns(const Matrix& grad_columns,
                                 const ActionColumns& columns) = 0;
-
-  /// Retained pre-batching reference path (the benchmark floor the batched
-  /// engine is gated against, per the repo's retained-naive-reference
-  /// convention): value-returning forward through the pre-workspace layer
-  /// implementations, backward with transposes materialised per step and
-  /// input gradients always computed. Bit-identical to
-  /// forward_batch()/backward() — the per-sample trainer reference drives
-  /// it with B = 1 sequences.
-  virtual Matrix forward_reference(const std::vector<Matrix>& sequence) = 0;
-  virtual void backward_reference(const Matrix& grad_q) = 0;
 
   virtual std::vector<nn::Parameter*> parameters() = 0;
 

@@ -230,11 +230,12 @@ rl::QNetworkPtr make_qnet(Net net, std::uint64_t seed) {
 }
 
 /// Two identically seeded trainers, one driven batched and one through the
-/// retained per-sample reference path (B=1 sequences through the networks'
-/// pre-refactor reference implementations) over the same minibatches, must
-/// stay bit-identical: same losses, same parameters — for every shipped
-/// network and any worker count serving the batched forwards. Default options: both sides run the active backend's gate
-/// kernels, so the contract is exact under every backend.
+/// retained per-sample oracle (dense B=1 sequences through each network's
+/// full-width forward_batch/backward) over the same minibatches, must stay
+/// bit-identical: same losses, same parameters — for every shipped network
+/// and any worker count serving the batched forwards. Default options: both
+/// sides run the active backend's gate kernels, so the contract is exact
+/// under every backend.
 void expect_train_step_matches_reference(Net net, std::size_t workers) {
   const std::size_t cells = 6, k = 2;
   rl::DqnOptions opt;

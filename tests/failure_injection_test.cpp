@@ -545,11 +545,10 @@ TEST(SchedulerFaults, OnlineTrainStepDetectsNanWithinOneStep) {
   config.dqn.min_replay = 4;  // train from the 4th step on
   core::DrCellAgent agent(6, config);
 
-  core::CampaignScheduler::Options options;
-  // Monitoring off: this test pins the DETECTION latency of the loss
-  // sentinel itself, without the scheduler acting on it.
-  options.fault.health_check_every_waves = 0;
-  core::CampaignScheduler scheduler(options);
+  // This pins the DETECTION latency of the loss sentinel itself: it trips
+  // in the poisoned wave's OBSERVE phase, and the scheduler acts on it only
+  // in the next wave's HEALTH phase.
+  core::CampaignScheduler scheduler;
   scheduler.add_campaign(
       "online-0", fleet.campaign, fleet.task,
       [] { return testing::default_engine(); },

@@ -135,6 +135,19 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Epsilon schedules are monotone non-increasing and bounded.
 
+}  // namespace
+
+namespace rl {
+// Names the decay in the parameterised test ids (found by ADL), which
+// gtest would otherwise print as a raw byte dump.
+void PrintTo(EpsilonSchedule::Decay decay, std::ostream* os) {
+  *os << (decay == EpsilonSchedule::Decay::kLinear ? "kLinear"
+                                                    : "kExponential");
+}
+}  // namespace rl
+
+namespace {
+
 class EpsilonProperty
     : public ::testing::TestWithParam<std::tuple<double, double, std::size_t,
                                                  rl::EpsilonSchedule::Decay>> {
