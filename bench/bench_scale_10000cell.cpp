@@ -134,6 +134,37 @@ void bench_completion(const mcs::SensingTask& task,
              1e3 / run.wall_ms);
   std::cout << "10000-cell cold ALS infer: " << format_double(run.wall_ms, 1)
             << " ms\n";
+
+  // The metro training loop's window: 23 fully observed cycles plus the
+  // current one, sensed one cell per step. Every call senses one more cell
+  // and re-fits the warm engine, whose cached factors pass the trust check,
+  // so each call is one short warm polish. Nearly every row observes the
+  // same 23 cycles and every warm column the same 10,000 cells: the long
+  // runs of equal lists that the cold window's sparse half lacks.
+  constexpr std::size_t kStepCycles = 24, kCurrent = kStepCycles - 1;
+  cs::PartialMatrix step_window(task.num_cells(), kStepCycles);
+  for (std::size_t c = 0; c < kCurrent; ++c)
+    for (std::size_t cell = 0; cell < task.num_cells(); ++cell)
+      step_window.set(cell, c, task.truth(cell, c));
+  std::size_t sensed = 0;
+  const auto sense_next = [&] {
+    // 43 is coprime to 10,000, so the picks are distinct cells.
+    const std::size_t cell = (11 + 43 * sensed++) % task.num_cells();
+    step_window.set(cell, kCurrent, task.truth(cell, kCurrent));
+  };
+  while (sensed < 16) sense_next();
+  const cs::MatrixCompletion warm;
+  (void)warm.infer(step_window);  // the cold fit the steps resume from
+  const auto step = bench::measure_ms(
+      [&] {
+        sense_next();
+        (void)warm.infer(step_window);
+      },
+      quick ? 400.0 : 1200.0, 200);
+  report.add("metro_als_infer_warm_step", step.wall_ms, step.iterations,
+             1e3 / step.wall_ms);
+  std::cout << "10000-cell warm ALS step (one more sensed cell): "
+            << format_double(step.wall_ms, 2) << " ms\n";
 }
 
 void bench_environment(const mcs::SensingTask& task,

@@ -12,18 +12,29 @@ namespace drcell::cs {
 
 double observed_rmse(const Matrix& row_factors, const Matrix& col_factors,
                      double mu, const PartialMatrix& observed) {
+  // Each row's residuals are independent, so they are computed into a
+  // buffer first; the squares are then summed in the same row-major order
+  // as one running total.
+  const Matrix& values = observed.raw_values();
+  const std::size_t rank = row_factors.cols();
+  const double* row_data = row_factors.data().data();
+  const double* col_data = col_factors.data().data();
+  std::vector<double> residual(observed.cols());
   double sq = 0.0;
   const std::size_t count = observed.observed_count();
-  const std::size_t rank = row_factors.cols();
   for (std::size_t r = 0; r < observed.rows(); ++r) {
-    const auto row_f = row_factors.row(r);
-    for (std::size_t c : observed.observed_cols_in_row(r)) {
+    const double* row_f = row_data + r * rank;
+    const auto& cols = observed.observed_cols_in_row(r);
+    for (std::size_t e = 0; e < cols.size(); ++e) {
+      const std::size_t c = cols[e];
+      DRCELL_DCHECK(observed.observed(r, c));
+      const double* col_f = col_data + c * rank;
       double pred = mu;
-      const auto col_f = col_factors.row(c);
       for (std::size_t k = 0; k < rank; ++k) pred += row_f[k] * col_f[k];
-      const double d = pred - observed.value(r, c);
-      sq += d * d;
+      residual[e] = pred - values(r, c);
     }
+    for (std::size_t e = 0; e < cols.size(); ++e)
+      sq += residual[e] * residual[e];
   }
   return count ? std::sqrt(sq / static_cast<double>(count)) : 0.0;
 }
@@ -55,6 +66,10 @@ constexpr double kWarmTrustFactor = 2.0;
 // cycle's worth of new entries stays well below it; an unrelated window
 // overshoots it by an order of magnitude.
 constexpr double kWarmRmseFactor = 4.0;
+// Right-hand sides an ALS half-sweep solves as one block: a run of indices
+// with equal observation lists is taken this many at a time. Even, so a
+// tile padded to an even width still fits.
+constexpr std::size_t kTile = 16;
 
 // Weighted chunking policy for the ALS/LOO fan-outs (shared implementation
 // in util/chunking.h; boundaries only group solves, never change the
@@ -72,12 +87,17 @@ std::vector<std::size_t> chunk_bounds(std::size_t count, std::size_t lanes,
 
 // Chunk bounds of one ALS half-sweep, weighted by observation count. Each
 // chunk factors the Gram of its first observation list, even when the
-// previous chunk ended on the same list. Per observation, the Gram costs
-// about (rank + 1) / 2 times the right-hand side's work, so every chunk
-// carries at least the weight of rank + 1 of the half-sweep's longest
-// lists: its one repeated factorisation then costs at most about half of
-// its right-hand-side work. Only long lists — the column half of a
-// cells x cycles window — get coarser chunks than the shared policy's.
+// previous chunk ended on the same list, so every chunk carries at least
+// the weight of rank + 1 of the half-sweep's longest lists. Only long
+// lists — the column half of a cells x cycles window — get coarser chunks
+// than the shared policy's. Per observation, the Gram costs far more than
+// one index's right-hand side: at rank 5 on a 4-vCPU x86-64 VM, 21-24 ns
+// against 2.6-3.0 ns for a right-hand side solved alone and 1.1-1.5 ns for
+// one in a full tile (about 8x and 15-20x). The one repeated factorisation
+// can therefore cost more than the chunk's right-hand-side work; the floor
+// trades that for a column half that still splits across lanes. Floors of
+// 3x and 6x this one did not move the warm fit of a 10,000-cell x 24-cycle
+// training window measurably on that VM.
 std::vector<std::size_t> half_sweep_bounds(
     std::size_t lanes, std::size_t total_obs, std::size_t rank,
     const std::vector<std::size_t>& weight) {
@@ -191,64 +211,108 @@ MatrixCompletion::Fit MatrixCompletion::fit(
   // benchmark's peak RSS ~10 MB higher in most runs: glibc heap layout.)
   std::vector<RidgeSolver> workspaces(
       std::max(row_bounds.size(), col_bounds.size()) - 1, RidgeSolver(rank));
+  // Each chunk's right-hand-side block, rank x kTile, allocated with them.
+  std::vector<double> blocks(workspaces.size() * rank * kTile);
 
   // One ALS half-sweep: for every index i, ridge-solve dst's row i against
   // the src-side factors of its observed entries. Solves are independent
   // (dst rows are disjoint, src is read-only during the phase), so chunks of
   // them run concurrently; each chunk owns one RidgeSolver workspace that
   // reads the src rows in place across all of its solves. A chunk factors
-  // the Gram only when an index's observation list differs from the list it
-  // last factored, and reuses the held factor otherwise; every index still
-  // accumulates its own right-hand side and runs its own substitutions.
-  // Equal lists give bit-equal Grams and factors (linalg/solvers.h), so the
-  // sharing changes no output byte. It pays because windows are mostly
-  // fully observed warm-start cycles: runs of neighbouring cells observe the
-  // same cycles, and so do the warm-start columns.
+  // the Gram once per run of consecutive indices with equal observation
+  // lists. Equal lists give bit-equal Grams and factors
+  // (linalg/solvers.h), so the sharing changes no output byte. It pays
+  // because windows are mostly fully observed warm-start cycles: runs of
+  // neighbouring cells observe the same cycles, and so do the warm-start
+  // columns.
+  //
+  // The right-hand sides of up to kTile indices of a run are accumulated
+  // as one k-major block, list entries outermost and the tile's indices
+  // innermost, and solved together against the held factor. Per index,
+  // that is the same multiplies and adds in the same order as one
+  // right-hand side at a time; the inner loops just run across the tile,
+  // and in the column half-sweep they read one row of the values
+  // contiguously.
   const auto half_sweep = [&](const std::vector<std::size_t>& bounds,
                               Matrix& dst, const Matrix& src,
                               auto&& obs_list, auto&& obs_value) {
-    const std::span<const double> src_data = src.data();
-    const auto src_row = [&](std::size_t j) {
-      return src_data.subspan(j * rank, rank);
+    const double* src_data = src.data().data();
+    // Writes index i's solution, x(k) for k < rank, and its convergence
+    // stats.
+    const auto store = [&](std::size_t i, auto&& x) {
+      double mx = 0.0, dsq = 0.0, fsq = 0.0;
+      for (std::size_t k = 0; k < rank; ++k) {
+        const double xk = x(k);
+        const double d = dst(i, k) - xk;
+        mx = std::max(mx, std::fabs(d));
+        dsq += d * d;
+        fsq += xk * xk;
+        dst(i, k) = xk;
+      }
+      solve_max[i] = mx;
+      solve_delta[i] = dsq;
+      solve_factor[i] = fsq;
     };
     pool.parallel_for(bounds.size() - 1, [&](std::size_t chunk) {
       RidgeSolver& solver = workspaces[chunk];
-      const std::vector<std::size_t>* factored = nullptr;
-      for (std::size_t i = bounds[chunk]; i < bounds[chunk + 1]; ++i) {
+      double* block = blocks.data() + chunk * rank * kTile;
+      double b[kTile] = {};
+      const std::size_t end = bounds[chunk + 1];
+      for (std::size_t i = bounds[chunk]; i < end;) {
+        // [i, run) is the chunk's next run of equal observation lists.
         const std::vector<std::size_t>& obs = obs_list(i);
+        std::size_t run = i + 1;
+        while (run < end && obs_list(run) == obs) ++run;
         if (obs.empty()) {
-          // No data for this index in the window; shrink towards the mean
-          // (and contribute nothing to the convergence stats, as before).
-          for (std::size_t k = 0; k < rank; ++k) dst(i, k) = 0.0;
-          solve_max[i] = solve_delta[i] = solve_factor[i] = 0.0;
+          // No data for these indices in the window; shrink towards the
+          // mean (and contribute nothing to the convergence stats).
+          for (; i < run; ++i) {
+            for (std::size_t k = 0; k < rank; ++k) dst(i, k) = 0.0;
+            solve_max[i] = solve_delta[i] = solve_factor[i] = 0.0;
+          }
           continue;
         }
-        if (factored != nullptr && *factored == obs) {
-          solver.reset_rhs();
+        // Weighted-lambda ALS (Zhou et al.): scaling the ridge by the number
+        // of observations keeps sparsely observed rows from blowing up to
+        // compensate for small factors on the other side.
+        const double lambda = kLambda * static_cast<double>(obs.size());
+        solver.reset();
+        if (run == i + 1) {
+          // A list no neighbour shares: one fused pass over it, the
+          // cheaper form for a lone solve.
           for (std::size_t j : obs)
-            solver.add_rhs_row(src_row(j), obs_value(i, j) - mu);
-        } else {
-          solver.reset();
-          for (std::size_t j : obs)
-            solver.add_row(src_row(j), obs_value(i, j) - mu);
-          // Weighted-lambda ALS (Zhou et al.): scaling the ridge by the
-          // number of observations keeps sparsely observed rows from
-          // blowing up to compensate for small factors on the other side.
-          solver.factor(kLambda * static_cast<double>(obs.size()));
-          factored = &obs;
+            solver.add_row({src_data + j * rank, rank}, obs_value(i, j) - mu);
+          const auto x = solver.solve(lambda);
+          store(i++, [&](std::size_t k) { return x[k]; });
+          continue;
         }
-        const auto x = solver.solve_factored();
-        double mx = 0.0, dsq = 0.0, fsq = 0.0;
-        for (std::size_t k = 0; k < rank; ++k) {
-          const double d = dst(i, k) - x[k];
-          mx = std::max(mx, std::fabs(d));
-          dsq += d * d;
-          fsq += x[k] * x[k];
-          dst(i, k) = x[k];
+        for (std::size_t j : obs)
+          solver.add_gram_row({src_data + j * rank, rank});
+        solver.factor(lambda);
+        for (std::size_t count; i < run; i += count) {
+          count = std::min(kTile, run - i);
+          // An odd tile gets one more lane with a zero right-hand side, so
+          // the innermost loop runs over whole pairs of lanes.
+          const std::size_t width = (count + 1) & ~std::size_t{1};
+          if (width > count) b[count] = 0.0;
+          std::fill(block, block + rank * width, 0.0);
+          for (std::size_t j : obs) {
+            for (std::size_t t = 0; t < count; ++t)
+              b[t] = obs_value(i + t, j) - mu;
+            const double* row = src_data + j * rank;
+            for (std::size_t k = 0; k < rank; ++k) {
+              double* bk = block + k * width;
+              const double rk = row[k];
+              for (std::size_t t = 0; t < width; t += 2) {
+                bk[t] += rk * b[t];
+                bk[t + 1] += rk * b[t + 1];
+              }
+            }
+          }
+          solver.solve_factored_block({block, rank * width}, width);
+          for (std::size_t t = 0; t < count; ++t)
+            store(i + t, [&](std::size_t k) { return block[k * width + t]; });
         }
-        solve_max[i] = mx;
-        solve_delta[i] = dsq;
-        solve_factor[i] = fsq;
       }
     });
   };
@@ -328,9 +392,12 @@ Matrix MatrixCompletion::infer(const PartialMatrix& observed) const {
   Matrix est = f.row_factors.matmul(f.col_factors.transposed());
   est.apply([&f](double x) { return x + f.mu; });
   // Observed entries are known exactly — keep them.
+  const Matrix& values = observed.raw_values();
   for (std::size_t r = 0; r < observed.rows(); ++r)
-    for (std::size_t c : observed.observed_cols_in_row(r))
-      est(r, c) = observed.value(r, c);
+    for (std::size_t c : observed.observed_cols_in_row(r)) {
+      DRCELL_DCHECK(observed.observed(r, c));
+      est(r, c) = values(r, c);
+    }
   DRCELL_CHECK_MSG(!est.has_non_finite(),
                    "matrix completion produced non-finite values");
   return est;

@@ -16,19 +16,20 @@ RidgeSolver::RidgeSolver(std::size_t n)
 
 void RidgeSolver::reset() {
   std::fill(gram_.begin(), gram_.end(), 0.0);
-  reset_rhs();
+  std::fill(rhs_.begin(), rhs_.end(), 0.0);
 }
 
-void RidgeSolver::reset_rhs() { std::fill(rhs_.begin(), rhs_.end(), 0.0); }
-
 void RidgeSolver::add_row(std::span<const double> row, double b) {
+  add_gram_row(row);
+  for (std::size_t i = 0; i < n_; ++i) rhs_[i] += row[i] * b;
+}
+
+void RidgeSolver::add_gram_row(std::span<const double> row) {
   DRCELL_DCHECK(row.size() == n_);
   const double* r = row.data();
   double* g = gram_.data();
-  double* rhs = rhs_.data();
   for (std::size_t i = 0; i < n_; ++i) {
     const double ri = r[i];
-    rhs[i] += ri * b;
     if (ri == 0.0) continue;
     double* gi = g + i * n_;
     for (std::size_t j = 0; j <= i; ++j) gi[j] += ri * r[j];
@@ -58,6 +59,44 @@ std::span<const double> RidgeSolver::solve_factored() {
   kernels::cholesky_forward(factor_.data(), rhs_.data(), y_.data(), n_);
   kernels::cholesky_back(factor_.data(), y_.data(), x_.data(), n_);
   return x_;
+}
+
+namespace {
+// y[t] -= a * x[t] over one block row: the inner step of both block
+// substitutions.
+void subtract_scaled(double* __restrict y, const double* __restrict x,
+                     double a, std::size_t count) {
+  for (std::size_t t = 0; t < count; ++t) y[t] -= a * x[t];
+}
+
+void divide(double* y, double d, std::size_t count) {
+  for (std::size_t t = 0; t < count; ++t) y[t] /= d;
+}
+}  // namespace
+
+// The block form of kernels::cholesky_forward and cholesky_back with the
+// right-hand-side loop innermost. Row i of the block starts as b_i and
+// takes the same subtractions, in the same k order, and the same division
+// as the scalar kernels' running sum s, so every entry keeps its bits.
+void RidgeSolver::solve_factored_block(std::span<double> block,
+                                       std::size_t count) const {
+  DRCELL_DCHECK(block.size() == n_ * count);
+  const double* l = factor_.data();
+  double* y = block.data();
+  // Forward substitution l y = b, in place.
+  for (std::size_t i = 0; i < n_; ++i) {
+    double* yi = y + i * count;
+    for (std::size_t k = 0; k < i; ++k)
+      subtract_scaled(yi, y + k * count, l[i * n_ + k], count);
+    divide(yi, l[i * n_ + i], count);
+  }
+  // Back substitution lᵀ x = y, in place.
+  for (std::size_t ii = n_; ii-- > 0;) {
+    double* xi = y + ii * count;
+    for (std::size_t k = ii + 1; k < n_; ++k)
+      subtract_scaled(xi, y + k * count, l[k * n_ + ii], count);
+    divide(xi, l[ii * n_ + ii], count);
+  }
 }
 
 }  // namespace drcell

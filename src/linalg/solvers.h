@@ -15,7 +15,10 @@
 // or column: two indices that observe the same list accumulate the same
 // design rows in the same order, with the same zero skip and the same ridge
 // weight, so their Gram, jitter-ladder path and factor are the same bits —
-// sharing the factor changes no output byte.
+// sharing the factor changes no output byte. It then solves a tile of the
+// run's right-hand sides as one block (solve_factored_block), which runs
+// each one's substitutions in the same order as solve_factored, so the
+// solutions are the same bits too.
 #pragma once
 
 #include <cstddef>
@@ -31,14 +34,16 @@ namespace drcell {
 ///   for each observation: solver.add_row(a_row, b);
 ///   x = solver.solve(lambda);
 /// solves (AᵀA + λI) x = Aᵀb for the rows added since the last reset.
-/// solve() is factor() followed by solve_factored(); calling the two steps
-/// directly reuses one factorisation for more right-hand sides over the
-/// same rows:
-///   x1 = solver.solve(lambda);  // or factor(lambda), solve_factored()
-///   solver.reset_rhs();
-///   for each observation: solver.add_rhs_row(a_row, b2);
-///   x2 = solver.solve_factored();
-/// which is bitwise equal to a fresh solve() of the second system.
+/// solve() is factor() followed by solve_factored(). To solve many
+/// right-hand sides over the same rows, accumulate only the Gram and solve
+/// them as one block against the held factor:
+///   solver.reset();
+///   for each observation: solver.add_gram_row(a_row);
+///   solver.factor(lambda);
+///   block[k * count + t] = Σ_rows a_row[k] · b_t[row]  (ascending rows)
+///   solver.solve_factored_block(block, count);
+/// which leaves in column t of the block the bits of a fresh solve() of the
+/// system with targets b_t.
 ///
 /// Arithmetic contract (bit-identical to forming the Gram with
 /// kernels::matmul_transposed_self_add and factoring it with Cholesky):
@@ -55,18 +60,13 @@ class RidgeSolver {
 
   /// Zeroes the accumulated Gram and right-hand side.
   void reset();
-  /// Zeroes only the right-hand side, keeping the held factor.
-  void reset_rhs();
 
   /// Accumulates one observation: a design row of n entries and its
   /// target. The row is read, never retained.
   void add_row(std::span<const double> row, double b);
-  /// Accumulates only the right-hand side of an observation, for a new
-  /// right-hand side over the rows of the held factor.
-  void add_rhs_row(std::span<const double> row, double b) {
-    DRCELL_DCHECK(row.size() == n_);
-    for (std::size_t i = 0; i < n_; ++i) rhs_[i] += row[i] * b;
-  }
+  /// Accumulates only the Gram contribution of a design row, for systems
+  /// whose right-hand sides are solved with solve_factored_block().
+  void add_gram_row(std::span<const double> row);
 
   /// Factors the accumulated Gram with ridge weight lambda >= 0 and holds
   /// the factor until the next factor(). Consumes the Gram (lambda and any
@@ -77,6 +77,13 @@ class RidgeSolver {
   /// Solves the held factor against the accumulated right-hand side. The
   /// returned view stays valid until the next solve.
   std::span<const double> solve_factored();
+
+  /// Solves the held factor against `count` right-hand sides stored k-major
+  /// in `block` (entry k of right-hand side t at block[k * count + t]), in
+  /// place: column t ends up holding the bits solve_factored() returns for
+  /// right-hand side t. Each substitution step runs across the whole block,
+  /// so the compiler vectorises over the right-hand sides.
+  void solve_factored_block(std::span<double> block, std::size_t count) const;
 
   /// factor(lambda), then solve_factored().
   std::span<const double> solve(double lambda) {

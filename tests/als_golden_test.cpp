@@ -27,6 +27,7 @@
 #include "cs/partial_matrix.h"
 #include "data/datasets.h"
 #include "util/checksum.h"
+#include "test_helpers.h"
 #include "util/thread_pool.h"
 
 namespace drcell::cs {
@@ -139,6 +140,38 @@ TEST(AlsGolden, MixedPatternWindowIsPinnedAtAnyWorkerCount) {
                                           1514539908u, 1623765483u};
   EXPECT_EQ(run(0), pinned) << "serial pool";
   EXPECT_EQ(run(3), pinned) << "3-worker pool";
+}
+
+// The window the metro training workload infers on every sensing step: 23
+// fully observed warm cycles plus the current cycle, sensed at 16 cells so
+// far, here on a 2,500-cell Nyström field. Nearly every row observes the
+// same 23 cycles and every warm column the same cells, so both half-sweeps
+// run long runs of equal observation lists. The engine walks the same
+// three fit paths as above: a cold fit, a fingerprint hit (a repeated
+// infer and a LOO pass over the unchanged window), and a trusted warm
+// polish once one more cell is sensed.
+TEST(AlsGolden, MetroTrainingWindowIsPinned) {
+  constexpr std::size_t kCycles = 24, kCurrent = kCycles - 1;
+  const Matrix truth =
+      data::make_metro_scale_task(50, 50, kCycles, 20180).ground_truth();
+  ASSERT_EQ(truth.rows(), 2500u);
+  EXPECT_EQ(crc_of(truth.data()), 694256473u) << "metro field draw";
+  const PartialMatrix window = testing::make_metro_training_window(truth, 16);
+
+  const MatrixCompletion engine;
+  const Matrix cold = engine.infer(window);
+  EXPECT_EQ(crc_of(cold.data()), 1877336032u) << "cold infer";
+  // Fingerprint hits.
+  EXPECT_EQ(engine.infer(window), cold) << "repeated infer";
+  EXPECT_EQ(crc_of(engine.loo_column_predictions(window, kCurrent)),
+            210225856u)
+      << "LOO of the sparse current cycle";
+
+  // Trusted warm polish after one more sensed cell.
+  EXPECT_EQ(crc_of(engine.infer(testing::make_metro_training_window(truth, 17))
+                       .data()),
+            816488211u)
+      << "warm infer";
 }
 
 }  // namespace

@@ -360,31 +360,41 @@ TEST(RidgeSolver, NonFiniteRowThrowsAfterTheLadder) {
   expect_matches_oracle(solver, ok, b, 0.1);
 }
 
-// Factors A once through the split path (factor(), then solve_factored()),
-// then solves three more right-hand sides against the held factor with
-// RHS-only accumulation, checking each bit for bit against a fresh fused
-// solve() of the same system.
-void expect_split_matches_fused(const Matrix& a, double lambda, Rng& rng) {
+// Right-hand-side counts of the block tests: one, a few, the ALS tile
+// width (16) and one past it.
+constexpr std::size_t kBlockCounts[] = {1, 2, 3, 7, 16, 17};
+
+// Factors A once through the Gram-only path (add_gram_row(), then
+// factor()), accumulates `count` right-hand sides as one k-major block and
+// solves them with solve_factored_block(). Each column of the block must be
+// bit for bit what a fresh fused solve() (add_row(), factor(),
+// solve_factored()) returns for the same system.
+void expect_block_matches_fused(const Matrix& a, double lambda,
+                                std::size_t count, Rng& rng) {
+  SCOPED_TRACE(count);
   const std::size_t n = a.cols();
-  RidgeSolver split(n), fused(n);
-  for (int rhs = 0; rhs < 4; ++rhs) {
-    SCOPED_TRACE(rhs);
-    std::vector<double> b(a.rows());
-    for (auto& v : b) v = rng.normal();
+  std::vector<std::vector<double>> b(count, std::vector<double>(a.rows()));
+  for (auto& bt : b)
+    for (auto& v : bt) v = rng.normal();
+
+  RidgeSolver blocked(n), fused(n);
+  blocked.reset();
+  for (std::size_t r = 0; r < a.rows(); ++r) blocked.add_gram_row(a.row(r));
+  blocked.factor(lambda);
+  std::vector<double> block(n * count, 0.0);
+  for (std::size_t r = 0; r < a.rows(); ++r)
+    for (std::size_t k = 0; k < n; ++k)
+      for (std::size_t t = 0; t < count; ++t)
+        block[k * count + t] += a(r, k) * b[t][r];
+  blocked.solve_factored_block(block, count);
+
+  for (std::size_t t = 0; t < count; ++t) {
+    SCOPED_TRACE(t);
     fused.reset();
-    for (std::size_t r = 0; r < a.rows(); ++r) fused.add_row(a.row(r), b[r]);
-    const auto fused_x = fused.solve(lambda);
-    const std::vector<double> want(fused_x.begin(), fused_x.end());
-    if (rhs == 0) {
-      split.reset();
-      for (std::size_t r = 0; r < a.rows(); ++r) split.add_row(a.row(r), b[r]);
-      split.factor(lambda);
-    } else {
-      split.reset_rhs();
-      for (std::size_t r = 0; r < a.rows(); ++r)
-        split.add_rhs_row(a.row(r), b[r]);
-    }
-    expect_same_bits(split.solve_factored(), want);
+    for (std::size_t r = 0; r < a.rows(); ++r) fused.add_row(a.row(r), b[t][r]);
+    std::vector<double> got(n);
+    for (std::size_t k = 0; k < n; ++k) got[k] = block[k * count + t];
+    expect_same_bits(got, fused.solve(lambda));
   }
 }
 
@@ -397,13 +407,17 @@ TEST(RidgeSolver, FactorOnceSolveManyMatchesFusedAcrossRanks) {
       for (std::size_t r = 0; r < rows; ++r)
         for (std::size_t c = 0; c < rank; ++c)
           if ((r + c) % 3 == 1 || r == rows / 2) a(r, c) = 0.0;
-      expect_split_matches_fused(a, 0.005 * static_cast<double>(rows), rng);
+      for (std::size_t count : kBlockCounts)
+        expect_block_matches_fused(a, 0.005 * static_cast<double>(rows),
+                                   count, rng);
     }
   }
   // The zero skip is observable with an infinite entry: the Gram factors,
   // with non-finite solutions, only because the skip keeps 0·inf out.
   const double inf = std::numeric_limits<double>::infinity();
-  expect_split_matches_fused(Matrix{{inf, 0.0}, {1.0, 2.0}}, 0.1, rng);
+  for (std::size_t count : kBlockCounts)
+    expect_block_matches_fused(Matrix{{inf, 0.0}, {1.0, 2.0}}, 0.1, count,
+                               rng);
 }
 
 TEST(RidgeSolver, FactorOnceSolveManyAfterTheJitterLadder) {
@@ -415,7 +429,8 @@ TEST(RidgeSolver, FactorOnceSolveManyAfterTheJitterLadder) {
   ridge_solve_oracle(a, std::vector<double>(a.rows(), 1.0), 0.0, &retries);
   ASSERT_GE(retries, 1);
   Rng rng(44);
-  expect_split_matches_fused(a, 0.0, rng);
+  for (std::size_t count : kBlockCounts)
+    expect_block_matches_fused(a, 0.0, count, rng);
 }
 
 TEST(RidgeSolver, FactorStepThrowsOnNonFiniteRow) {
@@ -433,7 +448,7 @@ TEST(RidgeSolver, FactorStepThrowsOnNonFiniteRow) {
   solver.factor(0.1);
   expect_same_bits(solver.solve_factored(), ridge_solve_oracle(ok, b, 0.1));
   Rng rng(45);
-  expect_split_matches_fused(ok, 0.1, rng);
+  expect_block_matches_fused(ok, 0.1, 3, rng);
 }
 
 TEST(Solvers, RidgeShrinksTowardsZero) {

@@ -13,9 +13,11 @@
 
 #include "cs/matrix_completion.h"
 #include "cs/partial_matrix.h"
+#include "data/datasets.h"
 #include "data/synthetic_field.h"
 #include "mcs/quality.h"
 #include "mcs/sensing_task.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -279,6 +281,39 @@ TEST(ParallelAls, PooledSweepsBitIdenticalToSerial) {
     }
     EXPECT_EQ(warm_serial.infer(evolving), warm_pooled.infer(evolving))
         << "step " << step;
+  }
+}
+
+TEST(ParallelAls, MetroTrainingWindowBitIdenticalAtZeroOneThreeWorkers) {
+  // The golden metro window (tests/als_golden_test.cpp): long runs of equal
+  // observation lists in both half-sweeps, which the pool's chunk bounds cut
+  // at different places for each worker count.
+  const Matrix truth =
+      data::make_metro_scale_task(50, 50, 24, 20180).ground_truth();
+  const auto window = testing::make_metro_training_window(truth, 16);
+  const auto grown = testing::make_metro_training_window(truth, 17);
+  const std::size_t current = window.cols() - 1;
+
+  struct Outputs {
+    Matrix cold;
+    std::vector<double> loo;
+    Matrix warm;
+  };
+  const auto run = [&](std::size_t workers) {
+    util::ThreadPool pool(workers);
+    cs::MatrixCompletion engine;
+    engine.set_thread_pool(&pool);
+    Outputs out{engine.infer(window),
+                engine.loo_column_predictions(window, current), Matrix()};
+    out.warm = engine.infer(grown);  // trusted warm polish
+    return out;
+  };
+  const Outputs serial = run(0);
+  for (std::size_t workers : {1u, 3u}) {
+    const Outputs pooled = run(workers);
+    EXPECT_EQ(pooled.cold, serial.cold) << workers << " workers";
+    EXPECT_EQ(pooled.loo, serial.loo) << workers << " workers";
+    EXPECT_EQ(pooled.warm, serial.warm) << workers << " workers";
   }
 }
 

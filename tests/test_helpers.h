@@ -59,6 +59,23 @@ inline mcs::SensingTask make_gp_task(std::size_t side = 3,
                           mcs::ErrorMetric::mae(), 1.0);
 }
 
+/// The window shape the metro training workload infers on: every cycle of
+/// `truth` but the last fully observed, and the last (current) cycle sensed
+/// at `sensed` distinct strided cells. The stride 43 must be coprime to the
+/// cell count.
+inline cs::PartialMatrix make_metro_training_window(const Matrix& truth,
+                                                   std::size_t sensed) {
+  const std::size_t cells = truth.rows(), current = truth.cols() - 1;
+  cs::PartialMatrix window(cells, truth.cols());
+  for (std::size_t c = 0; c < current; ++c)
+    for (std::size_t r = 0; r < cells; ++r) window.set(r, c, truth(r, c));
+  for (std::size_t k = 0; k < sensed; ++k) {
+    const std::size_t cell = (11 + 43 * k) % cells;
+    window.set(cell, current, truth(cell, current));
+  }
+  return window;
+}
+
 inline cs::InferenceEnginePtr default_engine() {
   // The toy/GP tasks are rank-2/3 plus mean; a low-rank engine avoids
   // overfitting their tiny windows.
