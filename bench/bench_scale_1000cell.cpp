@@ -66,6 +66,36 @@ std::vector<cs::PartialMatrix> make_window_sequence(
   return windows;
 }
 
+constexpr std::size_t kServeWidth = 12;  // perfbench serve_city's window
+
+/// The windows perfbench serve_city's LOO gate fits at campaign cycles
+/// 0 .. count - 1: the task's first 12 cycles are the fully observed warm
+/// start, and each campaign cycle after them is sensed at 64 strided cells
+/// (the stride 31 is coprime to the 1000 cells). Window k + 1 is window k
+/// slid by one cycle, with 64 new observations in its newest column.
+std::vector<cs::PartialMatrix> make_slid_windows(const mcs::SensingTask& task,
+                                                 std::size_t count) {
+  constexpr std::size_t kSensed = 64;
+  std::vector<cs::PartialMatrix> windows;
+  for (std::size_t k = 0; k < count; ++k) {
+    cs::PartialMatrix window(task.num_cells(), kServeWidth);
+    for (std::size_t c = 0; c < kServeWidth; ++c) {
+      const std::size_t t = k + 1 + c;  // cycles k + 1 .. k + 12
+      if (t < kServeWidth) {
+        for (std::size_t cell = 0; cell < task.num_cells(); ++cell)
+          window.set(cell, c, task.truth(cell, t));
+        continue;
+      }
+      for (std::size_t j = 0; j < kSensed; ++j) {
+        const std::size_t cell = (7 + 17 * t + 31 * j) % task.num_cells();
+        window.set(cell, c, task.truth(cell, t));
+      }
+    }
+    windows.push_back(std::move(window));
+  }
+  return windows;
+}
+
 void bench_completion(const mcs::SensingTask& task,
                       bench::JsonReporter& report, bool quick) {
   const auto window = make_scale_window(task);
@@ -190,6 +220,35 @@ void bench_gate(const mcs::SensingTask& task, bench::JsonReporter& report,
             << pool.worker_count() + 1 << " lanes) "
             << format_double(pooled_run.wall_ms, 3) << " ms, serial "
             << format_double(serial_run.wall_ms, 3) << " ms\n";
+}
+
+void bench_loo_slid(const mcs::SensingTask& task, bench::JsonReporter& report,
+                    bool quick) {
+  // A serving campaign's LOO gate over consecutive cycles: a fresh warm
+  // engine fits the first window cold and resumes each slid window from the
+  // shifted factors. The reference runs the same sequence on a
+  // warm_start = false engine, so every fit is cold.
+  const auto windows = make_slid_windows(task, quick ? 4 : 8);
+  const double cycles = static_cast<double>(windows.size());
+  cs::MatrixCompletionOptions cold_opts;
+  cold_opts.warm_start = false;
+  const auto pass = [&](const cs::MatrixCompletionOptions& options) {
+    const cs::MatrixCompletion engine(options);
+    for (const auto& w : windows)
+      (void)engine.loo_column_predictions(w, kServeWidth - 1);
+  };
+  const double target = quick ? 300.0 : 800.0;
+  const auto warm_run = bench::measure_ms([&] { pass({}); }, target, 50);
+  const auto cold_run =
+      bench::measure_ms([&] { pass(cold_opts); }, target, 50);
+  const double warm_ms = warm_run.wall_ms / cycles;
+  const double cold_ms = cold_run.wall_ms / cycles;
+  report.add_with_reference("scale_als_loo_slid_cycle", warm_ms,
+                            warm_run.iterations * cycles, 1e3 / warm_ms,
+                            cold_ms, cold_run.iterations * cycles);
+  std::cout << "1000 x 12 slid-window LOO per cycle: warm "
+            << format_double(warm_ms, 2) << " ms, cold "
+            << format_double(cold_ms, 2) << " ms\n";
 }
 
 void bench_environment(const mcs::SensingTask& task,
@@ -365,6 +424,7 @@ int main(int argc, char** argv) {
   bench_completion(task, report, quick);
   bench_committee(task, report, quick);
   bench_gate(task, report, quick);
+  bench_loo_slid(task, report, quick);
   bench_selection(task, report, quick);
   bench_environment(task, report, quick);
   bench_train_step(task.num_cells(), report, quick);

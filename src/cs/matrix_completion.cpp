@@ -61,10 +61,11 @@ constexpr std::size_t kWarmIterations = 4;
 // short kWarmIterations budget is safe (typical per-cycle evolution
 // measures 1.1-1.7).
 constexpr double kWarmTrustFactor = 2.0;
-// Above this ratio the window is treated as unrelated — episode reset,
-// slid/relabelled columns, different task — and the solve starts cold. A
-// cycle's worth of new entries stays well below it; an unrelated window
-// overshoots it by an order of magnitude.
+// Above this ratio the cached factors do not describe the window as it
+// stands — a window slid by one cycle, an episode reset, a different task.
+// A slide gets one more try with the columns shifted (fit()); anything else
+// starts cold. A cycle's worth of new entries stays well below it; an
+// unrelated window overshoots it by an order of magnitude.
 constexpr double kWarmRmseFactor = 4.0;
 // Right-hand sides an ALS half-sweep solves as one block: a run of indices
 // with equal observation lists is taken this many at a time. Even, so a
@@ -170,6 +171,35 @@ MatrixCompletion::Fit MatrixCompletion::fit(
         warm_resumed = true;
         warm_trusted =
             init_rmse <= kWarmTrustFactor * warm_->rmse + kConvergenceTol;
+      } else if (observed.observed_count_in_col(n - 1) >= rank) {
+        // The window may have slid by one cycle: cached column c + 1 is
+        // this window's column c, and the newest column has no cached
+        // factor. Solve it against the cached row factors (the half-sweeps'
+        // weighted lambda) and take the shifted factors only if they pass
+        // the trust threshold, with the short polish budget. Fewer than
+        // `rank` new observations cannot pin that factor down, so such a
+        // window goes cold.
+        const Matrix& cached_col = warm_->fit.col_factors;
+        Matrix slid(n, rank);
+        std::copy(cached_col.data().begin() + rank, cached_col.data().end(),
+                  slid.data().begin());
+        const double* row_data = warm_->fit.row_factors.data().data();
+        const Matrix& values = observed.raw_values();
+        const auto& newest = observed.observed_rows_in_col(n - 1);
+        RidgeSolver solver(rank);
+        for (std::size_t r : newest)
+          solver.add_row({row_data + r * rank, rank},
+                         values(r, n - 1) - result.mu);
+        const auto x =
+            solver.solve(kLambda * static_cast<double>(newest.size()));
+        std::copy(x.begin(), x.end(), slid.data().end() - rank);
+        if (observed_rmse(warm_->fit.row_factors, slid, result.mu,
+                          observed) <=
+            kWarmTrustFactor * warm_->rmse + kConvergenceTol) {
+          result.row_factors = warm_->fit.row_factors;
+          result.col_factors = std::move(slid);
+          warm_resumed = warm_trusted = true;
+        }
       }
     }
   }

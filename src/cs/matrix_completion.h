@@ -12,12 +12,27 @@
 // when they still predict its observations about as well as their own (the
 // trust guard in matrix_completion.cpp) and then runs a short polish budget
 // of 4 sweeps instead of the cold 20; a resume the guard accepts but does
-// not trust keeps the warm init and runs the full budget. The saving is the
-// shorter budget, not early convergence: on the scaled perfbench workloads
-// neither early exit fires. At seed 1, each trusted resume in train_metro
-// ran all 4 sweeps and each of its other fits (cold, or resumed but not
-// trusted) all 20, and every serve_city fit that swept was cold and ran all
-// 20. Set `warm_start = false` for the stateless cold-start behaviour.
+// not trust keeps the warm init and runs the full budget.
+//
+// A window that slid by one cycle fails that guard, because each cached
+// column factor belongs to the cycle before. When the guard rejects and the
+// newest column holds at least `rank` observations, the engine tries the
+// slid resume: the cached row factors, cached column c + 1 as column c, and
+// the newest column's factor from one ridge solve of its observations
+// against the cached row factors. It takes those factors, with the polish
+// budget, only if they pass the trust threshold; otherwise, and for a
+// newest column with fewer observations than the rank, the fit goes cold.
+// The saving is the shorter budget, not early convergence: on the scaled
+// perfbench workloads neither early exit fires. At seed 1, each trusted
+// resume in train_metro runs all 4 sweeps and each of its other fits
+// (cold, or resumed but not trusted) all 20. In serve_city, each pass runs
+// 128 LOO fits: the 32 fits of the campaigns' first cycles are cold, and
+// 95 of the other 96, each one slide after the campaign's previous fit,
+// take the slid resume; one fails the trust threshold and goes cold.
+// train_metro senses fewer than `rank` cells before its first fit after a
+// slide, so those fits stay cold and no candidate is built. In train_paper
+// most cold fits build the candidate and reject it, which keeps their
+// bytes. Set `warm_start = false` for the stateless cold-start behaviour.
 //
 // Robustness: a warm resume that fails to produce usable factors —
 // non-finite values out of a pathological cached init, or the armed

@@ -19,21 +19,6 @@ void SelectionMatrix::mark(std::size_t cell, std::size_t cycle) {
   ++total_;
 }
 
-std::vector<std::size_t> SelectionMatrix::unselected_cells_in_cycle(
-    std::size_t cycle) const {
-  std::vector<std::size_t> out;
-  out.reserve(cells_ - selected_count_in_cycle(cycle));
-  for (std::size_t cell = 0; cell < cells_; ++cell)
-    if (!selected(cell, cycle)) out.push_back(cell);
-  return out;
-}
-
-std::vector<double> SelectionMatrix::cycle_vector(std::size_t cycle) const {
-  std::vector<double> v(cells_, 0.0);
-  for (std::size_t cell : selected_cells_in_cycle(cycle)) v[cell] = 1.0;
-  return v;
-}
-
 void SelectionMatrix::reset() {
   std::fill(bits_.begin(), bits_.end(), 0);
   for (auto& list : per_cycle_) list.clear();

@@ -45,10 +45,6 @@ class SelectionMatrix {
     DRCELL_CHECK_MSG(cycle < cycles_, "selection cycle out of range");
     return per_cycle_[cycle];
   }
-  std::vector<std::size_t> unselected_cells_in_cycle(std::size_t cycle) const;
-
-  /// 0/1 column of the given cycle (length = cells()).
-  std::vector<double> cycle_vector(std::size_t cycle) const;
 
   void reset();
 

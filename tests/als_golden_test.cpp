@@ -174,5 +174,33 @@ TEST(AlsGolden, MetroTrainingWindowIsPinned) {
       << "warm infer";
 }
 
+// The serving window after its campaign cycles start to slide it: a cold
+// fit at cycle 0 (11 warm cycles plus 64 sensed cells), then the window at
+// cycle 1, where every column holds the next cycle. The cached factors now
+// describe the wrong cycles, so the engine shifts them by one column,
+// solves the newest column's factor from its 64 cells and, the shifted
+// factors being trusted, runs the polish budget. A LOO pass reuses that
+// fit; the window at cycle 2 slides it once more.
+TEST(AlsGolden, SlidServingWindowIsPinned) {
+  const Matrix truth =
+      data::make_city_scale_task(25, 40, 15, 1000).ground_truth();
+  EXPECT_EQ(crc_of(truth.data()), 910122516u) << "city field draw";
+
+  const MatrixCompletion engine;
+  EXPECT_EQ(crc_of(engine.infer(testing::make_serving_window(truth, 0, 64))
+                       .data()),
+            3851756671u)
+      << "cold infer";
+  const PartialMatrix slid = testing::make_serving_window(truth, 1, 64);
+  EXPECT_EQ(crc_of(engine.infer(slid).data()), 1772923246u) << "slid infer";
+  EXPECT_EQ(crc_of(engine.loo_column_predictions(slid, slid.cols() - 1)),
+            4027396474u)
+      << "LOO of the slid window's current cycle";
+  EXPECT_EQ(crc_of(engine.infer(testing::make_serving_window(truth, 2, 64))
+                       .data()),
+            3716992894u)
+      << "second slide";
+}
+
 }  // namespace
 }  // namespace drcell::cs

@@ -21,6 +21,7 @@
 #include "core/health_monitor.h"
 #include "core/policy.h"
 #include "cs/matrix_completion.h"
+#include "data/datasets.h"
 #include "data/task_io.h"
 #include "mcs/environment.h"
 #include "nn/serialize.h"
@@ -727,6 +728,26 @@ TEST(AlsFallback, ConvergeFaultFallsBackToColdSolveBitIdentically) {
   for (std::size_t r = 0; r < forced.rows(); ++r)
     for (std::size_t c = 0; c < forced.cols(); ++c)
       EXPECT_EQ(forced(r, c), reference(r, c)) << "(" << r << "," << c << ")";
+}
+
+TEST(AlsFallback, ConvergeFaultOnSlidResumeFallsBackToColdSolve) {
+  DisarmGuard guard;
+  const Matrix truth =
+      data::make_city_scale_task(25, 40, 14, 1000).ground_truth();
+  const auto slid = testing::make_serving_window(truth, 1, 64);
+  const cs::MatrixCompletion warm;
+  warm.infer(testing::make_serving_window(truth, 0, 64));  // cold fit
+
+  util::FaultSpec spec;
+  spec.site = "als.converge";
+  spec.times = 1;
+  util::FaultInjection::arm(spec);
+  const Matrix forced = warm.infer(slid);
+  // The site is only checked after a resume: one fire proves the window
+  // slid into the shifted factors and the fallback then took over.
+  ASSERT_EQ(util::FaultInjection::fires("als.converge"), 1u);
+  util::FaultInjection::disarm_all();
+  EXPECT_EQ(forced, cs::MatrixCompletion().infer(slid));
 }
 
 }  // namespace

@@ -122,22 +122,12 @@ TEST(SelectionMatrix, MarkAndQuery) {
   EXPECT_EQ(s.selected_count(), 3u);
   EXPECT_EQ(s.selected_count_in_cycle(0), 2u);
   EXPECT_EQ(s.selected_cells_in_cycle(0), (std::vector<std::size_t>{1, 3}));
-  EXPECT_EQ(s.unselected_cells_in_cycle(0),
-            (std::vector<std::size_t>{0, 2}));
 }
 
 TEST(SelectionMatrix, DoubleMarkThrows) {
   SelectionMatrix s(2, 2);
   s.mark(0, 0);
   EXPECT_THROW(s.mark(0, 0), CheckError);
-}
-
-TEST(SelectionMatrix, CycleVector) {
-  SelectionMatrix s(3, 2);
-  s.mark(0, 1);
-  s.mark(2, 1);
-  EXPECT_EQ(s.cycle_vector(1), (std::vector<double>{1.0, 0.0, 1.0}));
-  EXPECT_EQ(s.cycle_vector(0), (std::vector<double>{0.0, 0.0, 0.0}));
 }
 
 TEST(SelectionMatrix, ResetClearsEverything) {

@@ -11,9 +11,11 @@
 #include "cs/matrix_completion.h"
 #include "cs/mean_inference.h"
 #include "cs/temporal_inference.h"
+#include "data/datasets.h"
 #include "linalg/matrix.h"
 #include "rl/dqn_trainer.h"
 #include "rl/drqn_qnetwork.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -188,6 +190,52 @@ TEST(WarmStartAls, EvolvingWindowKeepsColdStartAccuracy) {
     EXPECT_LE(warm_mae, cold_mae + 0.05)
         << "step " << step << ": warm " << warm_mae << " cold " << cold_mae;
   }
+}
+
+// The serving workload's window one cycle after a fit: every column now
+// holds the next cycle, so the cached factors describe the wrong cycles.
+// Returns the warm engine's estimate of the slid window, and the cold
+// engine's in `cold_out`.
+Matrix infer_after_slide(const Matrix& truth, std::size_t newest,
+                         Matrix* cold_out) {
+  const cs::MatrixCompletion warm;  // warm_start defaults to true
+  (void)warm.infer(testing::make_serving_window(truth, 0, 64));
+  const auto slid = testing::make_serving_window(truth, 1, newest);
+  cs::MatrixCompletionOptions cold_opts;
+  cold_opts.warm_start = false;
+  *cold_out = cs::MatrixCompletion(cold_opts).infer(slid);
+  return warm.infer(slid);
+}
+
+TEST(WarmStartAls, SlidWindowResumesFromShiftedFactors) {
+  const Matrix truth =
+      data::make_city_scale_task(25, 40, 14, 1000).ground_truth();
+  Matrix cold_est;
+  const Matrix warm_est = infer_after_slide(truth, 64, &cold_est);
+  // A cold start would give the cold engine's bits; the 64 cells sensed in
+  // the newest column let the shifted factors in instead.
+  EXPECT_NE(warm_est, cold_est);
+  // The slid window covers truth cycles 1..12.
+  double warm_mae = 0.0, cold_mae = 0.0;
+  for (std::size_t r = 0; r < warm_est.rows(); ++r)
+    for (std::size_t c = 0; c < warm_est.cols(); ++c) {
+      warm_mae += std::fabs(warm_est(r, c) - truth(r, c + 1));
+      cold_mae += std::fabs(cold_est(r, c) - truth(r, c + 1));
+    }
+  warm_mae /= static_cast<double>(warm_est.data().size());
+  cold_mae /= static_cast<double>(warm_est.data().size());
+  // The EvolvingWindowKeepsColdStartAccuracy tolerance.
+  EXPECT_LE(warm_mae, cold_mae + 0.05)
+      << "warm " << warm_mae << " cold " << cold_mae;
+}
+
+TEST(WarmStartAls, SlidWindowWithSparseNewestColumnStartsCold) {
+  // Fewer new observations than the rank (5) cannot pin the newest
+  // column's factor down, so the slid window goes cold.
+  const Matrix truth =
+      data::make_city_scale_task(25, 40, 14, 1000).ground_truth();
+  Matrix cold_est;
+  EXPECT_EQ(infer_after_slide(truth, 4, &cold_est), cold_est);
 }
 
 TEST(PooledCommittee, InferAllBitIdenticalToSerial) {

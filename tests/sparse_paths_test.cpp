@@ -317,6 +317,33 @@ TEST(ParallelAls, MetroTrainingWindowBitIdenticalAtZeroOneThreeWorkers) {
   }
 }
 
+TEST(ParallelAls, SlidServingWindowBitIdenticalAtZeroOneThreeWorkers) {
+  // The serving window fitted cold, then slid by one cycle: the resume from
+  // the shifted factors (one newest-column solve, then the polish sweeps)
+  // and the LOO pass over it must not depend on the worker count.
+  const Matrix truth =
+      data::make_city_scale_task(25, 40, 14, 1000).ground_truth();
+  const auto before = testing::make_serving_window(truth, 0, 64);
+  const auto slid = testing::make_serving_window(truth, 1, 64);
+  const std::size_t current = slid.cols() - 1;
+
+  const auto run = [&](std::size_t workers) {
+    util::ThreadPool pool(workers);
+    cs::MatrixCompletion engine;
+    engine.set_thread_pool(&pool);
+    (void)engine.infer(before);
+    const Matrix warm = engine.infer(slid);
+    return std::make_pair(warm,
+                          engine.loo_column_predictions(slid, current));
+  };
+  const auto serial = run(0);
+  for (std::size_t workers : {1u, 3u}) {
+    const auto pooled = run(workers);
+    EXPECT_EQ(pooled.first, serial.first) << workers << " workers";
+    EXPECT_EQ(pooled.second, serial.second) << workers << " workers";
+  }
+}
+
 TEST(ParallelLoo, PooledSolvesBitIdenticalToSerial) {
   // Mirrors ParallelAls above for the other pooled completion path: the
   // per-cell leave-one-out solves fan out over the pool, and the held-out

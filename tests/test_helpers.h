@@ -76,6 +76,34 @@ inline cs::PartialMatrix make_metro_training_window(const Matrix& truth,
   return window;
 }
 
+/// The 12-cycle window the serving workload's LOO gate fits at campaign
+/// cycle `cycle`. The first 12 columns of `truth` are the warm-start
+/// cycles, fully observed; the campaign cycles follow. Each campaign cycle
+/// before `cycle` is sensed at 64 strided cells and `cycle` itself at
+/// `newest`. The picks depend only on the absolute cycle, so the window at
+/// cycle k + 1 is the window at cycle k slid by one cycle. The stride 31
+/// must be coprime to the cell count.
+inline cs::PartialMatrix make_serving_window(const Matrix& truth,
+                                             std::size_t cycle,
+                                             std::size_t newest) {
+  constexpr std::size_t kWidth = 12, kWarm = 12, kSensed = 64;
+  const std::size_t cells = truth.rows(), last = kWarm + cycle;
+  DRCELL_CHECK_MSG(last < truth.cols(), "truth ends before the cycle");
+  cs::PartialMatrix window(cells, kWidth);
+  for (std::size_t c = 0; c < kWidth; ++c) {
+    const std::size_t t = last + 1 + c - kWidth;
+    if (t < kWarm) {
+      for (std::size_t r = 0; r < cells; ++r) window.set(r, c, truth(r, t));
+      continue;
+    }
+    for (std::size_t k = 0; k < (t == last ? newest : kSensed); ++k) {
+      const std::size_t cell = (7 + 17 * t + 31 * k) % cells;
+      window.set(cell, c, truth(cell, t));
+    }
+  }
+  return window;
+}
+
 inline cs::InferenceEnginePtr default_engine() {
   // The toy/GP tasks are rank-2/3 plus mean; a low-rank engine avoids
   // overfitting their tiny windows.
