@@ -70,28 +70,11 @@ bool CampaignScheduler::all_done() const {
   });
 }
 
-CampaignState CampaignScheduler::campaign_state(std::size_t slot) const {
-  DRCELL_CHECK(slot < slots_.size());
-  return slots_[slot].state;
-}
-
-const std::string& CampaignScheduler::quarantine_reason(
-    std::size_t slot) const {
-  DRCELL_CHECK(slot < slots_.size());
-  return slots_[slot].quarantine_reason;
-}
-
 std::vector<std::size_t> CampaignScheduler::quarantined_slots() const {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < slots_.size(); ++i)
     if (slots_[i].state == CampaignState::kQuarantined) out.push_back(i);
   return out;
-}
-
-const std::string& CampaignScheduler::checkpoint_ring_entry(
-    std::size_t i) const {
-  DRCELL_CHECK(i < ring_.size());
-  return ring_[i];
 }
 
 void CampaignScheduler::note_incident(std::string campaign, std::string kind,

@@ -173,20 +173,16 @@ class CampaignScheduler {
   const mcs::SparseMcsEnvironment& environment(std::size_t slot) const;
   const std::vector<std::uint32_t>& action_log(std::size_t slot) const;
 
-  CampaignState campaign_state(std::size_t slot) const;
-  const std::string& quarantine_reason(std::size_t slot) const;
-  /// Slot indices currently quarantined, ascending.
+  /// Slot indices currently quarantined, ascending. results() carries each
+  /// campaign's quarantine flag and reason.
   std::vector<std::size_t> quarantined_slots() const;
 
   /// The fault-tolerance layer's ordered event record (see Incident).
   const std::vector<Incident>& incidents() const { return incidents_; }
   /// Rollbacks performed so far (at most two).
   std::size_t rollbacks() const { return rollbacks_; }
-  /// Auto-checkpoint ring introspection (drills compare restored state
-  /// against the snapshot bytes). Entries are full DRCK v2 streams,
-  /// oldest first.
+  /// Auto-checkpoint ring depth (entries are full DRCK v2 streams).
   std::size_t checkpoint_ring_size() const { return ring_.size(); }
-  const std::string& checkpoint_ring_entry(std::size_t i) const;
 
   /// Results in slot order, each carrying its campaign id. seconds is 0 —
   /// wall-clock is owned by the caller and excluded from bit-compares.

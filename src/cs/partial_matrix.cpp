@@ -55,29 +55,6 @@ PartialMatrix::PartialMatrix(PartialMatrix&& other) noexcept
   }
 }
 
-PartialMatrix& PartialMatrix::operator=(const PartialMatrix& other) {
-  if (this == &other) return *this;
-  values_ = other.values_;
-  mask_ = other.mask_;
-  observed_count_ = other.observed_count_;
-  row_obs_ = other.row_obs_;
-  col_obs_ = other.col_obs_;
-  // Valid flag first (acquire), value only behind it — see the copy
-  // constructor. Assignment targets are single-threaded by contract (only
-  // const access is concurrency-safe), so the local stores are relaxed.
-  if (other.fp_valid_.load(std::memory_order_acquire)) {
-    fp_.store(other.fp_.load(std::memory_order_relaxed),
-              std::memory_order_relaxed);
-    fp_valid_.store(true, std::memory_order_relaxed);
-  } else {
-    fp_valid_.store(false, std::memory_order_relaxed);
-  }
-  // Like the copy constructor: a copy starts with a fresh instrumentation
-  // counter (it has computed nothing itself yet).
-  fp_computations_.store(0, std::memory_order_relaxed);
-  return *this;
-}
-
 PartialMatrix& PartialMatrix::operator=(PartialMatrix&& other) noexcept {
   if (this == &other) return *this;
   values_ = std::move(other.values_);

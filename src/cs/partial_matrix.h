@@ -32,7 +32,7 @@ class PartialMatrix {
 
   PartialMatrix(const PartialMatrix& other);
   PartialMatrix(PartialMatrix&& other) noexcept;
-  PartialMatrix& operator=(const PartialMatrix& other);
+  PartialMatrix& operator=(const PartialMatrix& other) = delete;
   PartialMatrix& operator=(PartialMatrix&& other) noexcept;
 
   std::size_t rows() const { return values_.rows(); }

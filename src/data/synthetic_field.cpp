@@ -114,12 +114,6 @@ std::size_t SyntheticFieldGenerator::shared_factor_cache_hits() {
   return r.hits;
 }
 
-std::size_t SyntheticFieldGenerator::shared_factor_cache_size() {
-  SharedRegistry& r = shared_registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  return r.factors.size();
-}
-
 std::size_t SyntheticFieldGenerator::shared_factor_cache_builds() {
   SharedRegistry& r = shared_registry();
   const std::lock_guard<std::mutex> lock(r.mutex);

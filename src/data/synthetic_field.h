@@ -137,18 +137,18 @@ class SyntheticFieldGenerator {
     return factor_cache_hits_;
   }
 
-  /// Process-wide shared-registry counters: how many factor requests were
+  /// Process-wide shared-registry counter: how many factor requests were
   /// served by a factor another generator (or an earlier same-coordinate
-  /// generator) already built, and how many distinct factors the registry
-  /// currently holds. The multi-campaign scheduler's "N same-params
-  /// campaigns pay one factorisation" contract is gated on hits >= N-1
-  /// (bench_multi_campaign).
+  /// generator) already built. The multi-campaign scheduler's "N
+  /// same-params campaigns pay one factorisation" contract is gated on
+  /// hits >= N-1 (bench_multi_campaign).
   static std::size_t shared_factor_cache_hits();
-  static std::size_t shared_factor_cache_size();
   /// How many factors the registry has actually built (cold builds) since
   /// the last reset — the exact-path dense Cholesky and the Nyström factor
   /// both count, so cold/warm behaviour is observable at both tiers:
   /// builds is the cold count, shared_factor_cache_hits() the warm count.
+  /// The registry never evicts, so this is also how many distinct factors
+  /// it holds.
   static std::size_t shared_factor_cache_builds();
   /// Drops every shared factor and zeroes the hit counter (test/bench
   /// isolation; also the reference side of the shared-cache bench pair).

@@ -30,12 +30,12 @@ std::vector<double> tail_as_doubles(const std::vector<std::string>& row) {
 
 void save_task_csv(std::ostream& out, const mcs::SensingTask& task) {
   CsvWriter w(out);
-  w.write_row(std::vector<std::string>{"name", task.name()});
+  w.write_row({"name", task.name()});
   {
     std::ostringstream ss;
     ss.precision(17);
     ss << task.cycle_hours();
-    w.write_row(std::vector<std::string>{"cycle_hours", ss.str()});
+    w.write_row({"cycle_hours", ss.str()});
   }
   {
     using Kind = mcs::ErrorMetric::Kind;

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <vector>
 
 #include "util/check.h"
 
@@ -88,15 +89,6 @@ const ComputeBackend* BackendRegistry::find(const std::string& name) {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
   return find_locked(r, name);
-}
-
-std::vector<std::string> BackendRegistry::names() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  std::vector<std::string> out;
-  out.reserve(r.backends.size());
-  for (const auto& b : r.backends) out.emplace_back(b->name());
-  return out;
 }
 
 }  // namespace drcell

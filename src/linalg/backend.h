@@ -30,7 +30,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace drcell {
 
@@ -115,9 +114,6 @@ class BackendRegistry {
 
   /// Looks up a backend without activating it; nullptr when unknown.
   static const ComputeBackend* find(const std::string& name);
-
-  /// Names of all registered backends, in registration order.
-  static std::vector<std::string> names();
 };
 
 }  // namespace drcell

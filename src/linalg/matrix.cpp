@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
-#include <sstream>
 
 #include "linalg/backend.h"
 #include "util/rng.h"
@@ -12,34 +10,6 @@ namespace drcell {
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
-Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
-  rows_ = rows.size();
-  cols_ = rows_ ? rows.begin()->size() : 0;
-  data_.reserve(rows_ * cols_);
-  for (const auto& r : rows) {
-    DRCELL_CHECK_MSG(r.size() == cols_, "ragged initialiser list");
-    data_.insert(data_.end(), r.begin(), r.end());
-  }
-}
-
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::column(std::span<const double> data) {
-  Matrix m(data.size(), 1);
-  for (std::size_t i = 0; i < data.size(); ++i) m(i, 0) = data[i];
-  return m;
-}
-
-Matrix Matrix::diagonal(std::span<const double> data) {
-  Matrix m(data.size(), data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) m(i, i) = data[i];
-  return m;
-}
 
 void Matrix::resize(std::size_t rows, std::size_t cols, double fill) {
   rows_ = rows;
@@ -55,18 +25,6 @@ std::span<double> Matrix::row(std::size_t r) {
 std::span<const double> Matrix::row(std::size_t r) const {
   DRCELL_DCHECK(r < rows_);
   return {data_.data() + r * cols_, cols_};
-}
-
-std::vector<double> Matrix::col(std::size_t c) const {
-  DRCELL_CHECK(c < cols_);
-  std::vector<double> out(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) out[r] = data_[r * cols_ + c];
-  return out;
-}
-
-void Matrix::set_col(std::size_t c, std::span<const double> values) {
-  DRCELL_CHECK(c < cols_ && values.size() == rows_);
-  for (std::size_t r = 0; r < rows_; ++r) data_[r * cols_ + c] = values[r];
 }
 
 Matrix Matrix::transposed() const {
@@ -151,12 +109,6 @@ void Matrix::matmul_transposed_self_add(const Matrix& other,
   BackendRegistry::active().matmul_transposed_self_add(*this, other, out);
 }
 
-Matrix Matrix::matmul_transposed_other(const Matrix& other) const {
-  Matrix out;
-  matmul_transposed_other_into(other, out);
-  return out;
-}
-
 void Matrix::matmul_transposed_other_into(const Matrix& other,
                                           Matrix& out) const {
   DRCELL_CHECK_MSG(cols_ == other.cols(),
@@ -168,30 +120,10 @@ void Matrix::matmul_transposed_other_into(const Matrix& other,
   BackendRegistry::active().matmul_transposed_other_into(*this, other, out);
 }
 
-Matrix Matrix::hadamard(const Matrix& other) const {
-  DRCELL_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i)
-    out.data_[i] *= other.data_[i];
-  return out;
-}
-
-double Matrix::frobenius_norm() const {
-  double s = 0.0;
-  for (double x : data_) s += x * x;
-  return std::sqrt(s);
-}
-
 double Matrix::max_abs() const {
   double m = 0.0;
   for (double x : data_) m = std::max(m, std::fabs(x));
   return m;
-}
-
-double Matrix::sum() const {
-  double s = 0.0;
-  for (double x : data_) s += x;
-  return s;
 }
 
 bool Matrix::has_non_finite() const {
@@ -200,45 +132,10 @@ bool Matrix::has_non_finite() const {
   return false;
 }
 
-std::string Matrix::to_string(int precision) const {
-  std::ostringstream ss;
-  ss << std::fixed << std::setprecision(precision);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    ss << (r == 0 ? "[[" : " [");
-    for (std::size_t c = 0; c < cols_; ++c) {
-      if (c) ss << ", ";
-      ss << (*this)(r, c);
-    }
-    ss << (r + 1 == rows_ ? "]]" : "]\n");
-  }
-  return ss.str();
-}
-
 Matrix random_normal_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   Matrix m(rows, cols);
   for (double& x : m.data()) x = rng.normal();
   return m;
 }
-
-std::vector<double> matvec(const Matrix& a, std::span<const double> x) {
-  DRCELL_CHECK(a.cols() == x.size());
-  std::vector<double> y(a.rows(), 0.0);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const auto row = a.row(r);
-    double s = 0.0;
-    for (std::size_t c = 0; c < row.size(); ++c) s += row[c] * x[c];
-    y[r] = s;
-  }
-  return y;
-}
-
-double dot(std::span<const double> a, std::span<const double> b) {
-  DRCELL_CHECK(a.size() == b.size());
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
-}
-
-double norm2(std::span<const double> v) { return std::sqrt(dot(v, v)); }
 
 }  // namespace drcell

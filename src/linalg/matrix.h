@@ -8,9 +8,7 @@
 #pragma once
 
 #include <cstddef>
-#include <initializer_list>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "util/check.h"
@@ -25,14 +23,6 @@ class Matrix {
   Matrix() = default;
   /// rows x cols matrix, zero-initialised (or filled with `fill`).
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
-  /// Builds from nested initialiser lists; all rows must be equally long.
-  Matrix(std::initializer_list<std::initializer_list<double>> rows);
-
-  static Matrix identity(std::size_t n);
-  /// Column vector from data.
-  static Matrix column(std::span<const double> data);
-  /// Diagonal matrix from data.
-  static Matrix diagonal(std::span<const double> data);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -68,9 +58,6 @@ class Matrix {
   /// Mutable view of row r.
   std::span<double> row(std::size_t r);
   std::span<const double> row(std::size_t r) const;
-  /// Copy of column c.
-  std::vector<double> col(std::size_t c) const;
-  void set_col(std::size_t c, std::span<const double> values);
 
   std::span<double> data() { return data_; }
   std::span<const double> data() const { return data_; }
@@ -110,13 +97,10 @@ class Matrix {
   void matmul_transposed_self_add(const Matrix& other, Matrix& out) const;
   /// this * otherᵀ without materialising the transpose: out(i,j) =
   /// dot(row_i, other row_j), k ascending. The kernel packs otherᵀ in small
-  /// per-call blocks, so backward passes never build Wᵀ.
-  Matrix matmul_transposed_other(const Matrix& other) const;
-  /// this * otherᵀ written into `out`, reusing its storage when already
-  /// correctly shaped. `out` must not alias either operand.
+  /// per-call blocks, so backward passes never build Wᵀ. Written into `out`,
+  /// reusing its storage when already correctly shaped; `out` must not alias
+  /// either operand.
   void matmul_transposed_other_into(const Matrix& other, Matrix& out) const;
-  /// Element-wise (Hadamard) product.
-  Matrix hadamard(const Matrix& other) const;
   /// Applies f to every element in place.
   template <typename F>
   Matrix& apply(F&& f) {
@@ -124,16 +108,10 @@ class Matrix {
     return *this;
   }
 
-  /// Frobenius norm.
-  double frobenius_norm() const;
   /// Largest absolute element; 0 when empty.
   double max_abs() const;
-  /// Sum of all elements.
-  double sum() const;
   /// True if any element is NaN or infinite.
   bool has_non_finite() const;
-
-  std::string to_string(int precision = 4) const;
 
  private:
   std::size_t rows_ = 0;
@@ -144,12 +122,5 @@ class Matrix {
 /// rows x cols matrix with i.i.d. standard-normal entries (tests, benches,
 /// and factor initialisation share this instead of rolling their own).
 Matrix random_normal_matrix(std::size_t rows, std::size_t cols, Rng& rng);
-
-/// y = A x for a column-vector x given as a span. Returns the result vector.
-std::vector<double> matvec(const Matrix& a, std::span<const double> x);
-/// Dot product. Sizes must match.
-double dot(std::span<const double> a, std::span<const double> b);
-/// Euclidean norm.
-double norm2(std::span<const double> v);
 
 }  // namespace drcell

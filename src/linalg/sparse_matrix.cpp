@@ -32,12 +32,6 @@ void SparseRowMatrix::append(std::size_t row, std::size_t col, double value) {
   val_.push_back(value);
 }
 
-double SparseRowMatrix::density() const {
-  const std::size_t total = rows_ * cols_;
-  if (total == 0) return 1.0;
-  return static_cast<double>(idx_.size()) / static_cast<double>(total);
-}
-
 std::span<const std::uint32_t> SparseRowMatrix::row_indices(
     std::size_t r) const {
   const std::size_t b = row_begin(r);
@@ -57,12 +51,6 @@ void SparseRowMatrix::to_dense(Matrix& out) const {
     double* orow = out.row(r).data();
     for (std::size_t e = 0; e < cols.size(); ++e) orow[cols[e]] = vals[e];
   }
-}
-
-Matrix SparseRowMatrix::to_dense() const {
-  Matrix out;
-  to_dense(out);
-  return out;
 }
 
 void SparseRowMatrix::matmul_into(const Matrix& other, Matrix& out) const {

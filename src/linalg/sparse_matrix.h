@@ -43,9 +43,6 @@ class SparseRowMatrix {
   std::size_t cols() const { return cols_; }
   std::size_t nonzeros() const { return idx_.size(); }
   bool empty() const { return rows_ == 0 || cols_ == 0; }
-  /// Fraction of entries stored; 1.0 for an empty shape (forces the dense
-  /// path rather than dividing by zero).
-  double density() const;
   /// Heap bytes of the stored entries.
   std::size_t byte_size() const {
     return idx_.size() * sizeof(std::uint32_t) +
@@ -58,7 +55,6 @@ class SparseRowMatrix {
 
   /// Densifies into `out` (resized to rows x cols, untouched entries 0).
   void to_dense(Matrix& out) const;
-  Matrix to_dense() const;
 
   /// out = this · other via row gather: for each stored entry (r, k, v),
   /// out.row(r) += v · other.row(k). Bit-identical to

@@ -32,11 +32,6 @@ class SelectionMatrix {
   void mark(std::size_t cell, std::size_t cycle);
 
   std::size_t selected_count() const { return total_; }
-  /// O(1).
-  std::size_t selected_count_in_cycle(std::size_t cycle) const {
-    DRCELL_CHECK_MSG(cycle < cycles_, "selection cycle out of range");
-    return per_cycle_[cycle].size();
-  }
   /// Cells selected in the cycle, ascending. O(1) — returns a const
   /// reference to the incrementally maintained list, valid until the next
   /// mark()/reset().

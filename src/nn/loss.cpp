@@ -13,38 +13,6 @@ void check_same_shape(const Matrix& a, const Matrix& b) {
 }
 }  // namespace
 
-LossResult mse_loss(const Matrix& predictions, const Matrix& targets) {
-  Matrix ones(predictions.rows(), predictions.cols(), 1.0);
-  return masked_mse_loss(predictions, targets, ones);
-}
-
-LossResult huber_loss(const Matrix& predictions, const Matrix& targets,
-                      double delta) {
-  Matrix ones(predictions.rows(), predictions.cols(), 1.0);
-  return masked_huber_loss(predictions, targets, ones, delta);
-}
-
-LossResult masked_mse_loss(const Matrix& predictions, const Matrix& targets,
-                           const Matrix& mask, double normalizer) {
-  check_same_shape(predictions, targets);
-  check_same_shape(predictions, mask);
-  LossResult out;
-  out.grad = Matrix(predictions.rows(), predictions.cols());
-  double count = 0.0;
-  for (std::size_t i = 0; i < predictions.data().size(); ++i)
-    if (mask.data()[i] != 0.0) count += 1.0;
-  DRCELL_CHECK_MSG(count > 0.0, "loss mask is entirely zero");
-  out.normalizer = normalizer > 0.0 ? normalizer : count;
-  for (std::size_t i = 0; i < predictions.data().size(); ++i) {
-    if (mask.data()[i] == 0.0) continue;
-    const double d = predictions.data()[i] - targets.data()[i];
-    out.raw_sum += d * d;
-    out.grad.data()[i] = 2.0 * d / out.normalizer;
-  }
-  out.value = out.raw_sum / out.normalizer;
-  return out;
-}
-
 LossResult masked_huber_loss(const Matrix& predictions, const Matrix& targets,
                              const Matrix& mask, double delta,
                              double normalizer) {

@@ -1,6 +1,6 @@
-// Loss functions. The DQN trainer uses the masked variants: only the
-// Q-value of the action actually taken receives a TD error (Eq. 5 of the
-// paper); all other action outputs get zero gradient.
+// The DQN loss. The trainer masks it: only the Q-value of the action
+// actually taken receives a TD error (Eq. 5 of the paper); all other action
+// outputs get zero gradient.
 #pragma once
 
 #include "linalg/matrix.h"
@@ -15,23 +15,13 @@ struct LossResult {
   Matrix grad;              ///< gradient w.r.t. predictions (same shape)
 };
 
-/// Mean squared error over all elements: mean((pred - target)²).
-LossResult mse_loss(const Matrix& predictions, const Matrix& targets);
-
-/// Huber loss with threshold delta (gradient clipping built into the loss —
-/// the standard DQN stabilisation).
-LossResult huber_loss(const Matrix& predictions, const Matrix& targets,
-                      double delta = 1.0);
-
-/// Masked MSE: elements where mask == 0 contribute neither loss nor
-/// gradient. The mean is over unmasked elements only, unless `normalizer`
-/// is positive — then both the loss and the gradients divide by that
-/// instead. A per-sample reference path passes the whole batch's unmasked
-/// count so its per-row gradients match the batched call bit for bit.
-LossResult masked_mse_loss(const Matrix& predictions, const Matrix& targets,
-                           const Matrix& mask, double normalizer = 0.0);
-
-/// Masked Huber (see above).
+/// Masked Huber loss with threshold delta (gradient clipping built into the
+/// loss — the standard DQN stabilisation): elements where mask == 0
+/// contribute neither loss nor gradient. The mean is over unmasked elements
+/// only, unless `normalizer` is positive — then both the loss and the
+/// gradients divide by that instead. A per-sample reference path passes the
+/// whole batch's unmasked count so its per-row gradients match the batched
+/// call bit for bit.
 LossResult masked_huber_loss(const Matrix& predictions, const Matrix& targets,
                              const Matrix& mask, double delta = 1.0,
                              double normalizer = 0.0);

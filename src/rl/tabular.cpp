@@ -4,9 +4,6 @@
 
 namespace drcell::rl {
 
-TabularQLearning::TabularQLearning(std::size_t num_actions)
-    : TabularQLearning(num_actions, Options{}) {}
-
 TabularQLearning::TabularQLearning(std::size_t num_actions, Options options)
     : num_actions_(num_actions), options_(options) {
   DRCELL_CHECK(num_actions_ > 0);
@@ -83,13 +80,6 @@ void TabularQLearning::update(const std::vector<double>& state,
   // Q[S,A] = (1−α) Q[S,A] + α (R + γ V(S'))   (Eq. 2)
   row[action] = (1.0 - options_.alpha) * row[action] +
                 options_.alpha * (reward + options_.gamma * v_next);
-}
-
-double TabularQLearning::q_value(const std::vector<double>& state,
-                                 std::size_t action) const {
-  DRCELL_CHECK(action < num_actions_);
-  const auto* row = find_row(make_key(state));
-  return row == nullptr ? 0.0 : (*row)[action];
 }
 
 double TabularQLearning::state_value(

@@ -18,7 +18,6 @@ class TabularQLearning {
     double gamma = 0.9;  ///< discount factor (Eq. 2)
   };
 
-  explicit TabularQLearning(std::size_t num_actions);
   TabularQLearning(std::size_t num_actions, Options options);
 
   std::size_t num_actions() const { return num_actions_; }
@@ -36,7 +35,6 @@ class TabularQLearning {
               double reward, const std::vector<double>& next_state,
               const std::vector<std::uint8_t>& next_mask, bool terminal);
 
-  double q_value(const std::vector<double>& state, std::size_t action) const;
   /// V(S) = max over allowed actions of Q[S, A] (Eq. 3); 0 for new states.
   double state_value(const std::vector<double>& state,
                      const std::vector<std::uint8_t>& mask) const;

@@ -29,18 +29,6 @@ void CsvWriter::write_row(const std::vector<std::string>& fields) {
   out_ << '\n';
 }
 
-void CsvWriter::write_row(const std::vector<double>& values) {
-  std::vector<std::string> fields;
-  fields.reserve(values.size());
-  for (double v : values) {
-    std::ostringstream ss;
-    ss.precision(17);
-    ss << v;
-    fields.push_back(ss.str());
-  }
-  write_row(fields);
-}
-
 std::vector<std::vector<std::string>> CsvReader::parse(
     const std::string& text) {
   std::vector<std::vector<std::string>> rows;

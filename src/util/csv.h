@@ -9,13 +9,12 @@
 
 namespace drcell {
 
-/// Writes rows of string or numeric fields as RFC-4180-style CSV.
+/// Writes rows of string fields as RFC-4180-style CSV.
 class CsvWriter {
  public:
   explicit CsvWriter(std::ostream& out) : out_(out) {}
 
   void write_row(const std::vector<std::string>& fields);
-  void write_row(const std::vector<double>& values);
 
  private:
   static std::string escape(const std::string& field);

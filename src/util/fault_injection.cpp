@@ -1,6 +1,7 @@
 #include "util/fault_injection.h"
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <mutex>
 #include <vector>
@@ -19,6 +20,20 @@ InjectedFault::InjectedFault(const std::string& site, const std::string& scope)
 namespace {
 
 FaultSpec parse_entry(const std::string& entry);
+
+// Calls fn(entry) for every non-empty `;`-separated entry of a
+// DRCELL_FAULT_SPEC-grammar string.
+template <typename Fn>
+void for_each_entry(const std::string& spec, Fn&& fn) {
+  std::size_t start = 0;
+  while (start <= spec.size()) {
+    std::size_t end = spec.find(';', start);
+    if (end == std::string::npos) end = spec.size();
+    const std::string entry = spec.substr(start, end - start);
+    start = end + 1;
+    if (!entry.empty()) fn(entry);
+  }
+}
 
 struct ArmedSpec {
   FaultSpec spec;
@@ -44,18 +59,10 @@ Registry& registry() {
   // until this initializer returns.
   static Registry* reg = [] {
     auto* r = new Registry();
-    if (const char* env = std::getenv("DRCELL_FAULT_SPEC");
-        env != nullptr && *env != '\0') {
-      const std::string spec(env);
-      std::size_t start = 0;
-      while (start <= spec.size()) {
-        std::size_t end = spec.find(';', start);
-        if (end == std::string::npos) end = spec.size();
-        const std::string entry = spec.substr(start, end - start);
-        start = end + 1;
-        if (entry.empty()) continue;
+    if (const char* env = std::getenv("DRCELL_FAULT_SPEC"); env != nullptr) {
+      for_each_entry(env, [r](const std::string& entry) {
         r->armed.emplace_back(parse_entry(entry));
-      }
+      });
       r->any_armed.store(!r->armed.empty(), std::memory_order_relaxed);
     }
     return r;
@@ -97,28 +104,36 @@ FaultSpec parse_entry(const std::string& entry) {
                      "malformed DRCELL_FAULT_SPEC param '" + kv + "'");
     const std::string key = kv.substr(0, eq);
     const std::string value = kv.substr(eq + 1);
-    char* parse_end = nullptr;
+    const char* const first = value.c_str();
+    const char* const last = first + value.size();
+    bool parsed = false;
+    // from_chars rejects a sign and an out-of-range count, where strtoull
+    // would wrap "-1" to a huge count without any error.
+    const auto parse_count = [&](std::uint64_t& out) {
+      const auto [ptr, ec] = std::from_chars(first, last, out);
+      parsed = ec == std::errc() && ptr == last;
+    };
     if (key == "after") {
-      spec.after = std::strtoull(value.c_str(), &parse_end, 10);
+      parse_count(spec.after);
     } else if (key == "times") {
       if (value == "inf") {
         spec.times = FaultSpec::kForever;
-        parse_end = const_cast<char*>(value.c_str()) + value.size();
+        parsed = true;
       } else {
-        spec.times = std::strtoull(value.c_str(), &parse_end, 10);
+        parse_count(spec.times);
       }
     } else if (key == "prob") {
-      spec.probability = std::strtod(value.c_str(), &parse_end);
+      char* parse_end = nullptr;
+      spec.probability = std::strtod(first, &parse_end);
+      parsed = parse_end == last && parse_end != first;
     } else if (key == "seed") {
-      spec.seed = std::strtoull(value.c_str(), &parse_end, 10);
+      parse_count(spec.seed);
     } else {
       DRCELL_CHECK_MSG(false,
                        "unknown DRCELL_FAULT_SPEC key '" + key + "'");
     }
-    DRCELL_CHECK_MSG(
-        parse_end != nullptr && *parse_end == '\0' &&
-            parse_end != value.c_str(),
-        "unparsable DRCELL_FAULT_SPEC value '" + kv + "'");
+    DRCELL_CHECK_MSG(parsed,
+                     "unparsable DRCELL_FAULT_SPEC value '" + kv + "'");
   }
   DRCELL_CHECK_MSG(spec.probability >= 0.0 && spec.probability <= 1.0,
                    "DRCELL_FAULT_SPEC prob outside [0,1]");
@@ -143,16 +158,10 @@ void FaultInjection::arm(const FaultSpec& spec) {
 
 std::size_t FaultInjection::arm_from_string(const std::string& spec) {
   std::size_t count = 0;
-  std::size_t start = 0;
-  while (start <= spec.size()) {
-    std::size_t end = spec.find(';', start);
-    if (end == std::string::npos) end = spec.size();
-    const std::string entry = spec.substr(start, end - start);
-    start = end + 1;
-    if (entry.empty()) continue;
+  for_each_entry(spec, [&count](const std::string& entry) {
     arm(parse_entry(entry));
     ++count;
-  }
+  });
   return count;
 }
 
@@ -161,17 +170,6 @@ void FaultInjection::disarm_all() {
   std::lock_guard<std::mutex> lock(reg.mutex);
   reg.armed.clear();
   reg.any_armed.store(false, std::memory_order_relaxed);
-}
-
-std::uint64_t FaultInjection::hits(const std::string& site,
-                                   const std::string& scope) {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  std::uint64_t total = 0;
-  for (const ArmedSpec& a : reg.armed)
-    if (a.spec.site == site && (scope.empty() || a.spec.scope == scope))
-      total += a.hit_count;
-  return total;
 }
 
 std::uint64_t FaultInjection::fires(const std::string& site,

@@ -22,6 +22,8 @@
 //   times=K   fire at most K times, `inf` = every eligible hit (inf)
 //   prob=P    per-eligible-hit fire probability in [0,1] (1.0)
 //   seed=S    seed of the spec's PRIVATE probability draw stream (13)
+// N, K and S are unsigned decimal 64-bit integers: a sign or an
+// out-of-range value is rejected like any other malformed value.
 // A bare `site[@scope]` (no params) fires on every hit — a persistent
 // fault. `scope` narrows the spec to one instance (the scheduler scopes
 // `env.step` by campaign id); an empty scope matches every instance.
@@ -90,11 +92,9 @@ class FaultInjection {
   /// Disarms every spec, including env-armed ones (tests/drills reset).
   static void disarm_all();
 
-  /// Total matching hits / fires recorded by armed specs for `site` (+
-  /// `scope` filter, empty = sum over all). Zero when nothing matching is
-  /// armed — disarmed sites count nothing by design.
-  static std::uint64_t hits(const std::string& site,
-                            const std::string& scope = "");
+  /// Total fires recorded by armed specs for `site` (+ `scope` filter,
+  /// empty = sum over all). Zero when nothing matching is armed — disarmed
+  /// sites count nothing by design.
   static std::uint64_t fires(const std::string& site,
                              const std::string& scope = "");
 

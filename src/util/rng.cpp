@@ -52,12 +52,6 @@ std::size_t Rng::uniform_index(std::size_t n) {
   return static_cast<std::size_t>(x % n);
 }
 
-int Rng::uniform_int(int lo, int hi) {
-  DRCELL_CHECK(lo <= hi);
-  return lo + static_cast<int>(uniform_index(
-                  static_cast<std::size_t>(hi) - static_cast<std::size_t>(lo) + 1));
-}
-
 double Rng::normal() {
   if (has_spare_normal_) {
     has_spare_normal_ = false;

@@ -52,8 +52,6 @@ class Rng {
   double uniform(double lo, double hi);
   /// Uniform integer in [0, n). Requires n > 0.
   std::size_t uniform_index(std::size_t n);
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  int uniform_int(int lo, int hi);
   /// Standard normal via Box–Muller (cached spare value).
   double normal();
   /// Normal with the given mean and standard deviation (sd >= 0).

@@ -28,23 +28,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double total = static_cast<double>(n_ + other.n_);
-  const double delta = other.mean_ - mean_;
-  m2_ += other.m2_ +
-         delta * delta * static_cast<double>(n_) *
-             static_cast<double>(other.n_) / total;
-  mean_ += delta * static_cast<double>(other.n_) / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
 double mean(std::span<const double> xs) {
   if (xs.empty()) return 0.0;
   double s = 0.0;
@@ -62,20 +45,6 @@ double variance(std::span<const double> xs) {
 
 double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 
-double quantile(std::vector<double> xs, double q) {
-  DRCELL_CHECK_MSG(!xs.empty(), "quantile of empty sample");
-  DRCELL_CHECK(q >= 0.0 && q <= 1.0);
-  std::sort(xs.begin(), xs.end());
-  if (xs.size() == 1) return xs[0];
-  const double pos = q * static_cast<double>(xs.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
-}
-
-double median(std::vector<double> xs) { return quantile(std::move(xs), 0.5); }
-
 double pearson_correlation(std::span<const double> xs,
                            std::span<const double> ys) {
   DRCELL_CHECK(xs.size() == ys.size());
@@ -91,8 +60,6 @@ double pearson_correlation(std::span<const double> xs,
   if (sxx == 0.0 || syy == 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);
 }
-
-double normal_cdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
 
 double log_gamma(double x) {
   DRCELL_CHECK_MSG(x > 0.0, "log_gamma domain");

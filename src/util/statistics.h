@@ -1,10 +1,9 @@
 // Statistical helpers shared by the quality assessor, dataset generators
-// and the benchmark harness: moments, quantiles, distribution CDFs.
+// and the benchmark harness: moments, correlation, distribution CDFs.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace drcell {
 
@@ -22,8 +21,6 @@ class RunningStats {
   double stddev() const;
   double min() const { return min_; }
   double max() const { return max_; }
-  /// Merge another accumulator into this one (parallel Welford).
-  void merge(const RunningStats& other);
 
  private:
   std::size_t n_ = 0;
@@ -37,15 +34,9 @@ double mean(std::span<const double> xs);
 /// Unbiased sample variance; 0 for fewer than two samples.
 double variance(std::span<const double> xs);
 double stddev(std::span<const double> xs);
-/// Linear-interpolation quantile, q in [0, 1]. Requires non-empty input.
-double quantile(std::vector<double> xs, double q);
-double median(std::vector<double> xs);
 /// Pearson correlation; 0 if either side is constant. Sizes must match.
 double pearson_correlation(std::span<const double> xs,
                            std::span<const double> ys);
-
-/// Standard normal CDF Φ(x).
-double normal_cdf(double x);
 
 /// log Γ(x) for x > 0 (Lanczos approximation).
 double log_gamma(double x);

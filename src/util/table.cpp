@@ -61,10 +61,4 @@ void TablePrinter::print(std::ostream& out) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-std::string TablePrinter::to_string() const {
-  std::ostringstream ss;
-  print(ss);
-  return ss.str();
-}
-
 }  // namespace drcell

@@ -19,7 +19,6 @@ class TablePrinter {
 
   /// Renders the table with column separators and a header rule.
   void print(std::ostream& out) const;
-  std::string to_string() const;
 
  private:
   std::vector<std::string> headers_;

@@ -1,7 +1,9 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 
 namespace drcell::util {
@@ -15,9 +17,11 @@ thread_local bool t_is_pool_worker = false;
 // from the caller's own lane must not touch submission_mutex_ again
 // (try_lock on a non-recursive mutex the thread already owns is UB).
 thread_local bool t_in_parallel_for = false;
-// Task-exception count of this thread's most recent parallel_for (serial
-// fallbacks included) — see ThreadPool::last_batch_error_count().
-thread_local std::size_t t_last_error_count = 0;
+
+// Largest DRCELL_THREADS lane count honoured. A larger spec is a typo or a
+// wrapped value, not a machine: it falls back to the default instead of
+// asking the OS for that many threads at the first global() call.
+constexpr std::size_t kMaxLanes = 1024;
 
 // Indices claimed per fetch_add. ~8 chunks per lane keeps dynamic load
 // balance (late lanes steal from the shared counter) while paying dispatch
@@ -44,11 +48,15 @@ std::size_t ThreadPool::default_worker_count() {
 
 std::size_t ThreadPool::workers_from_lanes_spec(const char* spec,
                                                 std::size_t fallback) {
-  if (spec == nullptr || *spec == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long lanes = std::strtoul(spec, &end, 10);
-  if (end == spec || *end != '\0' || lanes == 0) return fallback;
-  return static_cast<std::size_t>(lanes - 1);  // caller is one lane
+  if (spec == nullptr) return fallback;
+  const char* const end = spec + std::strlen(spec);
+  std::size_t lanes = 0;
+  // from_chars takes no sign and reports overflow, unlike strtoul, which
+  // wraps "-1" to ULONG_MAX.
+  const auto [ptr, ec] = std::from_chars(spec, end, lanes);
+  if (ec != std::errc() || ptr != end || lanes == 0 || lanes > kMaxLanes)
+    return fallback;
+  return lanes - 1;  // caller is one lane
 }
 
 ThreadPool& ThreadPool::global() { return *global_pool_slot(); }
@@ -112,19 +120,16 @@ void ThreadPool::drain(Batch& batch) {
     // aggregation contract in the header). Zero-cost on the no-throw path;
     // errors are rare, so per-error locking is fine.
     std::exception_ptr first;
-    std::size_t errors = 0;
     for (std::size_t i = start; i < end; ++i) {
       try {
         batch.fn(i);
       } catch (...) {
         if (!first) first = std::current_exception();
-        ++errors;
       }
     }
-    if (errors > 0) {
+    if (first) {
       std::lock_guard<std::mutex> lock(mutex_);
       if (!batch.error) batch.error = first;
-      batch.error_count += errors;
     }
     // acq_rel: the release half publishes this range's output writes; the
     // caller's acquire load of `completed` (which reads the last value in
@@ -143,36 +148,24 @@ void ThreadPool::drain(Batch& batch) {
 namespace {
 // Serial fallback with the same aggregation semantics as the pooled path:
 // every index runs, the first exception is rethrown afterwards.
-void run_serial(std::size_t n, FunctionRef<void(std::size_t)> fn,
-                std::size_t& error_count) {
+void run_serial(std::size_t n, FunctionRef<void(std::size_t)> fn) {
   std::exception_ptr first;
-  error_count = 0;
   for (std::size_t i = 0; i < n; ++i) {
     try {
       fn(i);
     } catch (...) {
       if (!first) first = std::current_exception();
-      ++error_count;
     }
   }
   if (first) std::rethrow_exception(first);
 }
 }  // namespace
 
-std::size_t ThreadPool::last_batch_error_count() {
-  return t_last_error_count;
-}
-
 void ThreadPool::parallel_for(std::size_t n,
                               FunctionRef<void(std::size_t)> fn) {
-  if (n == 0) {
-    t_last_error_count = 0;
-    return;
-  }
+  if (n == 0) return;
   if (workers_.empty() || n == 1 || t_is_pool_worker || t_in_parallel_for) {
-    // Nested calls share the caller's thread-local count; the innermost
-    // batch wins, matching "most recent parallel_for of this thread".
-    run_serial(n, fn, t_last_error_count);
+    run_serial(n, fn);
     return;
   }
   std::unique_lock<std::mutex> submission(submission_mutex_,
@@ -180,7 +173,7 @@ void ThreadPool::parallel_for(std::size_t n,
   if (!submission.owns_lock()) {
     // Another thread's batch is in flight; running serially is always
     // correct and never deadlocks.
-    run_serial(n, fn, t_last_error_count);
+    run_serial(n, fn);
     return;
   }
   t_in_parallel_for = true;
@@ -201,7 +194,6 @@ void ThreadPool::parallel_for(std::size_t n,
            batch.drainers == 0;
   });
   batch_ = nullptr;
-  t_last_error_count = batch.error_count;
   if (batch.error) {
     lock.unlock();
     std::rethrow_exception(batch.error);

@@ -19,14 +19,14 @@
 //    output layout never depends on thread scheduling.
 //  * Exceptions are AGGREGATED, not short-circuited: every task in [0, n)
 //    runs even when earlier ones throw (each task body is individually
-//    guarded, so a throwing task never skips its chunk-mates). After the
-//    batch drains, the FIRST captured exception (in claim order — which
-//    exception is "first" under real parallelism is scheduling-dependent;
-//    with 0 workers it is the lowest-index one) is rethrown on the calling
-//    thread, and `last_batch_error_count()` reports how many tasks threw in
-//    that batch. Fault-domain callers that need per-index attribution (the
-//    campaign scheduler's wave step) catch inside their own task body
-//    instead; the pool-level guarantee is that one bad index cannot
+//    guarded, so a throwing task never skips its chunk-mates), nested and
+//    serial batches included. After the batch drains, the FIRST captured
+//    exception (in claim order — which exception is "first" under real
+//    parallelism is scheduling-dependent; with 0 workers it is the
+//    lowest-index one) is rethrown on the calling thread; the others are
+//    dropped. Fault-domain callers that need per-index attribution or a
+//    count (the campaign scheduler's wave step) catch inside their own task
+//    body instead; the pool-level guarantee is that one bad index cannot
 //    silently starve the others.
 //
 // Determinism contract for pooled callers. Every hot path in this library
@@ -62,7 +62,8 @@
 //     read-once discipline as `DRCELL_BACKEND`). The value counts TOTAL
 //     lanes including the participating caller, so `DRCELL_THREADS=1` is
 //     fully serial (0 workers) and `DRCELL_THREADS=4` spawns 3 workers.
-//     Unparsable or `0` values fall back to the default.
+//     Unparsable, signed, `0` or out-of-range values, and values above the
+//     fixed 1024-lane cap, fall back to the default.
 //  3. Default: `default_worker_count()` = hardware_concurrency − 1.
 #pragma once
 
@@ -97,11 +98,6 @@ class ThreadPool {
   /// call.
   void parallel_for(std::size_t n, FunctionRef<void(std::size_t)> fn);
 
-  /// How many tasks of this thread's most recent parallel_for threw (0
-  /// after a clean batch). Valid after parallel_for returns or throws;
-  /// thread-local, so concurrent submitters see their own counts.
-  static std::size_t last_batch_error_count();
-
   /// hardware_concurrency - 1 (the caller is the remaining lane), at least 0.
   static std::size_t default_worker_count();
 
@@ -115,7 +111,8 @@ class ThreadPool {
   static void set_global_worker_count_for_testing(std::size_t workers);
 
   /// Parses a DRCELL_THREADS-style total-lane spec ("4" → 3 workers,
-  /// "1" → 0 workers). Returns `fallback` for null/empty/unparsable/zero.
+  /// "1" → 0 workers). Returns `fallback` for null, empty, unparsable,
+  /// signed, zero, out-of-range and above-cap (> 1024 lanes) specs.
   /// Exposed for tests; `global()` applies it to getenv("DRCELL_THREADS").
   static std::size_t workers_from_lanes_spec(const char* spec,
                                              std::size_t fallback);
@@ -132,7 +129,6 @@ class ThreadPool {
     std::atomic<std::size_t> completed{0};
     std::size_t drainers = 0;           // workers inside drain() — mutex_
     std::exception_ptr error;           // first task exception — mutex_
-    std::size_t error_count = 0;        // tasks that threw — mutex_
   };
 
   void worker_loop();

@@ -20,6 +20,7 @@
 #include "rl/drqn_qnetwork.h"
 #include "rl/mlp_qnetwork.h"
 #include "rl/spatial_drqn_qnetwork.h"
+#include "test_helpers.h"
 #include "util/thread_pool.h"
 
 namespace drcell {
@@ -177,10 +178,10 @@ TEST(BatchedBackward, BatchedLstmGradientCheckAgainstFiniteDifferences) {
   for (double& v : target.data()) v = data_rng.normal();
 
   auto loss_fn = [&] {
-    return nn::mse_loss(lstm.forward(seq), target).value;
+    return testing::mse_loss(lstm.forward(seq), target).value;
   };
   for (auto* p : lstm.parameters()) p->zero_grad();
-  const auto l = nn::mse_loss(lstm.forward(seq), target);
+  const auto l = testing::mse_loss(lstm.forward(seq), target);
   lstm.backward(l.grad);
   for (auto* p : lstm.parameters()) {
     const auto r = nn::check_gradient(*p, loss_fn, 1e-6);

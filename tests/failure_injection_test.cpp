@@ -265,23 +265,22 @@ TEST(FaultInjectionRegistry, DisarmedIsNoOp) {
   EXPECT_FALSE(util::FaultInjection::enabled());
   EXPECT_FALSE(util::FaultInjection::check("env.step", "anything"));
   EXPECT_NO_THROW(util::FaultInjection::site("env.step", "anything"));
-  EXPECT_EQ(util::FaultInjection::hits("env.step"), 0u);
+  EXPECT_EQ(util::FaultInjection::fires("env.step"), 0u);
 }
 
 TEST(FaultInjectionRegistry, SpecStringCountdownAndScope) {
   DisarmGuard guard;
   ASSERT_EQ(util::FaultInjection::arm_from_string("env.step@c1:after=1,times=2"),
             1u);
-  // Wrong scope: never matches, never counts.
+  // Wrong scope: never matches, never counts — the countdown below still
+  // skips exactly one matching hit.
   EXPECT_FALSE(util::FaultInjection::check("env.step", "c2"));
-  EXPECT_EQ(util::FaultInjection::hits("env.step", "c1"), 0u);
   // Matching scope: hit 1 skipped (after=1), hits 2-3 fire (times=2), then
   // the spec is exhausted.
   EXPECT_FALSE(util::FaultInjection::check("env.step", "c1"));
   EXPECT_TRUE(util::FaultInjection::check("env.step", "c1"));
   EXPECT_TRUE(util::FaultInjection::check("env.step", "c1"));
   EXPECT_FALSE(util::FaultInjection::check("env.step", "c1"));
-  EXPECT_EQ(util::FaultInjection::hits("env.step", "c1"), 4u);
   EXPECT_EQ(util::FaultInjection::fires("env.step", "c1"), 2u);
 }
 
@@ -304,6 +303,28 @@ TEST(FaultInjectionRegistry, MalformedSpecsThrow) {
   EXPECT_THROW(util::FaultInjection::arm_from_string("env.step:prob=1.5"),
                CheckError);
   EXPECT_THROW(util::FaultInjection::arm_from_string(":after=1"), CheckError);
+}
+
+TEST(FaultInjectionRegistry, SignedOrOutOfRangeCountsThrow) {
+  // after/times/seed are unsigned counts: a sign must not wrap into a huge
+  // value (times=-1 would read as "forever", after=-1 as "never fires").
+  DisarmGuard guard;
+  for (const char* key : {"after", "times", "seed"}) {
+    for (const char* value : {"-1", "+1", "-0", "18446744073709551616"}) {
+      const std::string spec = std::string("env.step:") + key + "=" + value;
+      EXPECT_THROW(util::FaultInjection::arm_from_string(spec), CheckError)
+          << spec;
+    }
+    // The largest count still parses.
+    EXPECT_EQ(util::FaultInjection::arm_from_string(
+                  std::string("env.step:") + key + "=18446744073709551615"),
+              1u);
+  }
+  util::FaultInjection::disarm_all();
+  // A rejected spec arms nothing.
+  EXPECT_THROW(util::FaultInjection::arm_from_string("env.step:times=-1"),
+               CheckError);
+  EXPECT_FALSE(util::FaultInjection::enabled());
 }
 
 TEST(FaultInjectionRegistry, ProbabilisticFiresAreDeterministic) {
@@ -468,9 +489,8 @@ TEST(SchedulerFaults, PersistentFaultQuarantinesOnlyTargetedCampaign) {
 
   ASSERT_TRUE(faulted.all_done());
   EXPECT_EQ(faulted.quarantined_slots(), (std::vector<std::size_t>{2}));
-  EXPECT_EQ(faulted.campaign_state(2), core::CampaignState::kQuarantined);
   EXPECT_TRUE(faulted.results()[2].quarantined);
-  EXPECT_FALSE(faulted.quarantine_reason(2).empty());
+  EXPECT_FALSE(faulted.results()[2].quarantine_reason.empty());
   EXPECT_TRUE(has_incident(faulted, "step-fault"));
   EXPECT_TRUE(has_incident(faulted, "quarantine"));
   // The healthy fleet never noticed: bit-identical to the no-fault run.
@@ -623,7 +643,8 @@ TEST(SchedulerFaults, QuarantineStateSurvivesCheckpointRoundTrip) {
   std::istringstream in(out.str(), std::ios::binary);
   core::load_checkpoint(resumed, in);
   EXPECT_EQ(resumed.quarantined_slots(), (std::vector<std::size_t>{2}));
-  EXPECT_EQ(resumed.quarantine_reason(2), faulted.quarantine_reason(2));
+  EXPECT_EQ(resumed.results()[2].quarantine_reason,
+            faulted.results()[2].quarantine_reason);
 }
 
 // ---------------------------------------------------------------------------

@@ -120,7 +120,6 @@ TEST(SelectionMatrix, MarkAndQuery) {
   EXPECT_TRUE(s.selected(1, 0));
   EXPECT_FALSE(s.selected(2, 0));
   EXPECT_EQ(s.selected_count(), 3u);
-  EXPECT_EQ(s.selected_count_in_cycle(0), 2u);
   EXPECT_EQ(s.selected_cells_in_cycle(0), (std::vector<std::size_t>{1, 3}));
 }
 

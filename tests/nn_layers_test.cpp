@@ -8,9 +8,13 @@
 #include "nn/init.h"
 #include "nn/loss.h"
 #include "nn/sequential.h"
+#include "test_helpers.h"
 
 namespace drcell::nn {
 namespace {
+
+using testing::make_matrix;
+using testing::mse_loss;
 
 TEST(Activations, SigmoidValuesAndStability) {
   EXPECT_DOUBLE_EQ(sigmoid(0.0), 0.5);
@@ -29,7 +33,7 @@ TEST(Activations, DerivativeIdentities) {
 
 TEST(ReLULayer, ForwardClampsNegatives) {
   ReLU relu;
-  Matrix x{{-1.0, 0.0, 2.0}};
+  Matrix x = make_matrix({{-1.0, 0.0, 2.0}});
   const Matrix y = relu.forward(x);
   EXPECT_EQ(y(0, 0), 0.0);
   EXPECT_EQ(y(0, 1), 0.0);
@@ -38,9 +42,9 @@ TEST(ReLULayer, ForwardClampsNegatives) {
 
 TEST(ReLULayer, BackwardGatesGradient) {
   ReLU relu;
-  Matrix x{{-1.0, 3.0}};
+  Matrix x = make_matrix({{-1.0, 3.0}});
   relu.forward(x);
-  Matrix g{{5.0, 5.0}};
+  Matrix g = make_matrix({{5.0, 5.0}});
   const Matrix dx = relu.backward(g);
   EXPECT_EQ(dx(0, 0), 0.0);
   EXPECT_EQ(dx(0, 1), 5.0);
@@ -49,9 +53,9 @@ TEST(ReLULayer, BackwardGatesGradient) {
 TEST(DenseLayer, ForwardMatchesManualComputation) {
   Rng rng(1);
   Dense d(2, 3, rng);
-  d.weight().value = Matrix{{1, 2, 3}, {4, 5, 6}};
-  d.bias().value = Matrix{{0.5, -0.5, 1.0}};
-  Matrix x{{1.0, 2.0}};
+  d.weight().value = make_matrix({{1, 2, 3}, {4, 5, 6}});
+  d.bias().value = make_matrix({{0.5, -0.5, 1.0}});
+  Matrix x = make_matrix({{1.0, 2.0}});
   const Matrix y = d.forward(x);
   EXPECT_NEAR(y(0, 0), 1 * 1 + 2 * 4 + 0.5, 1e-12);
   EXPECT_NEAR(y(0, 1), 1 * 2 + 2 * 5 - 0.5, 1e-12);
@@ -87,8 +91,8 @@ TEST(DenseLayer, GradientMatchesFiniteDifferences) {
 TEST(DenseLayer, InputGradientMatchesFiniteDifferences) {
   Rng rng(3);
   Dense d(3, 2, rng);
-  Matrix x{{0.5, -1.0, 2.0}};
-  Matrix target{{1.0, 0.0}};
+  Matrix x = make_matrix({{0.5, -1.0, 2.0}});
+  Matrix target = make_matrix({{1.0, 0.0}});
   for (auto* p : d.parameters()) p->zero_grad();
   const auto l = mse_loss(d.forward(x), target);
   const Matrix dx = d.backward(l.grad);
@@ -111,7 +115,7 @@ TEST(Sequential, ForwardComposesLayers) {
   net.emplace<Dense>(2, 2, rng);
   net.emplace<ReLU>();
   net.emplace<Dense>(2, 1, rng);
-  const Matrix y = net.forward(Matrix{{1.0, -1.0}});
+  const Matrix y = net.forward(make_matrix({{1.0, -1.0}}));
   EXPECT_EQ(y.rows(), 1u);
   EXPECT_EQ(y.cols(), 1u);
 }
@@ -160,19 +164,10 @@ TEST(Init, XavierBoundsRespectFanInOut) {
   EXPECT_GT(w.max_abs(), bound * 0.5);  // actually fills the range
 }
 
-TEST(Loss, MseValueAndGradient) {
-  Matrix pred{{1.0, 2.0}};
-  Matrix target{{0.0, 4.0}};
-  const auto l = mse_loss(pred, target);
-  EXPECT_NEAR(l.value, (1.0 + 4.0) / 2.0, 1e-12);
-  EXPECT_NEAR(l.grad(0, 0), 2.0 * 1.0 / 2.0, 1e-12);
-  EXPECT_NEAR(l.grad(0, 1), 2.0 * -2.0 / 2.0, 1e-12);
-}
-
 TEST(Loss, HuberQuadraticAndLinearRegions) {
-  Matrix pred{{0.5, 3.0}};
-  Matrix target{{0.0, 0.0}};
-  const auto l = huber_loss(pred, target, 1.0);
+  Matrix pred = make_matrix({{0.5, 3.0}});
+  Matrix target = make_matrix({{0.0, 0.0}});
+  const auto l = masked_huber_loss(pred, target, Matrix(1, 2, 1.0), 1.0);
   // element 0: quadratic 0.5*0.25; element 1: linear 1*(3-0.5).
   EXPECT_NEAR(l.value, (0.125 + 2.5) / 2.0, 1e-12);
   EXPECT_NEAR(l.grad(0, 0), 0.5 / 2.0, 1e-12);
@@ -180,12 +175,9 @@ TEST(Loss, HuberQuadraticAndLinearRegions) {
 }
 
 TEST(Loss, MaskedVariantsIgnoreMaskedElements) {
-  Matrix pred{{1.0, 100.0}};
-  Matrix target{{0.0, 0.0}};
-  Matrix mask{{1.0, 0.0}};
-  const auto l = masked_mse_loss(pred, target, mask);
-  EXPECT_NEAR(l.value, 1.0, 1e-12);
-  EXPECT_EQ(l.grad(0, 1), 0.0);
+  Matrix pred = make_matrix({{1.0, 100.0}});
+  Matrix target = make_matrix({{0.0, 0.0}});
+  Matrix mask = make_matrix({{1.0, 0.0}});
   const auto h = masked_huber_loss(pred, target, mask, 1.0);
   EXPECT_NEAR(h.value, 0.5, 1e-12);
   EXPECT_EQ(h.grad(0, 1), 0.0);
@@ -193,11 +185,12 @@ TEST(Loss, MaskedVariantsIgnoreMaskedElements) {
 
 TEST(Loss, AllMaskedThrows) {
   Matrix pred(1, 2), target(1, 2), mask(1, 2);
-  EXPECT_THROW(masked_mse_loss(pred, target, mask), CheckError);
+  EXPECT_THROW(masked_huber_loss(pred, target, mask), CheckError);
 }
 
 TEST(Loss, ShapeMismatchThrows) {
-  EXPECT_THROW(mse_loss(Matrix(1, 2), Matrix(2, 1)), CheckError);
+  EXPECT_THROW(masked_huber_loss(Matrix(1, 2), Matrix(2, 1), Matrix(1, 2)),
+               CheckError);
 }
 
 }  // namespace

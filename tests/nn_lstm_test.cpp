@@ -9,9 +9,12 @@
 #include "nn/gradient_check.h"
 #include "nn/loss.h"
 #include "nn/lstm.h"
+#include "test_helpers.h"
 
 namespace drcell::nn {
 namespace {
+
+using testing::mse_loss;
 
 std::vector<Matrix> random_sequence(std::size_t steps, std::size_t batch,
                                     std::size_t features, Rng& rng) {

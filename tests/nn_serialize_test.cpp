@@ -6,12 +6,15 @@
 #include "nn/lstm.h"
 #include "nn/serialize.h"
 #include "rl/spatial_drqn_qnetwork.h"
+#include "test_helpers.h"
 
 namespace drcell::nn {
 namespace {
 
+using testing::make_matrix;
+
 TEST(Serialize, MatrixRoundTrip) {
-  Matrix a{{1.5, -2.0}, {0.0, 3.25}};
+  Matrix a = make_matrix({{1.5, -2.0}, {0.0, 3.25}});
   Matrix b(1, 3, 7.0);
   std::stringstream ss;
   save_matrices(ss, {&a, &b});

@@ -7,14 +7,18 @@
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "nn/sequential.h"
+#include "test_helpers.h"
 
 namespace drcell::nn {
 namespace {
 
+using testing::make_matrix;
+using testing::mse_loss;
+
 /// Quadratic bowl: minimise ||p - target||² for a single 1x2 parameter.
 struct Bowl {
   Parameter p{1, 2};
-  Matrix target{{3.0, -2.0}};
+  Matrix target = make_matrix({{3.0, -2.0}});
 
   double loss_and_grad() {
     p.zero_grad();
@@ -109,8 +113,8 @@ TEST(Training, MlpFitsXor) {
   net.emplace<Dense>(8, 1, rng);
   Adam opt(net.parameters(), 0.03);
 
-  Matrix x{{0, 0}, {0, 1}, {1, 0}, {1, 1}};
-  Matrix y{{0}, {1}, {1}, {0}};
+  Matrix x = make_matrix({{0, 0}, {0, 1}, {1, 0}, {1, 1}});
+  Matrix y = make_matrix({{0}, {1}, {1}, {0}});
   double loss = 0.0;
   for (int i = 0; i < 2000; ++i) {
     opt.zero_grad();
@@ -139,12 +143,13 @@ TEST(Training, HuberIsRobustToOutlierTargets) {
     d.weight().value(0, 0) = 1.0;
     d.bias().value(0, 0) = 0.0;
     Adam opt(d.parameters(), 0.01);
-    Matrix x{{1.0}, {2.0}, {3.0}};
-    Matrix y{{1.0}, {2.0}, {1000.0}};  // outlier
+    Matrix x = make_matrix({{1.0}, {2.0}, {3.0}});
+    Matrix y = make_matrix({{1.0}, {2.0}, {1000.0}});  // outlier
     for (int i = 0; i < 300; ++i) {
       opt.zero_grad();
       const Matrix pred = d.forward(x);
-      const auto l = huber ? huber_loss(pred, y, 1.0) : mse_loss(pred, y);
+      const auto l = huber ? masked_huber_loss(pred, y, Matrix(3, 1, 1.0))
+                           : mse_loss(pred, y);
       d.backward(l.grad);
       opt.step();
     }

@@ -42,7 +42,8 @@ TEST(NystromField, CovarianceErrorBoundedAgainstExactKernel) {
   ASSERT_EQ(f.rows(), coords.size());
   ASSERT_EQ(f.cols(), 128u);
 
-  const Matrix approx = f.matmul_transposed_other(f);
+  Matrix approx;
+  f.matmul_transposed_other_into(f, approx);
   const double amp = 1.0 - p.nugget;
   const double ell2 = p.spatial_length * p.spatial_length;
   double max_err = 0.0;

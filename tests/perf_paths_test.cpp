@@ -22,6 +22,8 @@
 namespace drcell {
 namespace {
 
+using testing::make_matrix;
+
 double max_abs_diff(const Matrix& a, const Matrix& b) {
   EXPECT_EQ(a.rows(), b.rows());
   EXPECT_EQ(a.cols(), b.cols());
@@ -69,8 +71,8 @@ TEST(BlockedMatmul, MatmulIntoReusesStorageAndMatchesMatmul) {
 }
 
 TEST(BlockedMatmul, MatmulIntoRejectsAliasedOutput) {
-  Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  Matrix b = Matrix::identity(2);
+  Matrix a = make_matrix({{1.0, 2.0}, {3.0, 4.0}});
+  Matrix b = make_matrix({{1.0, 0.0}, {0.0, 1.0}});
   EXPECT_THROW(a.matmul_into(b, a), CheckError);
   EXPECT_THROW(a.matmul_into(b, b), CheckError);
 }

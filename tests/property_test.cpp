@@ -89,7 +89,7 @@ TEST_P(EnvironmentProperty, EpisodeInvariantsHold) {
   // No double selection anywhere in the matrix (mark() would have thrown,
   // but verify the matrix is consistent with per-cycle counts).
   for (std::size_t t = 0; t < param.cycles; ++t)
-    EXPECT_EQ(env.selections().selected_count_in_cycle(t),
+    EXPECT_EQ(env.selections().selected_cells_in_cycle(t).size(),
               stats.cycle_selected[t]);
 }
 

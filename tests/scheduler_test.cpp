@@ -414,14 +414,14 @@ TEST(SharedFactorCache, CrossGeneratorHitsAndCollisionSafety) {
   Rng rng_a(1);
   first.generate(params, 6, rng_a);
   EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_hits(), 0u);
-  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_size(), 1u);
+  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_builds(), 1u);
 
   // A distinct generator over the SAME coordinates reuses the factor.
   SyntheticFieldGenerator second(coords);
   Rng rng_b(2);
   second.generate(params, 6, rng_b);
   EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_hits(), 1u);
-  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_size(), 1u);
+  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_builds(), 1u);
 
   // Same spatial params over DIFFERENT coordinates must build its own
   // factor — element-wise key equality, a hash collision can never alias.
@@ -429,7 +429,7 @@ TEST(SharedFactorCache, CrossGeneratorHitsAndCollisionSafety) {
   Rng rng_c(3);
   elsewhere.generate(params, 6, rng_c);
   EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_hits(), 1u);
-  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_size(), 2u);
+  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_builds(), 2u);
 
   // The per-generator cache absorbs repeats before they reach the
   // registry: regenerating on `first` is a local hit, not a shared one.
@@ -440,7 +440,7 @@ TEST(SharedFactorCache, CrossGeneratorHitsAndCollisionSafety) {
 
   SyntheticFieldGenerator::reset_shared_factor_cache();
   EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_hits(), 0u);
-  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_size(), 0u);
+  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_builds(), 0u);
 }
 
 TEST(SharedFactorCache, ConcurrentSameConfigBuildsPaidOnce) {
@@ -463,7 +463,7 @@ TEST(SharedFactorCache, ConcurrentSameConfigBuildsPaidOnce) {
   // arrived after the build or waited on the registry lock during it.
   EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_hits(),
             kGenerators - 1);
-  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_size(), 1u);
+  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_builds(), 1u);
   SyntheticFieldGenerator::reset_shared_factor_cache();
 }
 

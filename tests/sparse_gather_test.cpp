@@ -36,6 +36,8 @@
 namespace drcell {
 namespace {
 
+using testing::to_dense;
+
 /// Densified matrix -> SparseRowMatrix (ascending columns per row, explicit
 /// zeros dropped) — the canonical conversion every bit-identity test pivots
 /// on.
@@ -85,13 +87,11 @@ TEST(SparseRowMatrix, BasicsAndByteSize) {
   EXPECT_EQ(s.rows(), 3u);
   EXPECT_EQ(s.cols(), 5u);
   EXPECT_EQ(s.nonzeros(), 0u);
-  EXPECT_EQ(s.density(), 0.0);
 
   s.append(0, 1, 1.0);
   s.append(0, 4, 2.0);
   s.append(2, 0, 3.0);  // row 1 stays empty
   EXPECT_EQ(s.nonzeros(), 3u);
-  EXPECT_DOUBLE_EQ(s.density(), 3.0 / 15.0);
 
   const auto r0 = s.row_indices(0);
   ASSERT_EQ(r0.size(), 2u);
@@ -101,7 +101,7 @@ TEST(SparseRowMatrix, BasicsAndByteSize) {
   ASSERT_EQ(s.row_indices(2).size(), 1u);
   EXPECT_EQ(s.row_values(2)[0], 3.0);
 
-  const Matrix d = s.to_dense();
+  const Matrix d = to_dense(s);
   EXPECT_EQ(d.rows(), 3u);
   EXPECT_EQ(d.cols(), 5u);
   EXPECT_EQ(d(0, 1), 1.0);
@@ -116,8 +116,6 @@ TEST(SparseRowMatrix, BasicsAndByteSize) {
   s.reset(2, 4);
   EXPECT_EQ(s.nonzeros(), 0u);
   EXPECT_EQ(s.rows(), 2u);
-  // Empty shape forces the dense path instead of dividing by zero.
-  EXPECT_EQ(SparseRowMatrix().density(), 1.0);
 }
 
 TEST(SparseGather, MatmulBitIdenticalToDenseKernel) {
@@ -207,7 +205,9 @@ TEST(SparseGather, LstmDensityFallbackStillMatchesDense) {
   Rng data_rng(9);
   // density 0.6 >> 0.25 threshold
   const auto seq = random_batch(2, 4, 10, false, 0.6, data_rng);
-  ASSERT_GE(to_sparse(seq.front()).density(),
+  const SparseRowMatrix first = to_sparse(seq.front());
+  ASSERT_GE(static_cast<double>(first.nonzeros()) /
+                static_cast<double>(first.rows() * first.cols()),
             nn::Lstm::kSparseGatherMaxDensity);
   const Matrix h_dense = a.forward(seq);
   const Matrix h_sparse = b.forward(to_sparse_batch(seq));
@@ -589,8 +589,8 @@ TEST(FillTimestepMajorSparse, DensifiedMatchesDenseFill) {
   ASSERT_EQ(sstate.size(), k);
   ASSERT_EQ(snext.size(), k);
   for (std::size_t j = 0; j < k; ++j) {
-    EXPECT_EQ(sstate[j].to_dense(), dstate[j]) << "step " << j;
-    EXPECT_EQ(snext[j].to_dense(), dnext[j]) << "step " << j;
+    EXPECT_EQ(to_dense(sstate[j]), dstate[j]) << "step " << j;
+    EXPECT_EQ(to_dense(snext[j]), dnext[j]) << "step " << j;
   }
 }
 
@@ -611,13 +611,13 @@ TEST(FillTimestepMajorSparse, RingOverwriteInvalidatesCachedRows) {
   const std::vector<std::size_t> indices{0, 1};
   std::vector<SparseRowMatrix> state_seq, next_seq;
   buffer.fill_timestep_major_sparse(indices, state_seq, next_seq);
-  EXPECT_EQ(state_seq[0].to_dense()(0, 0), 1.0);
+  EXPECT_EQ(to_dense(state_seq[0])(0, 0), 1.0);
 
   buffer.add(make(9.0));
   buffer.fill_timestep_major_sparse(indices, state_seq, next_seq);
-  EXPECT_EQ(state_seq[0].to_dense()(0, 0), 9.0);
-  EXPECT_EQ(next_seq[0].to_dense()(0, 0), 9.5);
-  EXPECT_EQ(state_seq[0].to_dense()(1, 0), 2.0);  // slot 1 untouched
+  EXPECT_EQ(to_dense(state_seq[0])(0, 0), 9.0);
+  EXPECT_EQ(to_dense(next_seq[0])(0, 0), 9.5);
+  EXPECT_EQ(to_dense(state_seq[0])(1, 0), 2.0);  // slot 1 untouched
 }
 
 TEST(CandidateActions, CandidateQValuesMatchFullForwardAndGreedyArgmax) {

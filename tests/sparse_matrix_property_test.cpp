@@ -14,11 +14,14 @@
 #include "linalg/backend.h"
 #include "linalg/matrix.h"
 #include "linalg/sparse_matrix.h"
+#include "test_helpers.h"
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace drcell {
 namespace {
+
+using testing::to_dense;
 
 Matrix random_dense(std::size_t rows, std::size_t cols, double density,
                     Rng& rng) {
@@ -50,7 +53,7 @@ class SparseMatrixProperty : public ::testing::Test {
 };
 
 TEST_F(SparseMatrixProperty, FuzzGatherMatchesDenseAcrossShapesAndDensities) {
-  // 60 random (shape, density) draws: to_dense round-trips, density
+  // 60 random (shape, density) draws: to_dense round-trips, nonzero
   // accounting, and both gather GEMMs bit-identical to the dense kernels.
   Rng rng(2024);
   for (int trial = 0; trial < 60; ++trial) {
@@ -64,7 +67,7 @@ TEST_F(SparseMatrixProperty, FuzzGatherMatchesDenseAcrossShapesAndDensities) {
 
     EXPECT_EQ(sparse.rows(), rows);
     EXPECT_EQ(sparse.cols(), cols);
-    EXPECT_EQ(sparse.to_dense(), dense) << "trial " << trial;
+    EXPECT_EQ(to_dense(sparse), dense) << "trial " << trial;
 
     std::size_t nnz = 0;
     for (const double v : dense.data()) nnz += v != 0.0;
@@ -157,7 +160,7 @@ TEST_F(SparseMatrixProperty, ResetReusesStorageAndDropsEntries) {
   EXPECT_EQ(s.cols(), 6u);
   EXPECT_EQ(s.nonzeros(), 0u);
   s.append(1, 5, 3.0);
-  Matrix d = s.to_dense();
+  Matrix d = to_dense(s);
   EXPECT_EQ(d(1, 5), 3.0);
   EXPECT_EQ(s.nonzeros(), 1u);
 }

@@ -1,16 +1,58 @@
 // Shared fixtures for the drcell test suite: tiny deterministic sensing
-// tasks that keep end-to-end tests fast.
+// tasks that keep end-to-end tests fast, plus the small matrix builders and
+// the plain MSE oracle the layer tests share.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <memory>
 
 #include "cs/matrix_completion.h"
 #include "data/synthetic_field.h"
+#include "linalg/sparse_matrix.h"
 #include "mcs/environment.h"
 #include "mcs/sensing_task.h"
+#include "nn/loss.h"
 
 namespace drcell::testing {
+
+/// Row-major matrix literal, e.g. make_matrix({{1, 2}, {3, 4}}). Every row
+/// must have the same length.
+inline Matrix make_matrix(
+    std::initializer_list<std::initializer_list<double>> rows) {
+  Matrix m(rows.size(), rows.size() == 0 ? 0 : rows.begin()->size());
+  std::size_t r = 0;
+  for (const auto& row : rows) {
+    DRCELL_CHECK_MSG(row.size() == m.cols(), "ragged matrix literal");
+    std::copy(row.begin(), row.end(), m.row(r++).begin());
+  }
+  return m;
+}
+
+/// The densified copy of a sparse matrix.
+inline Matrix to_dense(const SparseRowMatrix& s) {
+  Matrix out;
+  s.to_dense(out);
+  return out;
+}
+
+/// Unmasked mean squared error mean((pred - target)²) and its gradient:
+/// the smooth loss the layer, LSTM and gradient-check tests train against.
+inline nn::LossResult mse_loss(const Matrix& pred, const Matrix& target) {
+  DRCELL_CHECK_MSG(pred.rows() == target.rows() && pred.cols() == target.cols(),
+                   "loss shape mismatch");
+  nn::LossResult out;
+  out.grad = Matrix(pred.rows(), pred.cols());
+  out.normalizer = static_cast<double>(pred.size());
+  for (std::size_t i = 0; i < pred.size(); ++i) {
+    const double d = pred.data()[i] - target.data()[i];
+    out.raw_sum += d * d;
+    out.grad.data()[i] = 2.0 * d / out.normalizer;
+  }
+  out.value = out.raw_sum / out.normalizer;
+  return out;
+}
 
 /// A smooth, strongly structured toy task: value = base(cell) + wave(cycle),
 /// exactly rank-2 plus mean, so matrix completion recovers it from few

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "util/check.h"
@@ -50,27 +51,68 @@ TEST(ThreadPool, PropagatesTaskExceptions) {
 }
 
 TEST(ThreadPool, AggregatesExceptionsWithoutStarvingOtherTasks) {
-  // The aggregation contract: every index runs even when several throw, the
-  // first captured exception is rethrown, and last_batch_error_count()
-  // reports how many tasks threw in the batch.
+  // The aggregation contract: every index runs even when several throw, and
+  // the first captured exception is rethrown. The indices that ran are
+  // counted here, inside the batch.
   for (std::size_t workers : {std::size_t{0}, std::size_t{3}}) {
     ThreadPool pool(workers);
     constexpr std::size_t n = 64;
     std::vector<std::atomic<int>> hits(n);
+    std::atomic<int> thrown{0};
     EXPECT_THROW(pool.parallel_for(n,
                                    [&](std::size_t i) {
                                      hits[i].fetch_add(1);
-                                     if (i % 16 == 3)  // 4 throwers
+                                     if (i % 16 == 3) {  // 4 throwers
+                                       thrown.fetch_add(1);
                                        throw CheckError("task " +
                                                         std::to_string(i));
+                                     }
                                    }),
                  CheckError);
-    EXPECT_EQ(ThreadPool::last_batch_error_count(), 4u);
+    EXPECT_EQ(thrown.load(), 4);
     for (std::size_t i = 0; i < n; ++i)
       EXPECT_EQ(hits[i].load(), 1) << "task " << i << " was starved";
-    // A clean batch resets the count.
-    pool.parallel_for(8, [](std::size_t) {});
-    EXPECT_EQ(ThreadPool::last_batch_error_count(), 0u);
+    // The pool is clean afterwards: the next batch runs in full, no throw.
+    std::atomic<int> ran{0};
+    EXPECT_NO_THROW(
+        pool.parallel_for(8, [&](std::size_t) { ran.fetch_add(1); }));
+    EXPECT_EQ(ran.load(), 8);
+  }
+}
+
+TEST(ThreadPool, NestedBatchAggregatesExceptions) {
+  // A nested batch runs inline on whichever lane started it, under the same
+  // contract: all of its indices run and its first exception reaches the
+  // outer task. The outer batch then rethrows one exception after every
+  // outer index ran.
+  for (std::size_t workers : {std::size_t{0}, std::size_t{3}}) {
+    ThreadPool pool(workers);
+    constexpr std::size_t outer = 16, inner = 8;
+    std::vector<std::atomic<int>> hits(outer * inner);
+    std::atomic<int> inner_throws_seen{0};
+    EXPECT_THROW(
+        pool.parallel_for(outer,
+                          [&](std::size_t o) {
+                            try {
+                              pool.parallel_for(inner, [&](std::size_t i) {
+                                hits[o * inner + i].fetch_add(1);
+                                if (i == 2 || i == 5)
+                                  throw CheckError("inner " +
+                                                   std::to_string(i));
+                              });
+                            } catch (const CheckError& e) {
+                              // Inline batches run in index order, so the
+                              // lowest throwing index is the first.
+                              EXPECT_NE(std::string(e.what()).find("inner 2"),
+                                        std::string::npos);
+                              inner_throws_seen.fetch_add(1);
+                              if (o % 4 == 1) throw;
+                            }
+                          }),
+        CheckError);
+    EXPECT_EQ(inner_throws_seen.load(), static_cast<int>(outer));
+    for (std::size_t k = 0; k < hits.size(); ++k)
+      EXPECT_EQ(hits[k].load(), 1) << "nested task " << k << " was starved";
   }
 }
 
@@ -86,7 +128,6 @@ TEST(ThreadPool, SerialBatchRethrowsLowestIndexException) {
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("task 7"), std::string::npos);
   }
-  EXPECT_EQ(ThreadPool::last_batch_error_count(), 2u);
 }
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
@@ -137,6 +178,18 @@ TEST(ThreadPool, WorkersFromLanesSpecParsesTotalLanes) {
   EXPECT_EQ(ThreadPool::workers_from_lanes_spec("0", 7), 7u);   // invalid
   EXPECT_EQ(ThreadPool::workers_from_lanes_spec("abc", 7), 7u);
   EXPECT_EQ(ThreadPool::workers_from_lanes_spec("4x", 7), 7u);
+  // Signed, out-of-range and above-cap specs fall back instead of wrapping
+  // into a huge worker count. Parsed only: no pool is built from them.
+  EXPECT_EQ(ThreadPool::workers_from_lanes_spec("-1", 7), 7u);
+  EXPECT_EQ(ThreadPool::workers_from_lanes_spec("+4", 7), 7u);
+  EXPECT_EQ(ThreadPool::workers_from_lanes_spec("-0", 7), 7u);
+  EXPECT_EQ(ThreadPool::workers_from_lanes_spec("18446744073709551616", 7),
+            7u);
+  EXPECT_EQ(ThreadPool::workers_from_lanes_spec("18446744073709551615", 7),
+            7u);
+  EXPECT_EQ(ThreadPool::workers_from_lanes_spec("99999", 7), 7u);
+  EXPECT_EQ(ThreadPool::workers_from_lanes_spec("1025", 7), 7u);  // cap + 1
+  EXPECT_EQ(ThreadPool::workers_from_lanes_spec("1024", 7), 1023u);  // cap
 }
 
 TEST(ThreadPool, SetGlobalWorkerCountForTestingResizesAndRestores) {

@@ -8,7 +8,13 @@ lists the drcell:: functions defined in libdrcell.a that none of those
 binaries contains: code that only the tests keep alive. A second list
 names the functions that bench binaries link but no example and not
 perfbench does: code that only bench floors and bench-local references keep
-alive.
+alive. A third list, from a textual scan rather than the build, names the
+data members of every *Options / *Config struct in src/**/*.h that no
+source under examples/, bench/ or perfbench/src/ assigns (`.field =`,
+`->field =` or a designated initialiser): knobs that only their defaults
+and the tests set. A field name assigned anywhere in those trees counts as
+set for every struct that has it, so the list errs towards too few
+candidates; each one still needs a person to confirm it.
 
 The build is Debug (-O0), so a function the optimiser would inline into
 every caller still shows up as reached rather than as a false positive. A
@@ -84,6 +90,104 @@ def demangle(names):
     return dict(zip(names, result.stdout.splitlines()))
 
 
+# A struct or class whose name ends in Options or Config, up to its "{".
+OPTION_STRUCT = re.compile(
+    r"\b(?:struct|class)\s+(\w*(?:Options|Config))\b[^{;]*\{")
+COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)
+ACCESS = re.compile(r"^(?:(?:public|private|protected)\s*:\s*)+")
+# `.name =`, `->name =` or a compound assignment, not `==`; a member chain
+# (`.fault.checkpoint_ring =`) assigns every name in it.
+MEMBER = r"(?:\.|->)\s*[A-Za-z_]\w*"
+ASSIGNED = re.compile(r"((?:%s\s*)+)[-+*/|&]?=(?!=)" % MEMBER)
+
+
+def top_level_statements(body):
+    """Splits a struct body into its top-level `;`-terminated statements.
+    A brace block that follows a function signature or opens a nested
+    type is dropped with its statement; a brace initialiser stays part of
+    its member's statement."""
+    statements, current, depth, skipping = [], "", 0, False
+    for ch in body:
+        if depth == 0 and ch == "{":
+            head = ACCESS.sub("", current.strip())
+            skipping = "(" in head or re.match(
+                r"(?:struct|class|enum|union)\b", head) is not None
+            depth = 1
+            if not skipping:
+                current += ch
+            continue
+        if depth > 0:
+            depth += (ch == "{") - (ch == "}")
+            if depth == 0 and skipping:
+                current = ""
+            elif not skipping:
+                current += ch
+            continue
+        if ch == ";":
+            statements.append(current)
+            current = ""
+        else:
+            current += ch
+    return statements
+
+
+def option_fields(header_text):
+    """Yields (struct, field) for each data member of every *Options /
+    *Config struct defined in `header_text`."""
+    text = COMMENT.sub("", header_text)
+    for match in OPTION_STRUCT.finditer(text):
+        start, depth = match.end() - 1, 0
+        for end in range(start, len(text)):
+            depth += (text[end] == "{") - (text[end] == "}")
+            if depth == 0:
+                break
+        for statement in top_level_statements(text[start + 1:end]):
+            decl = ACCESS.sub("", statement.strip())
+            if not decl or re.match(
+                    r"(?:static|using|typedef|friend|template)\b", decl):
+                continue
+            declarator = re.split(r"[={]", decl, maxsplit=1)[0]
+            # Drop template arguments, so std::function<void(int)> f is
+            # still a data member.
+            bare = None
+            while bare != declarator:
+                bare, declarator = declarator, re.sub(r"<[^<>]*>", "",
+                                                      declarator)
+            if "(" in declarator or "operator" in declarator:
+                continue  # a function or constructor declaration
+            names = re.findall(r"[A-Za-z_]\w*", declarator)
+            if len(names) >= 2:  # a type, then the member name
+                yield match.group(1), names[-1]
+
+
+def unset_option_fields(headers, setters):
+    """The *Options / *Config fields no setter assigns.
+
+    `headers` maps a header path to its text, `setters` is an iterable of
+    source texts. Returns sorted (header, "Struct.field") pairs."""
+    assigned = set()
+    for text in setters:
+        for chain in ASSIGNED.findall(COMMENT.sub("", text)):
+            assigned.update(re.findall(r"[A-Za-z_]\w*", chain))
+    return sorted({(path, "%s.%s" % (struct, field))
+                   for path, text in headers.items()
+                   for struct, field in option_fields(text)
+                   if field not in assigned})
+
+
+def read_tree(top, suffixes):
+    """Maps each file under ROOT/top with one of `suffixes` to its text,
+    keyed by its path relative to ROOT."""
+    out = {}
+    for dirpath, _, files in os.walk(os.path.join(ROOT, top)):
+        for f in sorted(files):
+            if f.endswith(suffixes):
+                path = os.path.join(dirpath, f)
+                with open(path, encoding="utf-8") as fh:
+                    out[os.path.relpath(path, ROOT)] = fh.read()
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--build-dir", default=".reach_build",
@@ -135,6 +239,17 @@ def main():
           "but in no example and not in perfbench"
           % (len(bench_only), len(total)))
     print_grouped(bench_only)
+
+    headers = read_tree("src", (".h",))
+    fields = sum(1 for text in headers.values() for _ in option_fields(text))
+    setters = {}
+    for top in ("examples", "bench", os.path.join("perfbench", "src")):
+        setters.update(read_tree(top, (".h", ".cpp")))
+    unset = unset_option_fields(headers, setters.values())
+    print("reachability: %d of %d *Options/*Config fields in src/ are set "
+          "by no example, bench or perfbench source (textual scan)"
+          % (len(unset), fields))
+    print_grouped(unset)
     return 0
 
 
