@@ -102,9 +102,10 @@ void populate_city_fleet(core::CampaignScheduler& scheduler,
   }
 }
 
-/// A frozen DR-Cell policy that does not claim BatchedQSelector: it
-/// forwards select() and name() only, so the scheduler steps it through
-/// select() with one B = 1 forward per campaign — the unbatched floor of
+/// A frozen DR-Cell policy the scheduler does not batch: it wraps a
+/// DrCellPolicy instead of being one and forwards select() and name() only,
+/// so the scheduler steps it through select() with one B = 1 forward per
+/// campaign — the unbatched floor of
 /// gate (a) and of the batched-wave perf pair. The agent is hidden too, so
 /// the scheduler runs no health scan for it.
 class UnbatchedDrCellPolicy final : public baselines::CellSelector {

@@ -211,7 +211,7 @@ void bench_nystrom_build(bench::JsonReporter& report, bool quick, bool& ok) {
       gen.set_thread_pool(&pool);
       return gen.nystrom_factor(p);
     };
-    const std::vector<double> sig = flatten(build());
+    const std::vector<double> sig = flatten(*build());
     if (reference.empty())
       reference = sig;
     else

@@ -95,10 +95,13 @@ void bench_field_samplers(bench::JsonReporter& report, bool quick) {
             << format_double(exact_2k.wall_ms / nystrom_2k.wall_ms, 2)
             << "x)\n";
 
-  // The spatial-factor cache (keyed by the FieldParams fingerprint): one
-  // generator re-generating episodes pays the Nyström build once.
+  // The spatial-factor registry (keyed by coordinates and the spatial
+  // FieldParams fields): one generator re-generating episodes pays the
+  // Nyström build once.
   data::SyntheticFieldGenerator cached_gen(metro_coords);
   (void)cached_gen.generate(metro, cycles, rng);  // populate the cache
+  const std::size_t hits_before =
+      data::SyntheticFieldGenerator::shared_factor_cache_hits();
   const auto cached = bench::measure_ms(
       [&] { (void)cached_gen.generate(metro, cycles, rng); }, target, 50);
   report.add_with_reference("scale_field_regen_cached_10000cell",
@@ -106,7 +109,9 @@ void bench_field_samplers(bench::JsonReporter& report, bool quick) {
                             1e3 / cached.wall_ms, nystrom_10k.wall_ms,
                             nystrom_10k.iterations);
   std::cout << "  cached regen@10000 " << format_double(cached.wall_ms, 1)
-            << " ms (" << cached_gen.factor_cache_hits()
+            << " ms ("
+            << data::SyntheticFieldGenerator::shared_factor_cache_hits() -
+                   hits_before
             << " factor cache hits)\n";
 }
 

@@ -16,7 +16,7 @@ namespace {
 // Consecutive faulted waves before a campaign is quarantined.
 constexpr std::size_t kQuarantineAfter = 2;
 // Rollbacks before an unhealthy agent is declared persistent and its
-// campaigns degrade to the fallback selector (or quarantine).
+// campaigns are quarantined.
 constexpr std::size_t kMaxRollbacks = 2;
 
 std::string what_of(const std::exception_ptr& ep) {
@@ -57,7 +57,7 @@ std::size_t CampaignScheduler::add_campaign(
   slot.task = std::move(task);
   slot.engine_factory = std::move(engine_factory);
   slot.selector = std::move(selector);
-  slot.batched = dynamic_cast<BatchedQSelector*>(slot.selector.get());
+  slot.batched = dynamic_cast<DrCellPolicy*>(slot.selector.get());
   slot.env = make_campaign_environment(slot.task, slot.engine_factory(),
                                        slot.config);
   slots_.push_back(std::move(slot));
@@ -96,28 +96,30 @@ void CampaignScheduler::quarantine(std::size_t slot, std::string reason) {
 }
 
 bool CampaignScheduler::decide_batched(const std::vector<std::size_t>& active) {
-  // Group batchable campaigns by shared network, preserving first-seen
-  // order (and ascending slot order within a group) so the batch layout —
-  // and with it any accumulation order downstream — is deterministic.
-  std::vector<rl::QNetwork*> networks;
+  // Group batchable campaigns by agent (one online network each),
+  // preserving first-seen order (and ascending slot order within a group)
+  // so the batch layout — and with it any accumulation order downstream —
+  // is deterministic.
+  std::vector<DrCellAgent*> agents;
   std::vector<std::vector<std::size_t>> groups;
   for (const std::size_t i : active) {
     Slot& slot = slots_[i];
     if (slot.batched == nullptr) continue;
-    rl::QNetwork* net = &slot.batched->shared_network();
-    const auto it = std::find(networks.begin(), networks.end(), net);
-    if (it == networks.end()) {
-      networks.push_back(net);
+    DrCellAgent* agent = &slot.batched->agent();
+    const auto it = std::find(agents.begin(), agents.end(), agent);
+    if (it == agents.end()) {
+      agents.push_back(agent);
       groups.emplace_back();
       groups.back().push_back(i);
     } else {
-      groups[static_cast<std::size_t>(it - networks.begin())].push_back(i);
+      groups[static_cast<std::size_t>(it - agents.begin())].push_back(i);
     }
   }
 
   bool all_ok = true;
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    rl::QNetwork& net = *networks[g];
+    DrCellAgent& agent = *agents[g];
+    rl::QNetwork& net = agent.trainer().online();
     const std::vector<std::size_t>& members = groups[g];
     try {
       std::vector<const std::vector<double>*> states;
@@ -134,10 +136,8 @@ bool CampaignScheduler::decide_batched(const std::vector<std::size_t>& active) {
       const Matrix& q = net.forward_batch(encoder.to_sequence_batch(states));
       // Q sentinel: a poisoned shared network shows up here first. check_q
       // trips the owning agent's sticky monitor; the HEALTH phase of the
-      // next wave acts on it (rollback / fallback / quarantine).
-      if (DrCellAgent* agent =
-              trainable_agent_of(slots_[members[0]].selector.get()))
-        agent->health().check_q(q);
+      // next wave acts on it (rollback / quarantine).
+      agent.health().check_q(q);
       for (std::size_t r = 0; r < members.size(); ++r) {
         Slot& slot = slots_[members[r]];
         slot.pending_action =
@@ -185,9 +185,8 @@ bool CampaignScheduler::rollback_from_ring() {
           agent->health().reset();
       return true;
     } catch (const std::exception& e) {
-      // A ring entry can become unloadable if the fleet's shape changed
-      // since the snapshot (e.g. a campaign fell back to a different
-      // selector type). Drop it and try the next-older one.
+      // A ring entry that fails to load (CRC corruption, an injected
+      // ckpt.load fault) is dropped; try the next-older one.
       note_incident("", "rollback", "discarding unloadable ring entry: " +
                                         std::string(e.what()));
       ring_.pop_back();
@@ -199,7 +198,6 @@ bool CampaignScheduler::rollback_from_ring() {
 void CampaignScheduler::handle_unhealthy_agent(DrCellAgent* agent,
                                                std::string reason) {
   note_incident("", "agent-unhealthy", reason);
-  const FaultToleranceOptions& ft = options_.fault;
   if (rollbacks_ < kMaxRollbacks) {
     ++rollbacks_;
     if (rollback_from_ring()) {
@@ -210,24 +208,11 @@ void CampaignScheduler::handle_unhealthy_agent(DrCellAgent* agent,
       return;
     }
   }
-  // Persistent poisoner or no usable snapshot: degrade the agent's
-  // campaigns to the fallback selector, or quarantine them.
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    Slot& slot = slots_[i];
-    if (slot.state == CampaignState::kQuarantined) continue;
-    if (trainable_agent_of(slot.selector.get()) != agent) continue;
-    if (ft.fallback_factory) {
-      slot.selector = ft.fallback_factory(slot.id, i);
-      DRCELL_CHECK_MSG(slot.selector != nullptr,
-                       "fallback_factory returned null");
-      slot.batched = dynamic_cast<BatchedQSelector*>(slot.selector.get());
-      note_incident(slot.id, "fallback", "degraded to " +
-                                             slot.selector->name() +
-                                             " after: " + reason);
-    } else {
+  // Persistent poisoner or no usable snapshot: quarantine the agent's
+  // campaigns.
+  for (std::size_t i = 0; i < slots_.size(); ++i)
+    if (trainable_agent_of(slots_[i].selector.get()) == agent)
       quarantine(i, "agent unhealthy: " + reason);
-    }
-  }
 }
 
 void CampaignScheduler::health_phase() {

@@ -7,19 +7,19 @@
 //   0. HEALTH/RECOVER — serial: consult every serving agent's numeric
 //      sentinels (core/health_monitor.h; a parameter scan every wave,
 //      loss/Q sentinels tripped earlier stay sticky). An unhealthy
-//      agent triggers rollback from the auto-checkpoint ring, else baseline
-//      fallback, else quarantine (see "Fault tolerance" below). Then, on
+//      agent triggers rollback from the auto-checkpoint ring, else
+//      quarantine of its campaigns (see "Fault tolerance" below). Then, on
 //      the configured cadence, snapshot the whole fleet into the in-memory
 //      checkpoint ring (CRC-protected DRCK v2 — core/checkpoint.h).
-//   1. DECIDE — serial, ascending slot order. Campaigns whose selector
-//      claims BatchedQSelector (core/batched_selector.h) are grouped by
-//      shared network; each group's states are stacked into ONE
-//      timestep-major [B x m] minibatch and scored with a single
-//      forward_batch, then each row is argmaxed under that campaign's
+//   1. DECIDE — serial, ascending slot order. Campaigns whose selector is
+//      a frozen DrCellPolicy (core/policy.h) are grouped by agent; each
+//      group's states are stacked into ONE timestep-major [B x m]
+//      minibatch and scored with a single forward_batch of the agent's
+//      online network, then each row is argmaxed under that campaign's
 //      action mask. By the batched determinism contract (rl/qnetwork.h)
 //      every row's Q-values — and therefore the chosen action — are
 //      bit-identical to the B = 1 forward the solo runner would do.
-//      Non-batched selectors call select() serially in slot order, so a
+//      Every other selector calls select() serially in slot order, so a
 //      selector's private draw stream advances exactly as its solo
 //      campaign would.
 //   2. STEP — parallel_for over the unfinished campaigns: each applies its
@@ -53,10 +53,9 @@
 // Ring snapshots are taken only while every agent is healthy, so the ring
 // never holds poisoned weights. After two rollbacks (a persistent
 // poisoner), or with an empty ring, the agent's campaigns are
-// switched to `fallback_factory` baseline selectors (degraded but serving)
-// or quarantined when no fallback is configured. Every fault, retry,
-// quarantine, rollback and fallback is appended to the human-readable
-// incident log (`incidents()`).
+// quarantined; the rest of the fleet keeps serving. Every fault, retry,
+// quarantine and rollback is appended to the human-readable incident log
+// (`incidents()`).
 //
 // Per-campaign equivalence: a campaign stepped here produces the exact
 // action log, environment trace and CampaignResult (seconds excluded —
@@ -86,13 +85,13 @@
 #include <vector>
 
 #include "baselines/selector.h"
-#include "core/batched_selector.h"
 #include "core/campaign.h"
 #include "util/thread_pool.h"
 
 namespace drcell::core {
 
 class DrCellAgent;
+class DrCellPolicy;
 
 enum class CampaignState { kActive, kQuarantined };
 
@@ -103,7 +102,7 @@ struct Incident {
   std::string campaign;  ///< campaign id; empty = fleet-level incident
   std::string kind;      ///< "decide-fault", "step-fault", "observe-fault",
                          ///< "retry-recovered", "quarantine", "agent-unhealthy",
-                         ///< "rollback", "fallback"
+                         ///< "rollback"
   std::string detail;
 };
 
@@ -114,26 +113,17 @@ class CampaignScheduler {
   /// which every stateless construction (make_als_engine(params), ...) is.
   using EngineFactory = std::function<cs::InferenceEnginePtr()>;
 
-  /// Builds the degraded-mode replacement selector for a campaign (QBC,
-  /// RANDOM, ...). Receives the campaign id and slot index so per-campaign
-  /// seeds stay distinct.
-  using FallbackFactory = std::function<std::shared_ptr<baselines::CellSelector>(
-      const std::string& id, std::size_t slot)>;
-
   /// Tuning of the per-campaign fault domains (see the file comment): the
-  /// rollback ring and the degraded-mode fallback. The step retry count,
-  /// quarantine threshold and rollback budget are fixed
-  /// (campaign_scheduler.cpp), and every wave's HEALTH phase scans each
-  /// serving agent's parameters.
+  /// rollback ring. The step retry count, quarantine threshold and rollback
+  /// budget are fixed (campaign_scheduler.cpp), and every wave's HEALTH
+  /// phase scans each serving agent's parameters.
   struct FaultToleranceOptions {
     /// Snapshot the fleet into the checkpoint ring every N waves (0 = no
-    /// auto-checkpointing; rollback then degrades straight to fallback/
-    /// quarantine).
+    /// auto-checkpointing; an unhealthy agent's campaigns are then
+    /// quarantined at once).
     std::size_t checkpoint_every_waves = 0;
     /// Ring capacity (last K snapshots are kept).
     std::size_t checkpoint_ring = 3;
-    /// Degraded-mode selector builder; nullptr = quarantine instead.
-    FallbackFactory fallback_factory;
   };
 
   struct Options {
@@ -146,7 +136,7 @@ class CampaignScheduler {
 
   /// Registers a campaign and builds its environment; returns the slot
   /// index. `selector` must stay exclusive to this campaign unless it is a
-  /// frozen BatchedQSelector policy (stateless select), and ids must be
+  /// frozen DrCellPolicy (stateless select), and ids must be
   /// unique — they key the checkpoint's identity check. The campaign's
   /// `env.step` fault-injection site is scoped by the id (unless the config
   /// already set a scope), so drills can target exactly one campaign.
@@ -181,8 +171,6 @@ class CampaignScheduler {
   const std::vector<Incident>& incidents() const { return incidents_; }
   /// Rollbacks performed so far (at most two).
   std::size_t rollbacks() const { return rollbacks_; }
-  /// Auto-checkpoint ring depth (entries are full DRCK v2 streams).
-  std::size_t checkpoint_ring_size() const { return ring_.size(); }
 
   /// Results in slot order, each carrying its campaign id. seconds is 0 —
   /// wall-clock is owned by the caller and excluded from bit-compares.
@@ -197,7 +185,7 @@ class CampaignScheduler {
     std::shared_ptr<const mcs::SensingTask> task;
     EngineFactory engine_factory;
     std::shared_ptr<baselines::CellSelector> selector;
-    BatchedQSelector* batched = nullptr;  ///< non-null: batchable decision
+    DrCellPolicy* batched = nullptr;  ///< non-null: batchable decision
     std::unique_ptr<mcs::SparseMcsEnvironment> env;
     std::vector<std::uint32_t> action_log;
     /// Wave workspaces (DECIDE writes, STEP reads; index-exclusive).
@@ -215,7 +203,7 @@ class CampaignScheduler {
   void note_incident(std::string campaign, std::string kind,
                      std::string detail);
   void quarantine(std::size_t slot, std::string reason);
-  /// HEALTH/RECOVER phase: sentinel checks, rollback/fallback/quarantine.
+  /// HEALTH/RECOVER phase: sentinel checks, rollback/quarantine.
   void health_phase();
   /// `reason` is taken by value: the caller passes the agent's sticky
   /// health reason, which a successful rollback resets mid-call.

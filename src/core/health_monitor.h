@@ -2,7 +2,7 @@
 // agent: non-finite losses, exploding loss windows, non-finite Q-values and
 // non-finite parameters (via Matrix::has_non_finite). The monitor is a
 // detector only — it never mutates the agent. Recovery policy (checkpoint
-// rollback, baseline fallback, quarantine) lives in the campaign scheduler
+// rollback, quarantine) lives in the campaign scheduler
 // (core/campaign_scheduler.h), which consults the monitor after every wave.
 //
 // Cost model: record_loss is O(1); check_q is one O(B·m) scan of a Q batch

@@ -7,25 +7,33 @@
 
 #include "baselines/selector.h"
 #include "core/agent.h"
-#include "core/batched_selector.h"
 
 namespace drcell::core {
 
 /// Frozen greedy policy — the paper's testing stage: always take the action
-/// with the largest Q-value (Sec. 5.3). Claims BatchedQSelector: its
-/// decision is exactly the greedy argmax of the agent's online network, so
-/// the multi-campaign scheduler may batch it across campaigns.
-class DrCellPolicy final : public baselines::CellSelector,
-                           public BatchedQSelector {
+/// with the largest Q-value (Sec. 5.3).
+///
+/// Batching contract: select() is exactly
+///
+///   encode state -> agent().trainer().online().forward_batch (B = 1)
+///     -> rl::masked_argmax_row(q, 0, env.action_mask())
+///
+/// Under the batched determinism contract (rl/qnetwork.h: row b of a
+/// batched forward is bit-identical to the B = 1 forward of sample b) the
+/// multi-campaign scheduler (core/campaign_scheduler.h) finds these
+/// campaigns by type, stacks the states of every campaign on one agent into
+/// one forward_batch and argmaxes each row, producing per campaign exactly
+/// the action select() would. The class is final so nothing can override
+/// select() behind the scheduler's back; a selector that explores,
+/// post-processes scores or consults non-Q state wraps a DrCellPolicy
+/// instead of deriving from it and is stepped through select().
+class DrCellPolicy final : public baselines::CellSelector {
  public:
   explicit DrCellPolicy(DrCellAgent& agent);
 
   std::size_t select(const mcs::SparseMcsEnvironment& env) override;
   std::string name() const override { return "DR-Cell"; }
 
-  rl::QNetwork& shared_network() override {
-    return agent_.trainer().online();
-  }
   DrCellAgent& agent() { return agent_; }
 
  private:

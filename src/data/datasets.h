@@ -32,11 +32,11 @@ UAirDataset make_uair_like(std::uint64_t seed = 2013);
 /// grid of 100 m x 100 m cells (25 x 40 = 1000 by default) with a
 /// temperature-like field, half-hour cycles. At this size the field still
 /// uses the exact O(cells³) spatial Cholesky (bit-identical to earlier
-/// releases). The factor lands in the process-wide shared registry (PR 7),
-/// so re-calling this factory per episode pays ONE factorisation per
-/// process, not one per call; cold vs warm behaviour is observable at both
-/// tiers via SyntheticFieldGenerator::shared_factor_cache_builds() /
-/// shared_factor_cache_hits() (and per-generator factor_cache_hits()).
+/// releases). The factor lands in the process-wide shared registry, so
+/// re-calling this factory per episode pays ONE factorisation per process,
+/// not one per call; cold vs warm behaviour is observable at both tiers via
+/// SyntheticFieldGenerator::shared_factor_cache_builds() /
+/// shared_factor_cache_hits().
 mcs::SensingTask make_city_scale_task(std::size_t grid_rows = 25,
                                       std::size_t grid_cols = 40,
                                       std::size_t cycles = 96,

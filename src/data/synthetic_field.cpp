@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <mutex>
+#include <unordered_map>
 
 #include "linalg/decompositions.h"
 #include "util/fastmath.h"
@@ -90,9 +92,9 @@ std::size_t SyntheticFieldGenerator::SharedKeyHash::operator()(
 }
 
 /// The process-wide factor registry (see shared_factor_cache_hits). One
-/// mutex guards map and counter; held across builds so a concurrent
+/// mutex guards map and counters; held across builds so a concurrent
 /// same-config request waits for the single factorisation instead of
-/// duplicating it — the same discipline as the per-generator lock.
+/// duplicating it.
 struct SyntheticFieldGenerator::SharedRegistry {
   std::mutex mutex;
   std::unordered_map<SharedKey, std::shared_ptr<const SpatialFactor>,
@@ -235,30 +237,13 @@ Matrix SyntheticFieldGenerator::build_nystrom_factor(
   return f;
 }
 
-const SyntheticFieldGenerator::SpatialFactor&
+std::shared_ptr<const SyntheticFieldGenerator::SpatialFactor>
 SyntheticFieldGenerator::spatial_factor(const FieldParams& params) const {
   DRCELL_CHECK(params.spatial_length > 0.0);
   DRCELL_CHECK(params.nugget > 0.0 && params.nugget <= 1.0);
   const bool low_rank = coords_->size() > params.nystrom_threshold;
   const SpatialKey key{params.spatial_length, params.nugget, low_rank,
                        low_rank ? params.nystrom_landmarks : 0};
-  // The generator lock covers the local lookup and the registry consult: a
-  // concurrent same-config generate() on this generator waits instead of
-  // racing, and the shared_ptr pinned into the local map keeps the returned
-  // reference valid past release (even across a registry reset). Lock order
-  // is generator → registry, with no path back, so no deadlock.
-  const std::lock_guard<std::mutex> lock(factor_mutex_);
-  if (const auto it = factor_cache_.find(key); it != factor_cache_.end()) {
-    ++factor_cache_hits_;
-    return *it->second;
-  }
-  std::shared_ptr<const SpatialFactor> factor = shared_factor(key, params);
-  return *factor_cache_.emplace(key, std::move(factor)).first->second;
-}
-
-std::shared_ptr<const SyntheticFieldGenerator::SpatialFactor>
-SyntheticFieldGenerator::shared_factor(const SpatialKey& key,
-                                       const FieldParams& params) const {
   const SharedKey shared_key{coords_, coord_hash_, key};
   SharedRegistry& r = shared_registry();
   const std::lock_guard<std::mutex> lock(r.mutex);
@@ -276,28 +261,31 @@ SyntheticFieldGenerator::shared_factor(const SpatialKey& key,
   return r.factors.emplace(shared_key, std::move(factor)).first->second;
 }
 
-const Matrix& SyntheticFieldGenerator::nystrom_factor(
+std::shared_ptr<const Matrix> SyntheticFieldGenerator::nystrom_factor(
     const FieldParams& params) const {
   // Reject exact-path params before spatial_factor() would pay the O(m³)
   // dense factorisation (and cache it) only to throw.
   DRCELL_CHECK_MSG(coords_->size() > params.nystrom_threshold,
                    "params select the exact path (cells <= nystrom_threshold)");
-  return spatial_factor(params).f;
+  std::shared_ptr<const SpatialFactor> factor = spatial_factor(params);
+  const Matrix* f = &factor->f;
+  return std::shared_ptr<const Matrix>(std::move(factor), f);
 }
 
 Matrix SyntheticFieldGenerator::draw_modes(const FieldParams& params,
                                            Rng& rng) const {
   DRCELL_CHECK(params.num_modes > 0);
   const std::size_t m = coords_->size();
-  const SpatialFactor& factor = spatial_factor(params);
+  // Held for the whole draw, so a concurrent registry reset cannot free it.
+  const std::shared_ptr<const SpatialFactor> factor = spatial_factor(params);
   util::ThreadPool& pool = pool_ ? *pool_ : util::ThreadPool::global();
   Matrix modes(m, params.num_modes);
-  if (!factor.low_rank) {
+  if (!factor->low_rank) {
     // Exact path: the draws stay serial from the caller's rng, so the
     // stream — and therefore every sub-threshold dataset — is bit-identical
     // to the pre-Nyström generator. Only the per-draw lower-triangular
     // matvec fans out (index-exclusive rows, deterministic per-row sums).
-    const Matrix& l = factor.dense_l;
+    const Matrix& l = factor->dense_l;
     std::vector<double> eta(m);
     for (std::size_t r = 0; r < params.num_modes; ++r) {
       for (double& e : eta) e = rng.normal();
@@ -318,7 +306,7 @@ Matrix SyntheticFieldGenerator::draw_modes(const FieldParams& params,
   // rng-free m×k dot pass fans out over the pool (index-exclusive rows),
   // which is where the per-draw time goes; the result is therefore also
   // bit-identical for any worker count.
-  const Matrix& f = factor.f;
+  const Matrix& f = factor->f;
   const std::size_t k = f.cols();
   const double nugget_sd = std::sqrt(params.nugget);
   std::vector<double> u(k);

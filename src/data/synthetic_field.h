@@ -21,18 +21,18 @@
 // kernel (O(m³), bit-identical to the pre-Nyström generator); above it a
 // low-rank Nyström factor over ~256 farthest-point landmark cells replaces
 // it (O(m·k²) build, O(m·k) per mode draw), which is what unlocks the
-// 10,000-cell metro-scale workload. Factors are cached at two levels:
-// a per-generator map (lock-free reuse pattern unchanged from PR 5,
-// `factor_cache_hits()` counts the reuses) backed by a process-wide shared
+// 10,000-cell metro-scale workload. Factors are cached in one process-wide
 // registry keyed by (cell coordinates, spatial FieldParams fields), so N
 // campaigns — each built through its own factory call and therefore its own
-// generator — with equal spatial params share ONE factorisation
-// (`shared_factor_cache_hits()` counts the cross-generator reuses; the
-// multi-campaign bench hard-gates hits >= N-1). Both levels are
-// mutex-guarded: concurrent generate() calls on one shared generator, or on
-// many generators across ThreadPool workers, are race-free, and a
-// concurrent same-config build is paid exactly once (later arrivals wait on
-// the registry lock, then hit).
+// generator — with equal spatial params share ONE factorisation, and a
+// generator regenerating episodes reuses its own
+// (`shared_factor_cache_hits()` counts the reuses; the multi-campaign bench
+// hard-gates hits >= N-1). The registry is mutex-guarded: concurrent
+// generate() calls on one shared generator, or on many generators across
+// ThreadPool workers, are race-free, and a concurrent same-config build is
+// paid exactly once (later arrivals wait on the registry lock, then hit).
+// A draw holds its factor by shared ownership, so a registry reset never
+// invalidates a factor in use.
 //
 // Parallelism: the Nyström factor build (per-row cross-covariance block and
 // forward substitution) and the spatial mode draws fan out over the
@@ -48,8 +48,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "cs/knn_inference.h"  // CellCoord
@@ -126,22 +124,13 @@ class SyntheticFieldGenerator {
       const FieldParams& first, const FieldParams& second, double rho,
       std::size_t cycles, Rng& rng) const;
 
-  /// How many generate()/pair calls reused a cached spatial factor instead
-  /// of re-factorising — within this generator OR through the process-wide
-  /// shared registry. The factor depends only on the coordinates (fixed per
-  /// generator) and the spatial fields of FieldParams, so episodic
-  /// regeneration hits the cache from the second call on. Mutex-guarded
-  /// like every cache access: safe to read while other threads generate.
-  std::size_t factor_cache_hits() const {
-    const std::lock_guard<std::mutex> lock(factor_mutex_);
-    return factor_cache_hits_;
-  }
-
-  /// Process-wide shared-registry counter: how many factor requests were
-  /// served by a factor another generator (or an earlier same-coordinate
-  /// generator) already built. The multi-campaign scheduler's "N
-  /// same-params campaigns pay one factorisation" contract is gated on
-  /// hits >= N-1 (bench_multi_campaign).
+  /// Process-wide registry counter: how many factor requests were served by
+  /// a factor already built — by this generator's earlier calls or by any
+  /// generator over equal coordinates. The factor depends only on the
+  /// coordinates and the spatial fields of FieldParams, so episodic
+  /// regeneration hits from the second call on. The multi-campaign
+  /// scheduler's "N same-params campaigns pay one factorisation" contract
+  /// is gated on hits >= N-1 (bench_multi_campaign).
   static std::size_t shared_factor_cache_hits();
   /// How many factors the registry has actually built (cold builds) since
   /// the last reset — the exact-path dense Cholesky and the Nyström factor
@@ -150,18 +139,19 @@ class SyntheticFieldGenerator {
   /// The registry never evicts, so this is also how many distinct factors
   /// it holds.
   static std::size_t shared_factor_cache_builds();
-  /// Drops every shared factor and zeroes the hit counter (test/bench
+  /// Drops every shared factor and zeroes the counters (test/bench
   /// isolation; also the reference side of the shared-cache bench pair).
-  /// Factors already handed to live generators stay valid — they hold
-  /// shared ownership.
+  /// Factors already handed out stay valid — they hold shared ownership —
+  /// and a later generate() rebuilds the identical factor.
   static void reset_shared_factor_cache();
 
   /// The m x k Nyström factor F with F·Fᵀ ≈ (1 − nugget)·K_rbf (the smooth
   /// kernel part; the nugget is sampled as iid noise on top). Exposed for
-  /// the covariance-error test and the scale bench; requires `params` to
-  /// select the low-rank path (cells > nystrom_threshold). Reference into
-  /// the factor cache — valid while the generator lives.
-  const Matrix& nystrom_factor(const FieldParams& params) const;
+  /// the covariance-error test and the multicore bench; requires `params`
+  /// to select the low-rank path (cells > nystrom_threshold). Shares
+  /// ownership of the registry entry, so it outlives a registry reset and
+  /// copies no factor data.
+  std::shared_ptr<const Matrix> nystrom_factor(const FieldParams& params) const;
 
  private:
   /// Cache key: exactly the FieldParams fields the spatial factor depends
@@ -187,8 +177,8 @@ class SyntheticFieldGenerator {
   };
   /// Key of the process-wide registry: the generator's coordinates (shared,
   /// never copied per entry) plus the spatial key. Equality compares the
-  /// coordinates element-wise — like the per-generator cache, a hash
-  /// collision can never serve another geometry's factor.
+  /// coordinates element-wise — a hash collision can never serve another
+  /// geometry's factor.
   struct SharedKey {
     std::shared_ptr<const std::vector<cs::CellCoord>> coords;
     std::size_t coord_hash = 0;
@@ -203,11 +193,10 @@ class SyntheticFieldGenerator {
   /// shared_registry().
   struct SharedRegistry;
   static SharedRegistry& shared_registry();
-  const SpatialFactor& spatial_factor(const FieldParams& params) const;
   /// Registry lookup-or-build (registry mutex held across the build so a
   /// concurrent same-config request waits instead of duplicating work).
-  std::shared_ptr<const SpatialFactor> shared_factor(
-      const SpatialKey& key, const FieldParams& params) const;
+  std::shared_ptr<const SpatialFactor> spatial_factor(
+      const FieldParams& params) const;
   Matrix spatial_cholesky(const FieldParams& params) const;
   Matrix build_nystrom_factor(const FieldParams& params) const;
   /// Deterministic farthest-point landmark selection over the coordinates.
@@ -227,19 +216,6 @@ class SyntheticFieldGenerator {
   // vector without copying it; immutable for the generator's lifetime.
   std::shared_ptr<const std::vector<cs::CellCoord>> coords_;
   std::size_t coord_hash_ = 0;  // precomputed FNV over the coordinates
-  // Per-generator spatial-factor cache, keyed by the spatial FieldParams
-  // fields; entries share ownership with the process-wide registry (see
-  // shared_factor_cache_hits). Mutable so the const generate() API caches;
-  // the mutex keeps concurrent generate() calls on one shared generator
-  // race-free (each with its own Rng — a pattern the pre-cache API
-  // permitted), and shared_ptr-held factors are address-stable, so
-  // returned references outlive the lock (and even a registry reset).
-  mutable std::mutex factor_mutex_;
-  mutable std::unordered_map<SpatialKey,
-                             std::shared_ptr<const SpatialFactor>,
-                             SpatialKeyHash>
-      factor_cache_;
-  mutable std::size_t factor_cache_hits_ = 0;
   // Pool for the pooled build/draw paths; see set_thread_pool.
   util::ThreadPool* pool_ = nullptr;
 };

@@ -43,11 +43,6 @@ class SparseRowMatrix {
   std::size_t cols() const { return cols_; }
   std::size_t nonzeros() const { return idx_.size(); }
   bool empty() const { return rows_ == 0 || cols_ == 0; }
-  /// Heap bytes of the stored entries.
-  std::size_t byte_size() const {
-    return idx_.size() * sizeof(std::uint32_t) +
-           val_.size() * sizeof(double) + offsets_.size() * sizeof(std::size_t);
-  }
 
   /// Ascending column indices / matching values of row r.
   std::span<const std::uint32_t> row_indices(std::size_t r) const;

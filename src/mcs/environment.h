@@ -151,18 +151,11 @@ class SparseMcsEnvironment {
 
   /// The observation window the inference engine currently sees.
   const cs::PartialMatrix& observation_window() const { return window_; }
-  /// First campaign cycle covered by the window (warm-start columns, if
-  /// any, precede it).
-  std::size_t window_start() const {
-    return window_anchor_ < 0 ? 0 : static_cast<std::size_t>(window_anchor_);
-  }
   /// Column of the window holding the current cycle.
   std::size_t current_window_col() const {
     return static_cast<std::size_t>(static_cast<long>(cycle_) -
                                     window_anchor_);
   }
-  /// Observations of the current cycle so far.
-  std::size_t observations_this_cycle() const { return obs_this_cycle_; }
 
   const SelectionMatrix& selections() const { return selection_; }
   const EpisodeStats& stats() const { return stats_; }

@@ -16,13 +16,11 @@ void SelectionMatrix::mark(std::size_t cell, std::size_t cycle) {
   b = 1;
   auto& list = per_cycle_[cycle];
   list.insert(std::lower_bound(list.begin(), list.end(), cell), cell);
-  ++total_;
 }
 
 void SelectionMatrix::reset() {
   std::fill(bits_.begin(), bits_.end(), 0);
   for (auto& list : per_cycle_) list.clear();
-  total_ = 0;
 }
 
 }  // namespace drcell::mcs

@@ -31,7 +31,6 @@ class SelectionMatrix {
   /// for the sorted-list insert, never O(cells).
   void mark(std::size_t cell, std::size_t cycle);
 
-  std::size_t selected_count() const { return total_; }
   /// Cells selected in the cycle, ascending. O(1) — returns a const
   /// reference to the incrementally maintained list, valid until the next
   /// mark()/reset().
@@ -56,7 +55,6 @@ class SelectionMatrix {
   // Per cycle: the selected cells, ascending; consistent with bits_ through
   // every mark()/reset().
   std::vector<std::vector<std::size_t>> per_cycle_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace drcell::mcs

@@ -32,8 +32,6 @@ class DrqnQNetwork final : public QNetwork {
   std::size_t history_steps() const override { return history_steps_; }
   std::string name() const override { return "drqn-lstm"; }
 
-  std::size_t lstm_hidden() const { return lstm_.hidden_size(); }
-
  private:
   std::size_t num_cells_;
   std::size_t history_steps_;

@@ -35,7 +35,6 @@ class ReplayBuffer {
  public:
   explicit ReplayBuffer(std::size_t capacity);
 
-  std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
 

@@ -65,7 +65,6 @@ class SpatialDrqnQNetwork final : public QNetwork {
   std::size_t history_steps() const override { return history_steps_; }
   std::string name() const override { return "drqn-lstm-spatial"; }
 
-  std::size_t feature_dims() const { return phi_.cols(); }
   /// The fixed feature matrix Φ ([cells x d]; tests).
   const Matrix& features() const { return phi_; }
 

@@ -68,13 +68,6 @@ class Rng {
     }
   }
 
-  /// Uniformly chosen element of a non-empty vector.
-  template <typename T>
-  const T& choice(const std::vector<T>& v) {
-    DRCELL_CHECK_MSG(!v.empty(), "Rng::choice on empty vector");
-    return v[uniform_index(v.size())];
-  }
-
   /// Derive an independent child generator (for per-component streams).
   Rng fork();
 

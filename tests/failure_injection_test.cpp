@@ -413,7 +413,7 @@ TEST(HealthMonitor, ParameterSentinelViaAgent) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler fault domains: quarantine, retry, rollback, fallback
+// Scheduler fault domains: quarantine, retry, rollback
 
 /// Small deterministic fleet for the drills: two frozen DR-Cell campaigns
 /// sharing one agent (slots 0-1) plus two RANDOM campaigns (slots 2-3).
@@ -541,14 +541,14 @@ TEST(SchedulerFaults, NanPoisonedAgentRollsBackFromCheckpointRing) {
   core::CampaignScheduler poisoned(options);
   fleet.populate(poisoned);
   poisoned.run(/*max_waves=*/10);
-  ASSERT_GT(poisoned.checkpoint_ring_size(), 0u);
   fleet.agent->trainer().online().parameters()[0]->value(1, 1) =
       std::numeric_limits<double>::quiet_NaN();
   poisoned.run();
 
   // Detected by the parameter sentinel, restored from the newest ring
-  // entry, and — the frozen policy being deterministic and the selector
-  // streams restored — the re-run lands exactly on the no-fault run.
+  // entry (an empty ring would have quarantined slots 0-1), and — the
+  // frozen policy being deterministic and the selector streams restored —
+  // the re-run lands exactly on the no-fault run.
   EXPECT_EQ(poisoned.rollbacks(), 1u);
   EXPECT_TRUE(has_incident(poisoned, "agent-unhealthy"));
   EXPECT_TRUE(has_incident(poisoned, "rollback"));
@@ -593,16 +593,17 @@ TEST(SchedulerFaults, OnlineTrainStepDetectsNanWithinOneStep) {
   EXPECT_EQ(agent.health().status(), core::HealthStatus::kNonFiniteLoss);
 }
 
-TEST(SchedulerFaults, UnhealthyAgentFallsBackToBaselineSelector) {
+TEST(SchedulerFaults, UnhealthyAgentWithoutRingQuarantinesItsCampaigns) {
   DisarmGuard guard;
+  const ToyFleet clean;
+  core::CampaignScheduler reference;
+  clean.populate(reference);
+  reference.run();
+
+  // No checkpoint ring: rollback is impossible, so the recovery path
+  // quarantines the poisoned agent's campaigns.
   const ToyFleet fleet;
-  core::CampaignScheduler::Options options;
-  // No checkpoint ring: rollback is impossible, so the recovery path must
-  // degrade the agent's campaigns to the configured fallback.
-  options.fault.fallback_factory = [](const std::string&, std::size_t slot) {
-    return std::make_shared<baselines::RandomSelector>(1000 + slot);
-  };
-  core::CampaignScheduler scheduler(options);
+  core::CampaignScheduler scheduler;
   fleet.populate(scheduler);
   scheduler.run(/*max_waves=*/3);
   fleet.agent->trainer().online().parameters()[0]->value(0, 0) =
@@ -611,15 +612,18 @@ TEST(SchedulerFaults, UnhealthyAgentFallsBackToBaselineSelector) {
 
   ASSERT_TRUE(scheduler.all_done());
   EXPECT_TRUE(has_incident(scheduler, "agent-unhealthy"));
-  EXPECT_TRUE(has_incident(scheduler, "fallback"));
-  EXPECT_TRUE(scheduler.quarantined_slots().empty());
+  EXPECT_FALSE(has_incident(scheduler, "rollback"));
+  EXPECT_EQ(scheduler.quarantined_slots(), (std::vector<std::size_t>{0, 1}));
   const auto results = scheduler.results();
-  // The agent's campaigns (slots 0-1, originally "DR-Cell") now serve the
-  // fallback selector; degraded but not dropped.
-  EXPECT_EQ(results[0].selector, "RANDOM");
-  EXPECT_EQ(results[1].selector, "RANDOM");
-  EXPECT_FALSE(results[0].quarantined);
-  EXPECT_FALSE(results[1].quarantined);
+  for (const std::size_t slot : {0u, 1u}) {
+    EXPECT_TRUE(results[slot].quarantined) << "slot " << slot;
+    EXPECT_EQ(results[slot].quarantine_reason.rfind("agent unhealthy: ", 0),
+              0u)
+        << results[slot].quarantine_reason;
+  }
+  // The RANDOM campaigns never noticed: bit-identical to the no-fault run.
+  for (const std::size_t slot : {2u, 3u})
+    expect_campaign_identical(reference, scheduler, slot);
 }
 
 TEST(SchedulerFaults, QuarantineStateSurvivesCheckpointRoundTrip) {

@@ -113,13 +113,13 @@ TEST(SensingTask, RejectsNonFiniteData) {
 
 TEST(SelectionMatrix, MarkAndQuery) {
   SelectionMatrix s(4, 3);
-  EXPECT_EQ(s.selected_count(), 0u);
+  EXPECT_EQ(testing::total_selected(s), 0u);
   s.mark(1, 0);
   s.mark(3, 0);
   s.mark(1, 2);
   EXPECT_TRUE(s.selected(1, 0));
   EXPECT_FALSE(s.selected(2, 0));
-  EXPECT_EQ(s.selected_count(), 3u);
+  EXPECT_EQ(testing::total_selected(s), 3u);
   EXPECT_EQ(s.selected_cells_in_cycle(0), (std::vector<std::size_t>{1, 3}));
 }
 
@@ -133,7 +133,7 @@ TEST(SelectionMatrix, ResetClearsEverything) {
   SelectionMatrix s(2, 2);
   s.mark(0, 0);
   s.reset();
-  EXPECT_EQ(s.selected_count(), 0u);
+  EXPECT_EQ(testing::total_selected(s), 0u);
   EXPECT_FALSE(s.selected(0, 0));
   s.mark(0, 0);  // can re-mark after reset
 }

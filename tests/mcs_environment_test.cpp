@@ -31,7 +31,7 @@ TEST(Environment, StepMarksSelectionAndCharges) {
   EXPECT_FALSE(r.cycle_complete);
   EXPECT_TRUE(env.selections().selected(3, 0));
   EXPECT_EQ(env.action_mask()[3], 0);
-  EXPECT_EQ(env.observations_this_cycle(), 1u);
+  EXPECT_EQ(env.selections().selected_cells_in_cycle(0).size(), 1u);
 }
 
 TEST(Environment, DoubleSelectionThrows) {
@@ -95,9 +95,8 @@ TEST(Environment, ResetRestoresInitialState) {
   env.step(1);
   env.reset();
   EXPECT_EQ(env.current_cycle(), 0u);
-  EXPECT_EQ(env.selections().selected_count(), 0u);
+  EXPECT_EQ(testing::total_selected(env.selections()), 0u);
   EXPECT_EQ(env.stats().total_selections, 0u);
-  EXPECT_EQ(env.observations_this_cycle(), 0u);
 }
 
 TEST(Environment, StatsAccumulateAcrossCycles) {
@@ -143,11 +142,12 @@ TEST(Environment, WindowSlidesWithCycles) {
   EnvOptions opt;
   opt.inference_window = 2;
   auto env = testing::make_toy_environment(toy_task_ptr(6, 5), 1e9, opt);
-  EXPECT_EQ(env.window_start(), 0u);
+  EXPECT_EQ(env.current_window_col(), 0u);
   for (int step = 0; step < 3; ++step) env.step(step);  // finish cycle 0
-  EXPECT_EQ(env.window_start(), 0u);                    // window = {0, 1}
+  EXPECT_EQ(env.current_window_col(), 1u);              // window = {0, 1}
   for (int step = 0; step < 3; ++step) env.step(step);  // finish cycle 1
-  EXPECT_EQ(env.window_start(), 1u);                    // window = {1, 2}
+  EXPECT_EQ(env.current_window_col(), 1u);              // window = {1, 2}
+  EXPECT_EQ(env.current_cycle(), 2u);
   // Past observations inside the window carry over.
   EXPECT_EQ(env.observation_window().observed_count_in_col(0), 3u);
 }

@@ -38,7 +38,6 @@ TEST_F(WarmStartFixture, WindowIncludesWarmColumnsAtCycleZero) {
   // Window: 7 warm columns + the (empty) current one.
   EXPECT_EQ(env.observation_window().cols(), 8u);
   EXPECT_EQ(env.current_window_col(), 7u);
-  EXPECT_EQ(env.window_start(), 0u);
   for (std::size_t c = 0; c < 7; ++c)
     EXPECT_EQ(env.observation_window().observed_count_in_col(c), 9u)
         << "warm column " << c << " should be dense";
@@ -62,7 +61,6 @@ TEST_F(WarmStartFixture, WarmBlockSlidesOutAsCyclesAdvance) {
     for (std::size_t cell = 0; cell < 9; ++cell) env.step(cell);
   // Now at cycle 3; window of 4 covers cycles 0..3 — no warm columns left.
   EXPECT_EQ(env.current_cycle(), 3u);
-  EXPECT_EQ(env.window_start(), 0u);
   EXPECT_EQ(env.current_window_col(), 3u);
   EXPECT_EQ(env.observation_window().cols(), 4u);
 }

@@ -38,7 +38,8 @@ TEST(NystromField, CovarianceErrorBoundedAgainstExactKernel) {
   p.nystrom_threshold = 0;  // force the low-rank path at 400 cells
   p.nystrom_landmarks = 128;
 
-  const Matrix& f = gen.nystrom_factor(p);
+  const auto factor = gen.nystrom_factor(p);
+  const Matrix& f = *factor;
   ASSERT_EQ(f.rows(), coords.size());
   ASSERT_EQ(f.cols(), 128u);
 
@@ -65,9 +66,9 @@ TEST(NystromField, FewLandmarksDegradeGracefully) {
   FieldParams p = smooth_params();
   p.nystrom_threshold = 0;
   p.nystrom_landmarks = 8;
-  const Matrix& f = gen.nystrom_factor(p);
-  EXPECT_EQ(f.cols(), 8u);
-  EXPECT_FALSE(f.has_non_finite());
+  const auto f = gen.nystrom_factor(p);
+  EXPECT_EQ(f->cols(), 8u);
+  EXPECT_FALSE(f->has_non_finite());
 }
 
 TEST(NystromField, ThresholdSelectsExactPathBitIdentically) {
@@ -89,18 +90,20 @@ TEST(NystromField, ThresholdSelectsExactPathBitIdentically) {
 }
 
 TEST(NystromField, FactorCacheHitsAcrossGenerateCalls) {
+  SyntheticFieldGenerator::reset_shared_factor_cache();
   const auto coords = grid_coords(10, 10, 100.0, 100.0);
   SyntheticFieldGenerator gen(coords);
   const FieldParams p = smooth_params();
   Rng rng_a(7), rng_b(7);
-  EXPECT_EQ(gen.factor_cache_hits(), 0u);
   const Matrix first = gen.generate(p, 6, rng_a);
-  EXPECT_EQ(gen.factor_cache_hits(), 0u);
+  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_hits(), 0u);
+  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_builds(), 1u);
   // Second call reuses the cached Cholesky — and is bit-identical to what a
   // fresh generator would produce from the same seed (the cache is
   // transparent).
   const Matrix second = gen.generate(p, 6, rng_b);
-  EXPECT_EQ(gen.factor_cache_hits(), 1u);
+  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_hits(), 1u);
+  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_builds(), 1u);
   EXPECT_EQ(first, second);
 
   // A spatially different configuration misses the cache...
@@ -108,16 +111,48 @@ TEST(NystromField, FactorCacheHitsAcrossGenerateCalls) {
   other.spatial_length = 450.0;
   Rng rng_c(9);
   (void)gen.generate(other, 6, rng_c);
-  EXPECT_EQ(gen.factor_cache_hits(), 1u);
+  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_hits(), 1u);
+  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_builds(), 2u);
   // ...while a change in non-spatial fields (temporal dynamics) hits it.
   FieldParams temporal = p;
   temporal.temporal_ar1 = 0.5;
   Rng rng_d(11);
   (void)gen.generate(temporal, 6, rng_d);
-  EXPECT_EQ(gen.factor_cache_hits(), 2u);
+  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_hits(), 2u);
+  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_builds(), 2u);
+  SyntheticFieldGenerator::reset_shared_factor_cache();
+}
+
+TEST(NystromField, RegistryResetBetweenGenerateCallsRebuildsBitIdentically) {
+  // A reset between two generate() calls on one generator costs a second
+  // build and changes nothing else: the field is bit-identical, and a
+  // factor handed out before the reset stays valid after it.
+  SyntheticFieldGenerator::reset_shared_factor_cache();
+  const auto coords = grid_coords(10, 10, 100.0, 100.0);
+  SyntheticFieldGenerator gen(coords);
+  FieldParams p = smooth_params();
+  p.nystrom_threshold = 0;
+  p.nystrom_landmarks = 32;
+
+  Rng rng_a(7), rng_b(7);
+  const Matrix first = gen.generate(p, 6, rng_a);
+  const auto held = gen.nystrom_factor(p);
+  const std::size_t builds_before_reset =
+      SyntheticFieldGenerator::shared_factor_cache_builds();
+  SyntheticFieldGenerator::reset_shared_factor_cache();
+  const Matrix second = gen.generate(p, 6, rng_b);
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(builds_before_reset +
+                SyntheticFieldGenerator::shared_factor_cache_builds(),
+            2u);
+  const auto rebuilt = gen.nystrom_factor(p);
+  EXPECT_NE(held.get(), rebuilt.get());
+  EXPECT_EQ(*held, *rebuilt);
+  SyntheticFieldGenerator::reset_shared_factor_cache();
 }
 
 TEST(NystromField, LowRankFieldHitsTargetMomentsAndCachesFactor) {
+  SyntheticFieldGenerator::reset_shared_factor_cache();
   const auto coords = grid_coords(18, 18, 100.0, 100.0);
   SyntheticFieldGenerator gen(coords);
   FieldParams p = smooth_params();
@@ -140,7 +175,9 @@ TEST(NystromField, LowRankFieldHitsTargetMomentsAndCachesFactor) {
 
   Rng rng2(14);
   (void)gen.generate(p, 24, rng2);
-  EXPECT_EQ(gen.factor_cache_hits(), 1u);
+  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_hits(), 1u);
+  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_builds(), 1u);
+  SyntheticFieldGenerator::reset_shared_factor_cache();
 }
 
 TEST(NystromField, BuildIsWorkerCountInvariant) {
@@ -159,7 +196,7 @@ TEST(NystromField, BuildIsWorkerCountInvariant) {
     util::ThreadPool pool(workers);
     SyntheticFieldGenerator gen(coords);
     gen.set_thread_pool(&pool);
-    const Matrix f = gen.nystrom_factor(p);
+    const Matrix f = *gen.nystrom_factor(p);
     if (workers == 0)
       reference = f;
     else

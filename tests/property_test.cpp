@@ -57,7 +57,10 @@ TEST_P(EnvironmentProperty, EpisodeInvariantsHold) {
     const auto mask = env.action_mask();
     std::size_t allowed = 0;
     for (auto m : mask) allowed += m;
-    EXPECT_EQ(allowed, param.cells - env.observations_this_cycle());
+    EXPECT_EQ(allowed, param.cells - env.selections()
+                                         .selected_cells_in_cycle(
+                                             env.current_cycle())
+                                         .size());
 
     const auto action = selector.select(env);
     EXPECT_EQ(mask[action], 1);
@@ -84,7 +87,8 @@ TEST_P(EnvironmentProperty, EpisodeInvariantsHold) {
     sum += s;
   }
   EXPECT_EQ(sum, stats.total_selections);
-  EXPECT_EQ(env.selections().selected_count(), stats.total_selections);
+  EXPECT_EQ(testing::total_selected(env.selections()),
+            stats.total_selections);
   EXPECT_DOUBLE_EQ(stats.total_reward, recomputed_reward);
   // No double selection anywhere in the matrix (mark() would have thrown,
   // but verify the matrix is consistent with per-cycle counts).

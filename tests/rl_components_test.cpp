@@ -28,7 +28,8 @@ TEST(ReplayBuffer, AddAndSize) {
   buf.add(make_exp(1.0));
   buf.add(make_exp(2.0));
   EXPECT_EQ(buf.size(), 2u);
-  EXPECT_EQ(buf.capacity(), 4u);
+  for (int i = 0; i < 3; ++i) buf.add(make_exp(3.0 + i));
+  EXPECT_EQ(buf.size(), 4u);  // capped at the capacity
 }
 
 TEST(ReplayBuffer, NeverExceedsCapacity) {

@@ -54,9 +54,10 @@ TEST(DrqnQNetwork, OutputShapeAndName) {
   EXPECT_EQ(q.rows(), 2u);
   EXPECT_EQ(q.cols(), 6u);
   EXPECT_EQ(net.name(), "drqn-lstm");
-  EXPECT_EQ(net.lstm_hidden(), 12u);
-  // The LSTM feeds one output layer: lstm(3) + dense(2).
+  // The LSTM feeds one output layer: lstm(3) + dense(2). The dense weight
+  // is [hidden x cells].
   EXPECT_EQ(net.parameters().size(), 5u);
+  EXPECT_EQ(net.parameters()[3]->value.rows(), 12u);
 }
 
 TEST(DrqnQNetwork, HistoryChangesOutput) {

@@ -72,6 +72,24 @@ void populate(CampaignScheduler& scheduler,
                                static_cast<std::uint64_t>(40 + i)));
 }
 
+/// Wraps a DrCellPolicy instead of being one. The scheduler batches by
+/// type, so it must step this selector through select(); `selects` counts
+/// the calls.
+class WrappedDrCellPolicy final : public baselines::CellSelector {
+ public:
+  WrappedDrCellPolicy(DrCellAgent& agent, std::size_t& selects)
+      : policy_(agent), selects_(selects) {}
+  std::size_t select(const mcs::SparseMcsEnvironment& env) override {
+    ++selects_;
+    return policy_.select(env);
+  }
+  std::string name() const override { return policy_.name(); }
+
+ private:
+  DrCellPolicy policy_;
+  std::size_t& selects_;
+};
+
 TEST(CampaignScheduler, BatchedWaveBitIdenticalToSolo) {
   auto task = std::make_shared<const mcs::SensingTask>(
       testing::make_toy_task(6, 10));
@@ -83,6 +101,32 @@ TEST(CampaignScheduler, BatchedWaveBitIdenticalToSolo) {
   populate(batched, task, campaign, agent);
   batched.run();
   ASSERT_TRUE(batched.all_done());
+
+  // The same fleet with each DR-Cell policy wrapped: every decision goes
+  // through select(), one B = 1 forward per campaign, and lands on the
+  // batched fleet's results.
+  std::size_t selects = 0;
+  CampaignScheduler wrapped;
+  for (int i = 0; i < 3; ++i)
+    wrapped.add_campaign("drcell-" + std::to_string(i), campaign, task,
+                         engine_factory(),
+                         std::make_shared<WrappedDrCellPolicy>(agent, selects));
+  for (int i = 0; i < 2; ++i)
+    wrapped.add_campaign("random-" + std::to_string(i), campaign, task,
+                         engine_factory(),
+                         std::make_shared<baselines::RandomSelector>(
+                             static_cast<std::uint64_t>(40 + i)));
+  wrapped.run();
+  ASSERT_TRUE(wrapped.all_done());
+  std::size_t drcell_steps = 0;
+  for (std::size_t i = 0; i < 3; ++i)
+    drcell_steps += wrapped.action_log(i).size();
+  EXPECT_GT(selects, 0u);
+  EXPECT_EQ(selects, drcell_steps);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(wrapped.action_log(i), batched.action_log(i)) << "slot " << i;
+    expect_same_result(wrapped.results()[i], batched.results()[i]);
+  }
 
   // Reference: each campaign alone through run_campaign.
   for (int i = 0; i < 3; ++i) {
@@ -431,12 +475,11 @@ TEST(SharedFactorCache, CrossGeneratorHitsAndCollisionSafety) {
   EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_hits(), 1u);
   EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_builds(), 2u);
 
-  // The per-generator cache absorbs repeats before they reach the
-  // registry: regenerating on `first` is a local hit, not a shared one.
+  // Regenerating on `first` is served by the registry too.
   Rng rng_d(4);
   first.generate(params, 6, rng_d);
-  EXPECT_EQ(first.factor_cache_hits(), 1u);
-  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_hits(), 1u);
+  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_hits(), 2u);
+  EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_builds(), 2u);
 
   SyntheticFieldGenerator::reset_shared_factor_cache();
   EXPECT_EQ(SyntheticFieldGenerator::shared_factor_cache_hits(), 0u);

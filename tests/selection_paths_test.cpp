@@ -126,13 +126,13 @@ TEST(SelectionMatrixLists, PerCycleListsStaySortedAndConsistent) {
       EXPECT_EQ(s.selected_cells_in_cycle(t).size(), dense.size());
     }
   }
-  EXPECT_EQ(s.selected_count(), pairs.size());
+  EXPECT_EQ(testing::total_selected(s), pairs.size());
 
   s.reset();
   for (std::size_t t = 0; t < s.cycles(); ++t) {
     EXPECT_TRUE(s.selected_cells_in_cycle(t).empty());
   }
-  EXPECT_EQ(s.selected_count(), 0u);
+  EXPECT_EQ(testing::total_selected(s), 0u);
 }
 
 }  // namespace

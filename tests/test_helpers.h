@@ -30,6 +30,14 @@ inline Matrix make_matrix(
   return m;
 }
 
+/// Selections in the whole matrix: the per-cycle lists summed.
+inline std::size_t total_selected(const mcs::SelectionMatrix& s) {
+  std::size_t total = 0;
+  for (std::size_t t = 0; t < s.cycles(); ++t)
+    total += s.selected_cells_in_cycle(t).size();
+  return total;
+}
+
 /// The densified copy of a sparse matrix.
 inline Matrix to_dense(const SparseRowMatrix& s) {
   Matrix out;

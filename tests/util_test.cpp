@@ -115,12 +115,6 @@ TEST(Rng, ForkProducesIndependentStream) {
   EXPECT_NE(a.next_u64(), child.next_u64());
 }
 
-TEST(Rng, ChoiceThrowsOnEmpty) {
-  Rng rng(1);
-  std::vector<int> empty;
-  EXPECT_THROW(rng.choice(empty), CheckError);
-}
-
 TEST(RunningStats, EmptyIsZero) {
   RunningStats s;
   EXPECT_EQ(s.count(), 0u);

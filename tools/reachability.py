@@ -14,7 +14,13 @@ source under examples/, bench/ or perfbench/src/ assigns (`.field =`,
 `->field =` or a designated initialiser): knobs that only their defaults
 and the tests set. A field name assigned anywhere in those trees counts as
 set for every struct that has it, so the list errs towards too few
-candidates; each one still needs a person to confirm it.
+candidates; each one still needs a person to confirm it. A fourth list,
+also textual, names the functions defined with a body in src/**/*.h
+(inline functions, which have no symbol of their own in the archive) that
+tests/ calls and nothing else does: no function body under src/ and no
+source under examples/, bench/ or perfbench/src/. A call is a name
+followed by "(", so a name called anywhere in production counts as called
+for every function that has it, and this list errs the same way.
 
 The build is Debug (-O0), so a function the optimiser would inline into
 every caller still shows up as reached rather than as a false positive. A
@@ -99,6 +105,116 @@ ACCESS = re.compile(r"^(?:(?:public|private|protected)\s*:\s*)+")
 # (`.fault.checkpoint_ring =`) assigns every name in it.
 MEMBER = r"(?:\.|->)\s*[A-Za-z_]\w*"
 ASSIGNED = re.compile(r"((?:%s\s*)+)[-+*/|&]?=(?!=)" % MEMBER)
+
+
+# Comments, string and character literals in one pass, so a "//" inside a
+# string does not start a comment.
+LEXEMES = re.compile(r'//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"|'
+                     r"'(?:\\.|[^'\\\n])'", re.S)
+PREPROCESSOR = re.compile(r"^[ \t]*#[^\n]*", re.M)
+SCOPE = re.compile(r"(?:template\s*)?(?:(namespace)|struct|class|union)\b"
+                   r"\s*(\w*)|extern\b")
+CALL = re.compile(r"([A-Za-z_]\w*)\s*\(")
+MEMBER_CALL = re.compile(r"(?:\.|->|::)\s*([A-Za-z_]\w*)\s*\(")
+NOT_FUNCTIONS = {"if", "for", "while", "switch", "catch", "return", "sizeof",
+                 "decltype", "alignof", "alignas", "noexcept", "requires",
+                 "static_assert"}
+
+
+def code_only(text):
+    """`text` without comments, preprocessor lines and the contents of
+    string and character literals."""
+    text = LEXEMES.sub(lambda m: " " if m.group(0)[0] == "/" else '""', text)
+    return PREPROCESSOR.sub("", text)
+
+
+def strip_templates(text):
+    """Drops every <...> group, innermost first."""
+    bare = None
+    while bare != text:
+        bare, text = text, re.sub(r"<[^<>]*>", "", text)
+    return text
+
+
+def scan_definitions(text):
+    """Walks a C++ source's scopes. Returns (functions, bodies): the
+    functions defined with a body at namespace or class scope, each as
+    "Class::name" or "name" (constructors, destructors and operators
+    skipped), and the text of every brace block that is not a namespace or
+    a class: function bodies, enum bodies and brace initialisers."""
+    text = code_only(text)
+    functions, bodies, classes = [], [], []
+    statement, i = "", 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "}":
+            if classes:
+                classes.pop()
+            statement = ""
+        elif ch == ";":
+            statement = ""
+        elif ch != "{":
+            statement += ch
+        else:
+            head = strip_templates(ACCESS.sub("", statement.strip()))
+            statement = ""
+            scope = SCOPE.match(head)
+            if scope:
+                classes.append("" if scope.group(1) else scope.group(2))
+                i += 1
+                continue
+            end, depth = i, 0
+            for end in range(i, len(text)):
+                depth += (text[end] == "{") - (text[end] == "}")
+                if depth == 0:
+                    break
+            bodies.append(text[i + 1:end])
+            if "(" in head:
+                prefix = head[:head.index("(")]
+                name = re.search(r"(~?)([A-Za-z_]\w*)\s*$", prefix)
+                owner = re.search(r"(\w+)\s*::\s*~?\s*\w+\s*$", prefix)
+                owner = owner.group(1) if owner else (
+                    classes[-1] if classes else "")
+                if (name and not name.group(1) and
+                        name.group(2) not in NOT_FUNCTIONS and
+                        name.group(2) != owner and
+                        not re.search(r"\boperator\b", prefix)):
+                    functions.append(
+                        "%s::%s" % (owner, name.group(2)) if owner
+                        else name.group(2))
+            i = end
+        i += 1
+    return functions, bodies
+
+
+def test_only_functions(headers, sources, production, tests):
+    """The functions defined in `headers` that `tests` call and production
+    does not.
+
+    `headers` maps a header path to its text; `sources` holds the texts of
+    every file under src/ (headers included), whose function bodies count
+    as production callers; `production` and `tests` are iterables of whole
+    source texts. Production calls count in any form; a test calls a
+    member function only as `.name(`, `->name(` or `::name(`, so a test's
+    local `Matrix p(2, 2)` does not call `Gate::p`. Returns sorted
+    (header, "Class::name") pairs."""
+    called = set()
+    for text in sources:
+        for body in scan_definitions(text)[1]:
+            called.update(CALL.findall(body))
+    for text in production:
+        called.update(CALL.findall(code_only(text)))
+    tested, tested_members = set(), set()
+    for text in tests:
+        text = code_only(text)
+        tested.update(CALL.findall(text))
+        tested_members.update(MEMBER_CALL.findall(text))
+    return sorted({(path, function)
+                   for path, text in headers.items()
+                   for function in scan_definitions(text)[0]
+                   if function.split("::")[-1] not in called and
+                   function.split("::")[-1] in (
+                       tested_members if "::" in function else tested)})
 
 
 def top_level_statements(body):
@@ -250,6 +366,17 @@ def main():
           "by no example, bench or perfbench source (textual scan)"
           % (len(unset), fields))
     print_grouped(unset)
+
+    sources = read_tree("src", (".h", ".cpp"))
+    tests = read_tree("tests", (".h", ".cpp"))
+    defined = len({(path, function) for path, text in headers.items()
+                   for function in scan_definitions(text)[0]})
+    test_only = test_only_functions(headers, sources.values(),
+                                    setters.values(), tests.values())
+    print("reachability: %d of %d functions defined in src/**/*.h are "
+          "called from tests/ and from nowhere else (textual scan)"
+          % (len(test_only), defined))
+    print_grouped(test_only)
     return 0
 
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Self-test for the option-field scan in tools/reachability.py.
+"""Self-test for the textual scans in tools/reachability.py.
 
-The scan is textual, so the C++ shapes it must read (default member
-initialisers, brace initialisers, inline methods, nested types, template
-arguments with parentheses, comments) and the assignments it must count as
-setting a field are pinned here on fixture text. Stdlib-only, needs no
+The option-field and test-only-function scans read C++ as text, so the
+shapes they must read (default member initialisers, brace initialisers,
+inline methods, constructors, operators, nested types, template arguments
+with parentheses, comments, string literals) and the assignments and calls
+they must count are pinned here on fixture text. Stdlib-only, needs no
 build, and registered with CTest as `reachability_selftest`.
 
 Run directly:  python3 tools/test_reachability.py
@@ -105,6 +106,102 @@ class UnsetOptionFieldsTest(unittest.TestCase):
         self.assertEqual(result, [("src/a.h", "AConfig.w"),
                                   ("src/a.h", "AConfig.x"),
                                   ("src/b.h", "BOptions.y")])
+
+
+FUNCTIONS_HEADER = r"""
+#pragma once
+#define DRCELL_FAKE(x) int fake_##x() { return 0; }
+namespace drcell::core {
+
+// int commented_out() { return 0; }
+class Widget final : public Base<int> {
+ public:
+  Widget() : size_(0) {}
+  explicit Widget(std::size_t n) : size_(n) { resize(n); }
+  ~Widget() { clear(); }
+  std::size_t size() const { return size_; }
+  std::size_t tested_only() const { return size_ + 1; }
+  std::size_t never_called() const { return 0; }
+  const std::string& label() const { static const std::string s = "{"; return s; }
+  bool operator==(const Widget& o) const { return size_ == o.size_; }
+  explicit operator bool() const { return size_ != 0; }
+  template <typename T>
+  T cast() const noexcept { return static_cast<T>(size_); }
+  std::size_t declared_only() const;
+
+  struct Inner {
+    int depth() const { if (x) { return 1; } return 0; }
+    int x = 0;
+  };
+
+ private:
+  std::size_t size_;
+  std::vector<int> values_{1, 2};
+};
+
+enum class Mode { kA, kB };
+
+inline std::size_t Widget::declared_only() const { return size(); }
+
+inline int free_helper(int x) { return x * 2; }
+
+const auto kLambda = [](int x) { return x; };
+
+}  // namespace drcell::core
+"""
+
+
+class ScanDefinitionsTest(unittest.TestCase):
+    def test_lists_functions_defined_with_a_body(self):
+        functions, _ = reachability.scan_definitions(FUNCTIONS_HEADER)
+        self.assertEqual(functions, [
+            "Widget::size", "Widget::tested_only", "Widget::never_called",
+            "Widget::label", "Widget::cast", "Inner::depth",
+            "Widget::declared_only", "free_helper"])
+
+    def test_bodies_hold_the_calls_and_skip_scopes(self):
+        _, bodies = reachability.scan_definitions(FUNCTIONS_HEADER)
+        calls = set()
+        for body in bodies:
+            calls.update(reachability.CALL.findall(body))
+        self.assertIn("resize", calls)  # a constructor body
+        self.assertIn("clear", calls)   # a destructor body
+        self.assertIn("size", calls)    # an out-of-class definition
+        self.assertNotIn("commented_out", calls)
+        self.assertNotIn("fake_", calls)
+
+
+class TestOnlyFunctionsTest(unittest.TestCase):
+    def listed(self, sources=(), production=(), tests=()):
+        return [f for _, f in reachability.test_only_functions(
+            {"src/widget.h": FUNCTIONS_HEADER},
+            (FUNCTIONS_HEADER,) + tuple(sources), production, tests)]
+
+    def test_lists_what_only_tests_call(self):
+        self.assertEqual(
+            self.listed(tests=["EXPECT_EQ(w.tested_only(), 1u);",
+                                  "EXPECT_EQ(free_helper(2), 4);"]),
+            ["Widget::tested_only", "free_helper"])
+
+    def test_production_calls_clear_a_name(self):
+        tests = ["w.tested_only(); p->label(); free_helper(1);"]
+        self.assertEqual(self.listed(
+            sources=["int f(const Widget& w) { return w.tested_only(); }"],
+            production=["int main() { return free_helper(0); }"],
+            tests=tests), ["Widget::label"])
+
+    def test_members_need_a_member_call_in_tests(self):
+        # A local named like a member is a declaration, not a call; the
+        # never-called function and a name in a test comment are not
+        # listed either.
+        self.assertEqual(self.listed(
+            tests=["Matrix tested_only(2, 2);", "// w.never_called();",
+                   'const char* s = "w.label()";']), [])
+
+    def test_declaration_in_src_does_not_count_as_a_call(self):
+        self.assertEqual(self.listed(
+            sources=["std::size_t tested_only();"],
+            tests=["w.tested_only();"]), ["Widget::tested_only"])
 
 
 if __name__ == "__main__":
