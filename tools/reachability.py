@@ -262,13 +262,10 @@ def option_fields(header_text):
             if not decl or re.match(
                     r"(?:static|using|typedef|friend|template)\b", decl):
                 continue
-            declarator = re.split(r"[={]", decl, maxsplit=1)[0]
             # Drop template arguments, so std::function<void(int)> f is
             # still a data member.
-            bare = None
-            while bare != declarator:
-                bare, declarator = declarator, re.sub(r"<[^<>]*>", "",
-                                                      declarator)
+            declarator = strip_templates(
+                re.split(r"[={]", decl, maxsplit=1)[0])
             if "(" in declarator or "operator" in declarator:
                 continue  # a function or constructor declaration
             names = re.findall(r"[A-Za-z_]\w*", declarator)
