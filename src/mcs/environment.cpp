@@ -50,7 +50,6 @@ SparseMcsEnvironment::SparseMcsEnvironment(
 void SparseMcsEnvironment::reset() {
   selection_.reset();
   cycle_ = 0;
-  obs_this_cycle_ = 0;
   shaping_have_prev_ = false;
   done_ = false;
   stats_ = EpisodeStats{};
@@ -143,7 +142,8 @@ StepResult SparseMcsEnvironment::step(std::size_t cell) {
   selection_.mark(cell, cycle_);
   remove_unsensed(cell);
   window_.set(cell, current_window_col(), task_->truth(cell, cycle_));
-  ++obs_this_cycle_;
+  const std::size_t obs_this_cycle =
+      selection_.selected_cells_in_cycle(cycle_).size();
   stats_.total_selections += 1;
   const double cost = cost_of(cell);
   stats_.total_cost += cost;
@@ -151,11 +151,11 @@ StepResult SparseMcsEnvironment::step(std::size_t cell) {
   StepResult result;
   result.reward = -cost;
 
-  const bool everything_sensed = obs_this_cycle_ == task_->num_cells();
-  const bool cap_reached = obs_this_cycle_ >= max_selections();
+  const bool everything_sensed = obs_this_cycle == task_->num_cells();
+  const bool cap_reached = obs_this_cycle >= max_selections();
   bool satisfied = false;
   double cycle_error = 0.0;
-  if (obs_this_cycle_ >= options_.min_observations || everything_sensed) {
+  if (obs_this_cycle >= options_.min_observations || everything_sensed) {
     const std::size_t col = current_window_col();
     // Inference is the expensive part of a step; run it only when the gate
     // actually consumes it (the LOO gate does its own) or when the cycle is
@@ -210,9 +210,8 @@ StepResult SparseMcsEnvironment::step(std::size_t cell) {
 
     stats_.cycles += 1;
     stats_.cycle_errors.push_back(cycle_error);
-    stats_.cycle_selected.push_back(obs_this_cycle_);
+    stats_.cycle_selected.push_back(obs_this_cycle);
 
-    obs_this_cycle_ = 0;
     shaping_have_prev_ = false;  // the next cycle differences from scratch
     if (cycle_ + 1 >= task_->num_cycles()) {
       done_ = true;

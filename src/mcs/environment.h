@@ -194,7 +194,6 @@ class SparseMcsEnvironment {
   double shaping_prev_error_ = 0.0;
   bool shaping_have_prev_ = false;
   std::size_t cycle_ = 0;
-  std::size_t obs_this_cycle_ = 0;
   bool done_ = false;
   EpisodeStats stats_;
 };

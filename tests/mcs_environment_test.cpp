@@ -97,6 +97,18 @@ TEST(Environment, ResetRestoresInitialState) {
   EXPECT_EQ(env.current_cycle(), 0u);
   EXPECT_EQ(testing::total_selected(env.selections()), 0u);
   EXPECT_EQ(env.stats().total_selections, 0u);
+  // The reset happened 2 steps into cycle 0 (min_observations = 3): the
+  // cycle count restarts from zero, so 2 more steps leave cycle 0 open and
+  // the third closes it with exactly 3 selections.
+  for (std::size_t cell = 0; cell < 2; ++cell) {
+    const StepResult r = env.step(cell);
+    EXPECT_FALSE(r.cycle_complete);
+    EXPECT_EQ(env.current_cycle(), 0u);
+  }
+  EXPECT_TRUE(env.step(2).cycle_complete);
+  EXPECT_EQ(env.current_cycle(), 1u);
+  ASSERT_EQ(env.stats().cycle_selected.size(), 1u);
+  EXPECT_EQ(env.stats().cycle_selected[0], 3u);
 }
 
 TEST(Environment, StatsAccumulateAcrossCycles) {
