@@ -21,8 +21,7 @@
 // Parameters live in an nn::Lstm and an nn::Dense built in DrqnQNetwork's
 // order, so the Xavier draws and the parameters() order match: a floor
 // trainer seeded like the batched trainer starts from the same weights.
-// The column-restricted pair is never called by the per-sample update and
-// throws.
+// The sparse forwards are never called by the per-sample update and throw.
 #pragma once
 
 #include <cstdlib>
@@ -69,6 +68,9 @@ class PreRefactorDrqn final : public rl::QNetwork {
     (void)lstm_backward(grad_hidden);
   }
 
+  const Matrix& forward_batch(const std::vector<SparseRowMatrix>&) override {
+    throw std::logic_error("PreRefactorDrqn: no sparse forward");
+  }
   const Matrix& forward_batch_columns(const std::vector<SparseRowMatrix>&,
                                       const rl::ActionColumns&) override {
     throw std::logic_error("PreRefactorDrqn: no column-restricted forward");

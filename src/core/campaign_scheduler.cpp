@@ -122,18 +122,20 @@ bool CampaignScheduler::decide_batched(const std::vector<std::size_t>& active) {
     rl::QNetwork& net = agent.trainer().online();
     const std::vector<std::size_t>& members = groups[g];
     try {
-      std::vector<const std::vector<double>*> states;
-      states.reserve(members.size());
-      for (const std::size_t i : members) {
-        slots_[i].state_buf = slots_[i].env->state();
-        states.push_back(&slots_[i].state_buf);
-      }
+      // Member r's state is row r of each timestep-major step, filled
+      // straight from its one-index list.
       const mcs::StateEncoder encoder(net.num_actions(), net.history_steps());
+      decide_steps_ws_.resize(encoder.history_cycles());
+      for (auto& step : decide_steps_ws_)
+        step.reset(members.size(), encoder.cells());
+      for (std::size_t r = 0; r < members.size(); ++r)
+        encoder.ones_to_sequence_row(slots_[members[r]].env->state_ones(), r,
+                                     decide_steps_ws_);
       // One forward for the whole group; row r is bit-identical to the B = 1
       // forward of member r's state (batched determinism contract), and
       // masked_argmax_row is the same argmax greedy_action applies — so each
       // campaign picks exactly its solo action.
-      const Matrix& q = net.forward_batch(encoder.to_sequence_batch(states));
+      const Matrix& q = net.forward_batch(decide_steps_ws_);
       // Q sentinel: a poisoned shared network shows up here first. check_q
       // trips the owning agent's sticky monitor; the HEALTH phase of the
       // next wave acts on it (rollback / quarantine).

@@ -13,9 +13,10 @@
 //      checkpoint ring (CRC-protected DRCK v2 — core/checkpoint.h).
 //   1. DECIDE — serial, ascending slot order. Campaigns whose selector is
 //      a frozen DrCellPolicy (core/policy.h) are grouped by agent; each
-//      group's states are stacked into ONE timestep-major [B x m]
-//      minibatch and scored with a single forward_batch of the agent's
-//      online network, then each row is argmaxed under that campaign's
+//      group's one-index states are stacked into ONE sparse timestep-major
+//      [B x m] minibatch and scored with a single sparse full-width
+//      forward_batch of the agent's online network (no dense state is
+//      built), then each row is argmaxed under that campaign's
 //      action mask. By the batched determinism contract (rl/qnetwork.h)
 //      every row's Q-values — and therefore the chosen action — are
 //      bit-identical to the B = 1 forward the solo runner would do.
@@ -86,6 +87,7 @@
 
 #include "baselines/selector.h"
 #include "core/campaign.h"
+#include "linalg/sparse_matrix.h"
 #include "util/thread_pool.h"
 
 namespace drcell::core {
@@ -188,8 +190,7 @@ class CampaignScheduler {
     DrCellPolicy* batched = nullptr;  ///< non-null: batchable decision
     std::unique_ptr<mcs::SparseMcsEnvironment> env;
     std::vector<std::uint32_t> action_log;
-    /// Wave workspaces (DECIDE writes, STEP reads; index-exclusive).
-    std::vector<double> state_buf;
+    /// Wave workspace (DECIDE writes, STEP reads; index-exclusive).
     std::size_t pending_action = 0;
     // Fault-domain state.
     CampaignState state = CampaignState::kActive;
@@ -221,6 +222,8 @@ class CampaignScheduler {
   std::vector<std::string> ring_;  // oldest first, <= checkpoint_ring
   std::size_t last_ring_wave_ = static_cast<std::size_t>(-1);
   std::size_t rollbacks_ = 0;
+  // DECIDE's sparse timestep-major group states, reused across waves.
+  std::vector<SparseRowMatrix> decide_steps_ws_;
 };
 
 }  // namespace drcell::core

@@ -15,18 +15,19 @@ namespace drcell::core {
 ///
 /// Batching contract: select() is exactly
 ///
-///   encode state -> agent().trainer().online().forward_batch (B = 1)
-///     -> rl::masked_argmax_row(q, 0, env.action_mask())
+///   sparse steps of the state -> agent().trainer().online().forward_batch
+///     (B = 1, full width) -> rl::masked_argmax_row(q, 0, env.action_mask())
 ///
 /// Under the batched determinism contract (rl/qnetwork.h: row b of a
 /// batched forward is bit-identical to the B = 1 forward of sample b) the
 /// multi-campaign scheduler (core/campaign_scheduler.h) finds these
-/// campaigns by type, stacks the states of every campaign on one agent into
-/// one forward_batch and argmaxes each row, producing per campaign exactly
-/// the action select() would. The class is final so nothing can override
-/// select() behind the scheduler's back; a selector that explores,
-/// post-processes scores or consults non-Q state wraps a DrCellPolicy
-/// instead of deriving from it and is stepped through select().
+/// campaigns by type, stacks the sparse states of every campaign on one
+/// agent into one forward_batch and argmaxes each row, producing per
+/// campaign exactly the action select() would. The class is final so
+/// nothing can override select() behind the scheduler's back; a selector
+/// that explores, post-processes scores or consults non-Q state wraps a
+/// DrCellPolicy instead of deriving from it and is stepped through
+/// select().
 class DrCellPolicy final : public baselines::CellSelector {
  public:
   explicit DrCellPolicy(DrCellAgent& agent);

@@ -74,20 +74,17 @@ void StateEncoder::ones_to_sequence_row(
   }
 }
 
-std::vector<Matrix> StateEncoder::to_sequence_batch(
-    const std::vector<const std::vector<double>*>& flat_states) const {
-  DRCELL_CHECK(!flat_states.empty());
-  const std::size_t batch = flat_states.size();
-  std::vector<Matrix> steps(k_, Matrix(batch, cells_));
-  for (std::size_t b = 0; b < batch; ++b) {
-    DRCELL_CHECK(flat_states[b] != nullptr);
-    const auto& flat = *flat_states[b];
-    DRCELL_CHECK_MSG(flat.size() == state_size(), "flat state size mismatch");
-    for (std::size_t j = 0; j < k_; ++j)
-      for (std::size_t cell = 0; cell < cells_; ++cell)
-        steps[j](b, cell) = flat[j * cells_ + cell];
-  }
-  return steps;
+void StateEncoder::to_sequence_row(const std::vector<double>& flat_state,
+                                   std::size_t row,
+                                   std::vector<SparseRowMatrix>& steps) const {
+  DRCELL_CHECK_MSG(flat_state.size() == state_size(),
+                   "flat state size mismatch");
+  DRCELL_CHECK_MSG(steps.size() == k_, "sequence length mismatch");
+  for (std::size_t j = 0; j < k_; ++j)
+    for (std::size_t cell = 0; cell < cells_; ++cell) {
+      const double v = flat_state[j * cells_ + cell];
+      if (v != 0.0) steps[j].append(row, cell, v);
+    }
 }
 
 }  // namespace drcell::mcs

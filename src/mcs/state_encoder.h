@@ -8,7 +8,6 @@
 #include <span>
 #include <vector>
 
-#include "linalg/matrix.h"
 #include "linalg/sparse_matrix.h"
 #include "mcs/selection_matrix.h"
 
@@ -28,11 +27,6 @@ class StateEncoder {
   std::vector<double> encode(const SelectionMatrix& selection,
                              std::size_t cycle) const;
 
-  /// Splits flat states into the k per-step observation matrices that feed
-  /// the DRQN's LSTM, stacking state b as row b of each [batch x m] step.
-  std::vector<Matrix> to_sequence_batch(
-      const std::vector<const std::vector<double>*>& flat_states) const;
-
   /// Sparse counterpart of encode(): the ascending flat indices of the 1.0
   /// entries. Per-cycle selection lists are ascending and steps are ordered
   /// oldest first, so the indices come out globally ascending — the order
@@ -40,21 +34,24 @@ class StateEncoder {
   std::vector<std::uint32_t> encode_ones(const SelectionMatrix& selection,
                                          std::size_t cycle) const;
 
-  /// Sparse counterparts of one to_sequence_batch() state: one [k x cells]
-  /// SparseRowMatrix whose row j holds step j's nonzeros (the replay
-  /// buffer's per-transition layout) — from a flat state, or from an encode_ones()
-  /// index list (all values 1.0).
+  /// One state as a [k x cells] SparseRowMatrix whose row j holds step j's
+  /// nonzeros (the replay buffer's per-transition layout) — from a flat
+  /// state, or from an encode_ones() index list (all values 1.0).
   void to_sparse_steps(const std::vector<double>& flat_state,
                        SparseRowMatrix& out) const;
   void ones_to_sparse_steps(std::span<const std::uint32_t> ones,
                             SparseRowMatrix& out) const;
 
   /// Appends one state as row `row` of the k timestep-major step matrices
-  /// (each pre-reset to [batch x cells]) — the sparse counterpart of one
-  /// to_sequence_batch row, used for B = 1 candidate action selection.
+  /// (each pre-reset to [batch x cells]; row b of step j is state b's j-th
+  /// selection vector) — the sparse input of the Q-networks' selection
+  /// forwards. From an encode_ones() index list, or from a flat state
+  /// (its nonzeros only).
   void ones_to_sequence_row(std::span<const std::uint32_t> ones,
                             std::size_t row,
                             std::vector<SparseRowMatrix>& steps) const;
+  void to_sequence_row(const std::vector<double>& flat_state, std::size_t row,
+                       std::vector<SparseRowMatrix>& steps) const;
 
  private:
   std::size_t cells_;

@@ -65,27 +65,38 @@ EncodedExperience DqnTrainer::encode_experience(Experience e) const {
   return enc;
 }
 
+const Matrix& DqnTrainer::selection_forward(
+    const std::vector<double>& state) {
+  reset_selection_steps();
+  encoder_.to_sequence_row(state, 0, sel_seq_ws_);
+  return online_->forward_batch(sel_seq_ws_);
+}
+
+void DqnTrainer::reset_selection_steps() {
+  sel_seq_ws_.resize(encoder_.history_cycles());
+  for (auto& step : sel_seq_ws_) step.reset(1, encoder_.cells());
+}
+
 std::size_t DqnTrainer::select_action(const std::vector<double>& state,
                                       const std::vector<std::uint8_t>& mask) {
   const double eps = current_epsilon();
   ++env_steps_;
-  const Matrix& q =
-      online_->forward_batch(encoder_.to_sequence_batch({&state}));
-  const std::size_t best = masked_argmax_row(q, 0, mask);
+  const std::size_t best = masked_argmax_row(selection_forward(state), 0, mask);
 
-  std::vector<std::size_t> others;
+  // Explore only when an alternative exists, drawing uniformly from the
+  // selectable non-greedy actions in ascending order.
+  std::size_t others = 0;
   for (std::size_t a = 0; a < mask.size(); ++a)
-    if (mask[a] && a != best) others.push_back(a);
-  if (!others.empty() && rng_.bernoulli(eps))
-    return others[rng_.uniform_index(others.size())];
-  return best;
+    if (mask[a] && a != best) ++others;
+  if (others == 0 || !rng_.bernoulli(eps)) return best;
+  std::size_t j = rng_.uniform_index(others);
+  for (std::size_t a = 0;; ++a)
+    if (mask[a] && a != best && j-- == 0) return a;
 }
 
 std::size_t DqnTrainer::greedy_action(const std::vector<double>& state,
                                       const std::vector<std::uint8_t>& mask) {
-  const Matrix& q =
-      online_->forward_batch(encoder_.to_sequence_batch({&state}));
-  return masked_argmax_row(q, 0, mask);
+  return masked_argmax_row(selection_forward(state), 0, mask);
 }
 
 void DqnTrainer::observe(Experience e) {
@@ -281,9 +292,7 @@ const Matrix& DqnTrainer::candidate_forward(
   DRCELL_CHECK_MSG(!candidates.empty(), "no candidate actions");
   check_candidate_ids(candidates);
   check_state_ones(state_ones);
-  const std::size_t k = encoder_.history_cycles();
-  sel_seq_ws_.resize(k);
-  for (auto& step : sel_seq_ws_) step.reset(1, encoder_.cells());
+  reset_selection_steps();
   encoder_.ones_to_sequence_row(state_ones, 0, sel_seq_ws_);
   sel_cols_ws_.resize(1);
   sel_cols_ws_[0].assign(candidates.begin(), candidates.end());

@@ -154,6 +154,11 @@ class DqnTrainer {
   /// DRCELL_CHECKs that a one-index state is strictly ascending and every
   /// index is < k * cells.
   void check_state_ones(std::span<const std::uint32_t> ones) const;
+  /// Resets sel_seq_ws_ to k empty [1 x cells] steps.
+  void reset_selection_steps();
+  /// The B=1 sparse full-width forward of a flat state (checked): the Q
+  /// row select_action and greedy_action argmax over.
+  const Matrix& selection_forward(const std::vector<double>& state);
   /// The B=1 sparse column-restricted forward of `candidates` (checked);
   /// returns the 1 x |candidates| Q row.
   const Matrix& candidate_forward(std::span<const std::uint32_t> state_ones,
@@ -184,7 +189,8 @@ class DqnTrainer {
   ActionColumns next_cols_ws_;    // per-sample bootstrap columns
   Matrix targets_ws_;
   Matrix mask_ws_;
-  // B=1 candidate action-selection workspaces (metro tier).
+  // B=1 action-selection workspaces (the sparse steps of every selection
+  // forward; the candidate columns of the metro tier's).
   std::vector<SparseRowMatrix> sel_seq_ws_;
   ActionColumns sel_cols_ws_;
 };

@@ -18,6 +18,13 @@ const Matrix& DrqnQNetwork::forward_batch(
   return head_.forward(lstm_.forward(timestep_major_batch));
 }
 
+const Matrix& DrqnQNetwork::forward_batch(
+    const std::vector<SparseRowMatrix>& timestep_major_batch) {
+  DRCELL_CHECK_MSG(timestep_major_batch.size() == history_steps_,
+                   "sequence length mismatch");
+  return head_.forward(lstm_.forward(timestep_major_batch));
+}
+
 void DrqnQNetwork::backward(const Matrix& grad_q) {
   lstm_.backward(head_.backward(grad_q));
 }

@@ -16,6 +16,10 @@ class DrqnQNetwork final : public QNetwork {
 
   const Matrix& forward_batch(
       const std::vector<Matrix>& timestep_major_batch) override;
+  /// Gather-GEMM LSTM input (densified at or above
+  /// nn::Lstm::kSparseGatherMaxDensity) and the full-width GEMM head.
+  const Matrix& forward_batch(
+      const std::vector<SparseRowMatrix>& timestep_major_batch) override;
   void backward(const Matrix& grad_q) override;
 
   /// The training pair: gather-GEMM LSTM input (bit-identical to the

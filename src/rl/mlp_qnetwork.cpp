@@ -49,6 +49,25 @@ const Matrix& MlpQNetwork::flatten(const std::vector<Matrix>& sequence) {
   return flat_ws_;
 }
 
+const Matrix& MlpQNetwork::scatter(
+    const std::vector<SparseRowMatrix>& sequence) {
+  DRCELL_CHECK_MSG(sequence.size() == history_steps_,
+                   "sequence length mismatch");
+  const std::size_t batch = sequence.front().rows();
+  flat_ws_.resize(batch, num_cells_ * history_steps_);
+  for (std::size_t t = 0; t < history_steps_; ++t) {
+    const SparseRowMatrix& step = sequence[t];
+    DRCELL_CHECK(step.rows() == batch && step.cols() == num_cells_);
+    for (std::size_t b = 0; b < batch; ++b) {
+      const auto cols = step.row_indices(b);
+      const auto vals = step.row_values(b);
+      for (std::size_t e = 0; e < cols.size(); ++e)
+        flat_ws_(b, t * num_cells_ + cols[e]) = vals[e];
+    }
+  }
+  return flat_ws_;
+}
+
 const Matrix& MlpQNetwork::hidden_forward(const Matrix& flat) {
   return hidden_.layer_count() > 0 ? hidden_.forward(flat) : flat;
 }
@@ -66,24 +85,16 @@ void MlpQNetwork::backward(const Matrix& grad_q) {
   hidden_backward(head_.backward(grad_q));
 }
 
+const Matrix& MlpQNetwork::forward_batch(
+    const std::vector<SparseRowMatrix>& timestep_major_batch) {
+  return head_.forward(hidden_forward(scatter(timestep_major_batch)));
+}
+
 const Matrix& MlpQNetwork::forward_batch_columns(
     const std::vector<SparseRowMatrix>& timestep_major_batch,
     const ActionColumns& columns) {
-  DRCELL_CHECK_MSG(timestep_major_batch.size() == history_steps_,
-                   "sequence length mismatch");
-  const std::size_t batch = timestep_major_batch.front().rows();
-  flat_ws_.resize(batch, num_cells_ * history_steps_);
-  for (std::size_t t = 0; t < history_steps_; ++t) {
-    const SparseRowMatrix& step = timestep_major_batch[t];
-    DRCELL_CHECK(step.rows() == batch && step.cols() == num_cells_);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const auto cols = step.row_indices(b);
-      const auto vals = step.row_values(b);
-      for (std::size_t e = 0; e < cols.size(); ++e)
-        flat_ws_(b, t * num_cells_ + cols[e]) = vals[e];
-    }
-  }
-  return head_.forward_columns(hidden_forward(flat_ws_), columns);
+  return head_.forward_columns(hidden_forward(scatter(timestep_major_batch)),
+                               columns);
 }
 
 void MlpQNetwork::backward_columns(const Matrix& grad_columns,

@@ -17,10 +17,12 @@ class MlpQNetwork final : public QNetwork {
 
   const Matrix& forward_batch(
       const std::vector<Matrix>& timestep_major_batch) override;
+  /// scatter(), the hidden stack and the full-width output layer.
+  const Matrix& forward_batch(
+      const std::vector<SparseRowMatrix>& timestep_major_batch) override;
   void backward(const Matrix& grad_q) override;
-  /// Scatters the sparse steps into the flat window — the same matrix
-  /// flatten() builds from the densified steps — runs the hidden stack,
-  /// and evaluates the output layer only at the listed columns.
+  /// scatter(), the hidden stack and the output layer evaluated only at
+  /// the listed columns.
   const Matrix& forward_batch_columns(
       const std::vector<SparseRowMatrix>& timestep_major_batch,
       const ActionColumns& columns) override;
@@ -34,6 +36,9 @@ class MlpQNetwork final : public QNetwork {
 
  private:
   const Matrix& flatten(const std::vector<Matrix>& sequence);
+  /// Scatters sparse steps into the flat window — the same matrix
+  /// flatten() builds from the densified steps.
+  const Matrix& scatter(const std::vector<SparseRowMatrix>& sequence);
   /// The hidden stack's output, or the flat window itself when there are
   /// no hidden layers.
   const Matrix& hidden_forward(const Matrix& flat);

@@ -4,19 +4,22 @@
 //
 // The interface is batch-major over a timestep-major batch (k matrices,
 // each [batch x m] — all samples' step-t selection vectors stacked). It has
-// two forward/backward pairs:
-//  * forward_batch / backward, full width over dense steps: action
-//    selection (DqnTrainer::select_action, the scheduler's batched DECIDE
-//    phase), the per-sample oracle DqnTrainer::train_step_reference (at
-//    B = 1) and the dense bench floors; forward() is the B = 1 case;
+// three forwards and two backwards:
+//  * forward_batch over sparse steps, full width: action selection
+//    (DqnTrainer::select_action / greedy_action, the scheduler's batched
+//    DECIDE phase), fed the near-one-hot state as its index lists;
+//  * forward_batch / backward over dense steps, full width: only the
+//    per-sample oracle DqnTrainer::train_step_reference (at B = 1) and the
+//    dense bench floors; forward() is the B = 1 case;
 //  * forward_batch_columns / backward_columns, over sparse steps with the
 //    Q head evaluated only at listed actions: the one training pair
 //    (every DqnTrainer train step) and candidate-subset action selection.
 // Implementations must uphold the batched determinism contract (see
 // nn/layer.h): row b of the batched Q output is bit-identical to a B = 1
-// forward of sample b, both pairs agree entry for entry, and the backward
-// passes accumulate parameter gradients in ascending batch-row order so
-// batched training replays a per-sample loop addition for addition.
+// forward of sample b, all three forwards agree entry for entry, and the
+// backward passes accumulate parameter gradients in ascending batch-row
+// order so batched training replays a per-sample loop addition for
+// addition.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +57,14 @@ class QNetwork {
     return forward_batch(sequence);
   }
 
-  /// Backpropagates the gradient w.r.t. the Q output of the last
+  /// The selection forward: the same timestep-major layout with the
+  /// near-one-hot steps stored sparse, full width. Every entry is
+  /// bit-identical to forward_batch on the densified steps. Returns a
+  /// reference into a network-owned workspace, like the dense overload.
+  virtual const Matrix& forward_batch(
+      const std::vector<SparseRowMatrix>& timestep_major_batch) = 0;
+
+  /// Backpropagates the gradient w.r.t. the Q output of the last dense
   /// forward_batch (same [batch x m] shape).
   virtual void backward(const Matrix& grad_q) = 0;
 

@@ -117,7 +117,19 @@ const Matrix& SpatialDrqnQNetwork::forward_batch(
     const std::vector<Matrix>& timestep_major_batch) {
   DRCELL_CHECK_MSG(timestep_major_batch.size() == history_steps_,
                    "sequence length mismatch");
-  const Matrix& q = forward_query(lstm_.forward(project(timestep_major_batch)));
+  return full_head(
+      forward_query(lstm_.forward(project(timestep_major_batch))));
+}
+
+const Matrix& SpatialDrqnQNetwork::forward_batch(
+    const std::vector<SparseRowMatrix>& timestep_major_batch) {
+  DRCELL_CHECK_MSG(timestep_major_batch.size() == history_steps_,
+                   "sequence length mismatch");
+  return full_head(
+      forward_query(lstm_.forward(project(timestep_major_batch))));
+}
+
+const Matrix& SpatialDrqnQNetwork::full_head(const Matrix& q) {
   q.matmul_transposed_other_into(phi_, q_full_ws_);
   return q_full_ws_;
 }

@@ -52,6 +52,8 @@ class SpatialDrqnQNetwork final : public QNetwork {
 
   const Matrix& forward_batch(
       const std::vector<Matrix>& timestep_major_batch) override;
+  const Matrix& forward_batch(
+      const std::vector<SparseRowMatrix>& timestep_major_batch) override;
   void backward(const Matrix& grad_q) override;
 
   const Matrix& forward_batch_columns(
@@ -72,6 +74,8 @@ class SpatialDrqnQNetwork final : public QNetwork {
   /// query(h) of the last forward (shared epilogue of the full and
   /// column-restricted paths).
   const Matrix& forward_query(const Matrix& trunk_out);
+  /// The full head q·Φᵀ into q_full_ws_.
+  const Matrix& full_head(const Matrix& q);
   /// g·(x_t · Φ) per step into proj_ws_ (g a fixed input gain). The
   /// sparse overload gathers over the stored ones — bit-identical to the
   /// dense projection.

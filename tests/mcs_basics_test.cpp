@@ -158,32 +158,53 @@ TEST(StateEncoder, ZeroPadsBeforeCampaignStart) {
   EXPECT_EQ(state, (std::vector<double>{0, 0, 0, 0, 0, 1}));
 }
 
+/// k empty [batch x cells] sparse steps.
+std::vector<SparseRowMatrix> empty_steps(const StateEncoder& enc,
+                                         std::size_t batch) {
+  return std::vector<SparseRowMatrix>(
+      enc.history_cycles(), SparseRowMatrix(batch, enc.cells()));
+}
+
 TEST(StateEncoder, ToSequenceSplitsSlices) {
   StateEncoder enc(2, 2);
   const std::vector<double> flat{1, 0, 0, 1};
-  const auto seq = enc.to_sequence_batch({&flat});
+  auto seq = empty_steps(enc, 1);
+  enc.to_sequence_row(flat, 0, seq);
   ASSERT_EQ(seq.size(), 2u);
-  EXPECT_EQ(seq[0](0, 0), 1.0);
-  EXPECT_EQ(seq[0](0, 1), 0.0);
-  EXPECT_EQ(seq[1](0, 1), 1.0);
+  EXPECT_EQ(testing::to_dense(seq[0]), testing::make_matrix({{1, 0}}));
+  EXPECT_EQ(testing::to_dense(seq[1]), testing::make_matrix({{0, 1}}));
+  // Zeros are not stored: the steps are the sparse selection input.
+  EXPECT_EQ(seq[0].nonzeros(), 1u);
+  EXPECT_EQ(seq[1].nonzeros(), 1u);
 }
 
 TEST(StateEncoder, BatchConversionStacksRows) {
   StateEncoder enc(2, 2);
   const std::vector<double> a{1, 0, 0, 1};
   const std::vector<double> b{0, 1, 1, 0};
-  const auto seq = enc.to_sequence_batch({&a, &b});
+  auto seq = empty_steps(enc, 2);
+  enc.to_sequence_row(a, 0, seq);
+  enc.to_sequence_row(b, 1, seq);
   ASSERT_EQ(seq.size(), 2u);
-  EXPECT_EQ(seq[0].rows(), 2u);
-  EXPECT_EQ(seq[0](0, 0), 1.0);
-  EXPECT_EQ(seq[0](1, 1), 1.0);
-  EXPECT_EQ(seq[1](1, 0), 1.0);
+  EXPECT_EQ(testing::to_dense(seq[0]), testing::make_matrix({{1, 0}, {0, 1}}));
+  EXPECT_EQ(testing::to_dense(seq[1]), testing::make_matrix({{0, 1}, {1, 0}}));
+  // The one-index form of the same states fills the same steps.
+  auto from_ones = empty_steps(enc, 2);
+  enc.ones_to_sequence_row(std::vector<std::uint32_t>{0, 3}, 0, from_ones);
+  enc.ones_to_sequence_row(std::vector<std::uint32_t>{1, 2}, 1, from_ones);
+  for (std::size_t j = 0; j < 2; ++j)
+    EXPECT_EQ(testing::to_dense(from_ones[j]), testing::to_dense(seq[j]))
+        << "step " << j;
 }
 
 TEST(StateEncoder, SizeMismatchThrows) {
   StateEncoder enc(2, 2);
   const std::vector<double> bad{1, 0, 0};
-  EXPECT_THROW(enc.to_sequence_batch({&bad}), CheckError);
+  auto seq = empty_steps(enc, 1);
+  EXPECT_THROW(enc.to_sequence_row(bad, 0, seq), CheckError);
+  auto short_seq = empty_steps(StateEncoder(2, 1), 1);
+  EXPECT_THROW(enc.to_sequence_row(std::vector<double>(4, 0.0), 0, short_seq),
+               CheckError);
 }
 
 TEST(StateEncoder, StateSize) {

@@ -82,7 +82,7 @@ Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   return m;
 }
 
-TEST(SparseRowMatrix, BasicsAndByteSize) {
+TEST(SparseRowMatrix, Basics) {
   SparseRowMatrix s(3, 5);
   EXPECT_EQ(s.rows(), 3u);
   EXPECT_EQ(s.cols(), 5u);
@@ -554,7 +554,7 @@ rl::EncodedExperience encode_dense(const mcs::StateEncoder& encoder,
 
 TEST(FillTimestepMajorSparse, DensifiedMatchesDenseFill) {
   // The sparse minibatch, densified, equals the dense timestep-major batch
-  // of the same states (StateEncoder::to_sequence_batch), repeats included.
+  // of the same states (testing::to_sequence_batch), repeats included.
   const std::size_t cells = 6, k = 3;
   mcs::StateEncoder encoder(cells, k);
   rl::ReplayBuffer buffer(8);
@@ -577,8 +577,8 @@ TEST(FillTimestepMajorSparse, DensifiedMatchesDenseFill) {
     batch_states.push_back(&states[i]);
     batch_nexts.push_back(&nexts[i]);
   }
-  const auto dstate = encoder.to_sequence_batch(batch_states);
-  const auto dnext = encoder.to_sequence_batch(batch_nexts);
+  const auto dstate = testing::to_sequence_batch(encoder, batch_states);
+  const auto dnext = testing::to_sequence_batch(encoder, batch_nexts);
   std::vector<SparseRowMatrix> sstate, snext;
   buffer.fill_timestep_major_sparse(indices, sstate, snext);
 
@@ -642,8 +642,8 @@ TEST(CandidateActions, CandidateQValuesMatchFullForwardAndGreedyArgmax) {
 
     const std::vector<double> qs = trainer.candidate_q_values(ones, candidates);
     ASSERT_EQ(qs.size(), candidates.size()) << "trial " << trial;
-    const Matrix full =
-        trainer.online().forward(encoder.to_sequence_batch({&state}));
+    const Matrix full = trainer.online().forward(
+        testing::to_sequence_batch(encoder, {&state}));
     for (std::size_t j = 0; j < candidates.size(); ++j)
       EXPECT_EQ(qs[j], full(0, candidates[j]))
           << "trial " << trial << " j=" << j;

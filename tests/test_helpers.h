@@ -13,6 +13,7 @@
 #include "linalg/sparse_matrix.h"
 #include "mcs/environment.h"
 #include "mcs/sensing_task.h"
+#include "mcs/state_encoder.h"
 #include "nn/loss.h"
 
 namespace drcell::testing {
@@ -43,6 +44,26 @@ inline Matrix to_dense(const SparseRowMatrix& s) {
   Matrix out;
   s.to_dense(out);
   return out;
+}
+
+/// Splits flat states into the k dense per-step [batch x cells] matrices
+/// the networks' dense forward_batch takes, state b as row b of each step:
+/// the dense oracle input the sparse selection steps are checked against.
+inline std::vector<Matrix> to_sequence_batch(
+    const mcs::StateEncoder& encoder,
+    const std::vector<const std::vector<double>*>& flat_states) {
+  DRCELL_CHECK(!flat_states.empty());
+  const std::size_t cells = encoder.cells(), k = encoder.history_cycles();
+  std::vector<Matrix> steps(k, Matrix(flat_states.size(), cells));
+  for (std::size_t b = 0; b < flat_states.size(); ++b) {
+    const auto& flat = *flat_states[b];
+    DRCELL_CHECK_MSG(flat.size() == encoder.state_size(),
+                     "flat state size mismatch");
+    for (std::size_t j = 0; j < k; ++j)
+      for (std::size_t cell = 0; cell < cells; ++cell)
+        steps[j](b, cell) = flat[j * cells + cell];
+  }
+  return steps;
 }
 
 /// Unmasked mean squared error mean((pred - target)²) and its gradient:

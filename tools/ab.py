@@ -12,7 +12,10 @@ side's median and quartiles, the relative change of the median, the number
 of pairs the change won (by the metric's "better" direction), and whether
 the median moved by more than the base's interquartile range. It also
 prints the fingerprints each side reported; a change that must keep
-trajectories has to show the base's fingerprint.
+trajectories has to show the base's fingerprint. When a workload's
+change-side fingerprint set differs from the base's it prints a
+`FINGERPRINT MOVED` line (an intended re-pin still runs to the end, so the
+exit code does not change), and --json records `fingerprints_match`.
 
     python3 tools/ab.py --base HEAD~1 --change HEAD \\
         --workloads train_metro,serve_city --pairs 10 --seconds 20
@@ -101,10 +104,18 @@ def summarise(metrics, runs):
     return rows
 
 
+def fingerprints_match(prints):
+    """Whether both sides reported the same set of fingerprints."""
+    return prints["base"] == prints["change"]
+
+
 def print_rows(workload, rows, prints):
     print("\n== %s ==" % workload)
     for side in ("base", "change"):
         print("  %s fingerprints: %s" % (side, ", ".join(sorted(prints[side]))))
+    if not fingerprints_match(prints):
+        print("  FINGERPRINT MOVED: the change's trajectory differs from the "
+              "base's")
     print("  %-17s %-32s %-32s %8s %5s %s" %
           ("metric", "base median [q1, q3]", "change median [q1, q3]",
            "delta", "wins", "beyond base IQR"))
@@ -161,6 +172,7 @@ def main():
         print_rows(workload, rows, prints)
         report["workloads"][workload] = {
             "fingerprints": {k: sorted(v) for k, v in prints.items()},
+            "fingerprints_match": fingerprints_match(prints),
             "runs": [{"base": b, "change": c} for b, c in runs],
             "summary": rows,
         }
