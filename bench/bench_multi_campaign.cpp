@@ -326,10 +326,12 @@ bool healthy_slots_identical(const core::CampaignScheduler& reference,
   return true;
 }
 
-bool has_incident(const core::CampaignScheduler& s, const std::string& kind) {
+/// The first incident of `kind`, or nullptr.
+const core::Incident* find_incident(const core::CampaignScheduler& s,
+                                    const std::string& kind) {
   for (const auto& inc : s.incidents())
-    if (inc.kind == kind) return true;
-  return false;
+    if (inc.kind == kind) return &inc;
+  return nullptr;
 }
 
 /// Drill 1 — quarantine isolation: a persistent env.step fault in ONE
@@ -391,7 +393,7 @@ bool drill_transient_recovery(const core::CampaignScheduler& reference,
                  "escalated to quarantine\n";
     return false;
   }
-  if (!has_incident(faulted, "retry-recovered")) {
+  if (find_incident(faulted, "retry-recovered") == nullptr) {
     std::cerr << "DRILL FAIL (transient recovery): no retry-recovered "
                  "incident recorded\n";
     return false;
@@ -426,14 +428,33 @@ bool drill_nan_rollback() {
   const MixedFleet poisoned_fleet(3, 3);
   core::CampaignScheduler poisoned(ft_opts);
   poisoned_fleet.populate(poisoned);
-  poisoned.run(/*max_waves=*/12);
-  poisoned_fleet.agent->trainer().online().parameters()[0]->value(0, 0) =
-      std::numeric_limits<double>::quiet_NaN();
+  constexpr std::size_t kPoisonWave = 12;
+  // The newest ring entry before the poison (cadence 5).
+  constexpr std::size_t kRollbackWave = 10;
+  poisoned.run(/*max_waves=*/kPoisonWave);
+  poisoned_fleet.agent->trainer()
+      .online()
+      .parameters()[0]
+      ->mutable_value()(0, 0) = std::numeric_limits<double>::quiet_NaN();
   poisoned.run();
 
-  if (poisoned.rollbacks() != 1 || !has_incident(poisoned, "rollback")) {
+  const core::Incident* unhealthy = find_incident(poisoned, "agent-unhealthy");
+  const core::Incident* rollback = find_incident(poisoned, "rollback");
+  if (poisoned.rollbacks() != 1 || rollback == nullptr) {
     std::cerr << "DRILL FAIL (nan rollback): expected exactly one rollback, "
               << "got " << poisoned.rollbacks() << "\n";
+    return false;
+  }
+  // Detected by the HEALTH phase of the first wave after the poison, and
+  // restored to the newest ring entry (the rollback is logged at the
+  // restored wave).
+  if (unhealthy == nullptr || unhealthy->wave != kPoisonWave ||
+      rollback->wave != kRollbackWave) {
+    std::cerr << "DRILL FAIL (nan rollback): expected agent-unhealthy at wave "
+              << kPoisonWave << " and a rollback to wave " << kRollbackWave
+              << ", got "
+              << (unhealthy ? std::to_string(unhealthy->wave) : "none")
+              << " and " << rollback->wave << "\n";
     return false;
   }
   if (!poisoned.quarantined_slots().empty()) {
@@ -444,7 +465,7 @@ bool drill_nan_rollback() {
   if (poisoned_fleet.agent->trainer()
           .online()
           .parameters()[0]
-          ->value.has_non_finite()) {
+          ->value().has_non_finite()) {
     std::cerr << "DRILL FAIL (nan rollback): weights still poisoned after "
                  "rollback\n";
     return false;
@@ -452,9 +473,9 @@ bool drill_nan_rollback() {
   // The frozen policy is deterministic and selector streams were restored,
   // so the re-run of the rolled-back waves reproduces the reference run.
   if (!same_fleets(reference, poisoned, "nan rollback")) return false;
-  std::cout << "drill: NaN-poisoned shared agent detected and restored from "
-               "the checkpoint ring; fleet bit-identical to the no-fault "
-               "run\n";
+  std::cout << "drill: NaN-poisoned shared agent detected in wave "
+            << kPoisonWave << " and restored from the checkpoint ring (wave "
+            << kRollbackWave << "); fleet bit-identical to the no-fault run\n";
   return true;
 }
 

@@ -298,7 +298,7 @@ void bench_train_step(bench::JsonReporter& report, bool quick, bool& ok) {
       }
       std::vector<double> sig;
       for (const nn::Parameter* param : probe.online().parameters()) {
-        const auto data = param->value.data();
+        const auto data = param->value().data();
         sig.insert(sig.end(), data.begin(), data.end());
       }
       if (reference.empty())

@@ -109,11 +109,11 @@ class PreRefactorDrqn final : public rl::QNetwork {
       const Matrix& xt = steps[t];
       DRCELL_CHECK_MSG(xt.rows() == batch_ && xt.cols() == lstm_.input_size(),
                        "LSTM: inconsistent step shape");
-      Matrix z = xt.matmul(wx_->value);
-      z += (t > 0 ? h_[t - 1] : h_initial).matmul(wh_->value);
+      Matrix z = xt.matmul(wx_->value());
+      z += (t > 0 ? h_[t - 1] : h_initial).matmul(wh_->value());
       for (std::size_t r = 0; r < batch_; ++r)
         for (std::size_t col = 0; col < 4 * hidden; ++col)
-          z(r, col) += lstm_b_->value(0, col);
+          z(r, col) += lstm_b_->value()(0, col);
       // No previous cell state at t = 0, as nn::Lstm runs the gate pass.
       BackendRegistry::active().lstm_gate_forward(
           z, t > 0 ? &c_[t - 1] : nullptr, gates_[t], c_[t], tanh_c_[t],
@@ -147,8 +147,8 @@ class PreRefactorDrqn final : public rl::QNetwork {
         for (std::size_t col = 0; col < 4 * hidden; ++col)
           lstm_b_->grad(0, col) += dz(r, col);
 
-      grad_x[t] = dz.matmul(wx_->value.transposed());
-      dh_next = dz.matmul(wh_->value.transposed());
+      grad_x[t] = dz.matmul(wx_->value().transposed());
+      dh_next = dz.matmul(wh_->value().transposed());
       dc_next = std::move(dc_prev);
     }
     return grad_x;
@@ -156,10 +156,10 @@ class PreRefactorDrqn final : public rl::QNetwork {
 
   Matrix head_forward(const Matrix& input) {
     head_input_ = input;
-    Matrix out = input.matmul(head_.weight().value);
+    Matrix out = input.matmul(head_.weight().value());
     for (std::size_t r = 0; r < out.rows(); ++r)
       for (std::size_t c = 0; c < out.cols(); ++c)
-        out(r, c) += head_.bias().value(0, c);
+        out(r, c) += head_.bias().value()(0, c);
     return out;
   }
 
@@ -168,7 +168,7 @@ class PreRefactorDrqn final : public rl::QNetwork {
     for (std::size_t r = 0; r < grad_output.rows(); ++r)
       for (std::size_t c = 0; c < grad_output.cols(); ++c)
         head_.bias().grad(0, c) += grad_output(r, c);
-    return grad_output.matmul(head_.weight().value.transposed());
+    return grad_output.matmul(head_.weight().value().transposed());
   }
 
   std::size_t num_cells_;
@@ -207,8 +207,8 @@ inline void check_floor_parity(rl::DqnTrainer& batched,
   const auto pf = floor_trainer.online().parameters();
   const bool exact = BackendRegistry::active().exact_contract();
   for (std::size_t i = 0; i < pb.size(); ++i) {
-    const bool ok = exact ? pb[i]->value == pf[i]->value
-                          : (pb[i]->value - pf[i]->value).max_abs() <= 1e-8;
+    const bool ok = exact ? pb[i]->value() == pf[i]->value()
+                          : (pb[i]->value() - pf[i]->value()).max_abs() <= 1e-8;
     if (!ok) {
       std::cerr << "FAIL: batched train step diverged from the per-sample "
                    "reference path (parameter "

@@ -95,7 +95,7 @@ int run_chaos(const std::shared_ptr<const mcs::SensingTask>& test_task,
   fleet.run(/*max_waves=*/30);
   std::cout << "\npoisoning the shared agent's weights with NaN at wave "
             << fleet.waves_completed() << "...\n";
-  agent.trainer().online().parameters()[0]->value(0, 0) =
+  agent.trainer().online().parameters()[0]->mutable_value()(0, 0) =
       std::numeric_limits<double>::quiet_NaN();
   fleet.run();
   util::FaultInjection::disarm_all();

@@ -35,9 +35,10 @@ HealthStatus DrCellAgent::check_parameter_health() {
   return health_.check_parameters(trainer_->online().parameters());
 }
 
-std::size_t DrCellAgent::greedy_action(const std::vector<double>& state,
-                                       const std::vector<std::uint8_t>& mask) {
-  return trainer_->greedy_action(state, mask);
+std::size_t DrCellAgent::greedy_action(
+    std::span<const std::uint32_t> state_ones,
+    const std::vector<std::uint8_t>& mask) {
+  return trainer_->greedy_action(state_ones, mask);
 }
 
 void DrCellAgent::save_weights(std::ostream& out) {

@@ -29,13 +29,14 @@ class DrCellAgent {
   HealthMonitor& health() { return health_; }
   const HealthMonitor& health() const { return health_; }
 
-  /// Convenience sentinel: scans the online network's parameters and
-  /// returns the (sticky) status — O(#params), the scheduler rate-limits
-  /// it via its health-check cadence.
+  /// Convenience sentinel: scans the online network's tensors written since
+  /// their last clean scan (HealthMonitor::check_parameters) and returns
+  /// the (sticky) status. The scheduler calls it every wave.
   HealthStatus check_parameter_health();
 
-  /// Greedy Q-maximising action (the deployed policy).
-  std::size_t greedy_action(const std::vector<double>& state,
+  /// Greedy Q-maximising action (the deployed policy) from the state's
+  /// one-index list (rl::DqnTrainer::greedy_action).
+  std::size_t greedy_action(std::span<const std::uint32_t> state_ones,
                             const std::vector<std::uint8_t>& mask);
 
   void save_weights(std::ostream& out);

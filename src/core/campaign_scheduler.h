@@ -5,8 +5,10 @@
 // Wave anatomy (step_wave):
 //
 //   0. HEALTH/RECOVER — serial: consult every serving agent's numeric
-//      sentinels (core/health_monitor.h; a parameter scan every wave,
-//      loss/Q sentinels tripped earlier stay sticky). An unhealthy
+//      sentinels (core/health_monitor.h; a parameter scan of every tensor
+//      written since its last clean scan — each wave for an agent that
+//      trains, once after a write for a frozen one — and loss/Q sentinels
+//      tripped earlier stay sticky). An unhealthy
 //      agent triggers rollback from the auto-checkpoint ring, else
 //      quarantine of its campaigns (see "Fault tolerance" below). Then, on
 //      the configured cadence, snapshot the whole fleet into the in-memory

@@ -266,12 +266,14 @@ struct CheckpointAccess {
     };
     const auto values_of = [](rl::QNetwork& net) {
       std::vector<Matrix> values;
-      for (const nn::Parameter* p : net.parameters()) values.push_back(p->value);
+      for (const nn::Parameter* p : net.parameters())
+        values.push_back(p->value());
       return values;
     };
     const auto assign = [](rl::QNetwork& net, const std::vector<Matrix>& v) {
       const auto params = net.parameters();
-      for (std::size_t j = 0; j < params.size(); ++j) params[j]->value = v[j];
+      for (std::size_t j = 0; j < params.size(); ++j)
+        params[j]->mutable_value() = v[j];
     };
     std::vector<AgentSnapshot> agent_snapshots;
     for (DrCellAgent* agent : agents) {

@@ -1,6 +1,7 @@
 #include "core/health_monitor.h"
 
 #include <cmath>
+#include <limits>
 
 #include "nn/layer.h"
 
@@ -63,28 +64,39 @@ HealthStatus HealthMonitor::record_loss(double loss) {
 }
 
 HealthStatus HealthMonitor::check_q(const Matrix& q) {
-  if (q.has_non_finite()) {
-    trip(HealthStatus::kNonFiniteQ, "Q forward produced non-finite values");
-    return status_;
+  // One pass for both sentinels. A non-finite value anywhere outranks an
+  // out-of-range one, even one that comes earlier in the batch.
+  bool non_finite = false;
+  bool out_of_range = false;
+  for (const double x : q.data()) {
+    const double a = std::fabs(x);
+    non_finite |= !(a <= std::numeric_limits<double>::max());  // NaN or ±inf
+    out_of_range |= a > kMaxAbsQ;
   }
-  for (std::size_t r = 0; r < q.rows(); ++r)
-    for (std::size_t c = 0; c < q.cols(); ++c)
-      if (std::fabs(q(r, c)) > kMaxAbsQ) {
-        trip(HealthStatus::kQOutOfRange,
-             "|Q| exceeded " + std::to_string(kMaxAbsQ));
-        return status_;
-      }
+  if (non_finite)
+    trip(HealthStatus::kNonFiniteQ, "Q forward produced non-finite values");
+  else if (out_of_range)
+    trip(HealthStatus::kQOutOfRange,
+         "|Q| exceeded " + std::to_string(kMaxAbsQ));
   return status_;
 }
 
 HealthStatus HealthMonitor::check_parameters(
     const std::vector<nn::Parameter*>& params) {
-  for (const nn::Parameter* p : params)
-    if (p != nullptr && p->value.has_non_finite()) {
+  if (clean_.size() != params.size()) clean_.assign(params.size(), {});
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const nn::Parameter* p = params[i];
+    if (p == nullptr) continue;
+    // Unchanged since its last clean scan: the same tensor, not written.
+    if (clean_[i].tensor == p && clean_[i].generation == p->generation())
+      continue;
+    if (p->value().has_non_finite()) {
       trip(HealthStatus::kNonFiniteParams,
            "network parameters contain non-finite values");
       return status_;
     }
+    clean_[i] = {p, p->generation()};
+  }
   return status_;
 }
 
@@ -96,6 +108,7 @@ void HealthMonitor::reset() {
   window_.clear();
   window_next_ = 0;
   window_sum_ = 0.0;
+  clean_.clear();
 }
 
 }  // namespace drcell::core

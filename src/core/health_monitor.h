@@ -6,8 +6,11 @@
 // (core/campaign_scheduler.h), which consults the monitor after every wave.
 //
 // Cost model: record_loss is O(1); check_q is one O(B·m) scan of a Q batch
-// the caller already paid a forward for; check_parameters is O(#params),
-// which the campaign scheduler pays once per serving agent per wave.
+// the caller already paid a forward for; check_parameters is O(#params) for
+// the tensors written since their last clean scan (nn::Parameter's write
+// generation) and O(#tensors) otherwise. The campaign scheduler calls it
+// every wave, so it pays the scan once per write: every wave for an agent
+// that trains (Adam::step writes every tensor), once for a frozen one.
 //
 // Status is STICKY: once a sentinel trips, status() stays unhealthy (and
 // reason() says why) until reset() — e.g. after a rollback restored known-
@@ -18,13 +21,14 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "linalg/matrix.h"
 
 namespace drcell::nn {
-struct Parameter;
+class Parameter;
 }
 
 namespace drcell::core {
@@ -53,7 +57,11 @@ class HealthMonitor {
   /// |Q| > 1e12.
   HealthStatus check_q(const Matrix& q);
 
-  /// Scans parameter values for non-finite entries.
+  /// Scans parameter values for non-finite entries, skipping each tensor
+  /// that is the one at the same position in the last call and whose
+  /// generation() has not moved since a scan found it clean. A write that
+  /// bypasses mutable_value() therefore stays unseen until the tensor's next
+  /// mutable_value().
   HealthStatus check_parameters(const std::vector<nn::Parameter*>& params);
 
   HealthStatus status() const { return status_; }
@@ -61,8 +69,10 @@ class HealthMonitor {
   /// Human-readable description of the tripped sentinel (empty = healthy).
   const std::string& reason() const { return reason_; }
 
-  /// Clears the sticky status AND the loss statistics — call after recovery
-  /// restored known-good state (the old baseline no longer describes it).
+  /// Clears the sticky status, the loss statistics AND the record of clean
+  /// tensors — call after recovery restored known-good state (the old
+  /// baseline no longer describes it; the next check_parameters scans every
+  /// tensor).
   void reset();
 
  private:
@@ -78,6 +88,14 @@ class HealthMonitor {
   std::vector<double> window_;  // ring buffer, size <= kLossWindow
   std::size_t window_next_ = 0;
   double window_sum_ = 0.0;
+
+  // Per check_parameters position: the tensor and the generation it had
+  // when a scan last found it clean.
+  struct CleanScan {
+    const nn::Parameter* tensor = nullptr;
+    std::uint64_t generation = 0;
+  };
+  std::vector<CleanScan> clean_;
 };
 
 }  // namespace drcell::core

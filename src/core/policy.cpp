@@ -5,7 +5,7 @@ namespace drcell::core {
 DrCellPolicy::DrCellPolicy(DrCellAgent& agent) : agent_(agent) {}
 
 std::size_t DrCellPolicy::select(const mcs::SparseMcsEnvironment& env) {
-  return agent_.greedy_action(env.state(), env.action_mask());
+  return agent_.greedy_action(env.state_ones(), env.action_mask());
 }
 
 OnlineAdaptivePolicy::OnlineAdaptivePolicy(DrCellAgent& agent, double epsilon,
@@ -17,15 +17,16 @@ OnlineAdaptivePolicy::OnlineAdaptivePolicy(DrCellAgent& agent, double epsilon,
 std::size_t OnlineAdaptivePolicy::select(
     const mcs::SparseMcsEnvironment& env) {
   const auto& mask = env.action_mask();
-  const std::vector<double> state = env.state();
-  std::size_t action = agent_.greedy_action(state, mask);
+  std::size_t action = agent_.greedy_action(env.state_ones(), mask);
   if (rng_.bernoulli(epsilon_)) {
     std::vector<std::size_t> others;
     for (std::size_t a = 0; a < mask.size(); ++a)
       if (mask[a] && a != action) others.push_back(a);
     if (!others.empty()) action = others[rng_.uniform_index(others.size())];
   }
-  pending_state_ = state;
+  // The replay transition keeps the dense state (DqnTrainer::observe
+  // encodes it once).
+  pending_state_ = env.state();
   pending_action_ = action;
   has_pending_ = true;
   return action;

@@ -15,8 +15,9 @@ namespace drcell::core {
 ///
 /// Batching contract: select() is exactly
 ///
-///   sparse steps of the state -> agent().trainer().online().forward_batch
-///     (B = 1, full width) -> rl::masked_argmax_row(q, 0, env.action_mask())
+///   env.state_ones() -> StateEncoder::ones_to_sequence_row (sparse steps)
+///     -> agent().trainer().online().forward_batch (B = 1, full width)
+///     -> rl::masked_argmax_row(q, 0, env.action_mask())
 ///
 /// Under the batched determinism contract (rl/qnetwork.h: row b of a
 /// batched forward is bit-identical to the B = 1 forward of sample b) the

@@ -9,25 +9,25 @@ namespace drcell::nn {
 Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng)
     : w_(in_features, out_features), b_(1, out_features) {
   DRCELL_CHECK(in_features > 0 && out_features > 0);
-  xavier_uniform(w_.value, in_features, out_features, rng);
+  xavier_uniform(w_.mutable_value(), in_features, out_features, rng);
 }
 
 const Matrix& Dense::forward(const Matrix& input) {
-  DRCELL_CHECK_MSG(input.cols() == w_.value.rows(),
+  DRCELL_CHECK_MSG(input.cols() == w_.value().rows(),
                    "Dense: input feature mismatch");
   cached_input_ = input;
   // Multiply from the cached copy: `input` may alias this layer's own
   // workspace when a caller feeds a previous result straight back in.
-  cached_input_.matmul_into(w_.value, out_ws_);
+  cached_input_.matmul_into(w_.value(), out_ws_);
   for (std::size_t r = 0; r < out_ws_.rows(); ++r)
     for (std::size_t c = 0; c < out_ws_.cols(); ++c)
-      out_ws_(r, c) += b_.value(0, c);
+      out_ws_(r, c) += b_.value()(0, c);
   return out_ws_;
 }
 
 const Matrix& Dense::backward(const Matrix& grad_output) {
   DRCELL_CHECK_MSG(grad_output.rows() == cached_input_.rows() &&
-                       grad_output.cols() == w_.value.cols(),
+                       grad_output.cols() == w_.value().cols(),
                    "Dense: backward shape mismatch");
   // dW += xᵀ g, db += colsum(g), dx = g Wᵀ. Parameter gradients accumulate
   // in ascending batch-row order (the batched-vs-per-sample bit-identity
@@ -36,13 +36,13 @@ const Matrix& Dense::backward(const Matrix& grad_output) {
   for (std::size_t r = 0; r < grad_output.rows(); ++r)
     for (std::size_t c = 0; c < grad_output.cols(); ++c)
       b_.grad(0, c) += grad_output(r, c);
-  grad_output.matmul_transposed_other_into(w_.value, grad_in_ws_);
+  grad_output.matmul_transposed_other_into(w_.value(), grad_in_ws_);
   return grad_in_ws_;
 }
 
 const Matrix& Dense::forward_columns(const Matrix& input,
                                      const ColumnSubsets& columns) {
-  DRCELL_CHECK_MSG(input.cols() == w_.value.rows(),
+  DRCELL_CHECK_MSG(input.cols() == w_.value().rows(),
                    "Dense: input feature mismatch");
   DRCELL_CHECK_MSG(columns.size() == input.rows(),
                    "Dense: one column subset per batch row required");
@@ -53,10 +53,10 @@ const Matrix& Dense::forward_columns(const Matrix& input,
   DRCELL_CHECK_MSG(max_width > 0, "Dense: empty column subsets");
   // Zero-filled: the accumulators, and the padding past each row's width.
   out_cols_ws_.resize(input.rows(), max_width);
-  const std::size_t in = w_.value.rows();
-  const std::size_t out = w_.value.cols();
-  const double* w = w_.value.data().data();
-  const double* bias = b_.value.data().data();
+  const std::size_t in = w_.value().rows();
+  const std::size_t out = w_.value().cols();
+  const double* w = w_.value().data().data();
+  const double* bias = b_.value().data().data();
   for (std::size_t r = 0; r < input.rows(); ++r) {
     const double* xr = cached_input_.row(r).data();
     double* orow = out_cols_ws_.row(r).data();
@@ -85,7 +85,7 @@ const Matrix& Dense::backward_columns(const Matrix& grad_columns,
                    "Dense: backward_columns batch mismatch");
   DRCELL_CHECK_MSG(columns.size() == grad_columns.rows(),
                    "Dense: one column subset per batch row required");
-  const std::size_t in = w_.value.rows();
+  const std::size_t in = w_.value().rows();
   // dW += xᵀ g restricted to the listed columns, batch rows ascending and
   // features ascending with x == 0.0 skipped — the dense
   // matmul_transposed_self_add order with the off-subset (zero) terms
@@ -118,7 +118,7 @@ const Matrix& Dense::backward_columns(const Matrix& grad_columns,
       for (std::size_t j = 0; j < cols.size(); ++j) {
         const double g = gr[j];
         if (g == 0.0) continue;
-        acc += g * w_.value(f, cols[j]);
+        acc += g * w_.value()(f, cols[j]);
       }
       dxr[f] = acc;
     }

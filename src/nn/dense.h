@@ -45,8 +45,8 @@ class Dense : public Layer {
   std::vector<Parameter*> parameters() override { return {&w_, &b_}; }
   std::string name() const override { return "Dense"; }
 
-  std::size_t in_features() const { return w_.value.rows(); }
-  std::size_t out_features() const { return w_.value.cols(); }
+  std::size_t in_features() const { return w_.value().rows(); }
+  std::size_t out_features() const { return w_.value().cols(); }
 
   Parameter& weight() { return w_; }
   Parameter& bias() { return b_; }

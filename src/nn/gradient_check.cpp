@@ -8,7 +8,7 @@ GradCheckResult check_gradient(Parameter& param,
                                const std::function<double()>& loss,
                                double eps) {
   GradCheckResult result;
-  auto values = param.value.data();
+  auto values = param.mutable_value().data();
   const auto grads = param.grad.data();
   for (std::size_t i = 0; i < values.size(); ++i) {
     const double saved = values[i];

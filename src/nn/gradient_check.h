@@ -18,7 +18,7 @@ struct GradCheckResult {
 
 /// `loss` must recompute the full forward pass and return the scalar loss;
 /// `param.grad` must already hold the analytic gradient of that loss.
-/// Central differences with step `eps` on every element of param.value.
+/// Central differences with step `eps` on every element of param.value().
 GradCheckResult check_gradient(Parameter& param,
                                const std::function<double()>& loss,
                                double eps = 1e-6);

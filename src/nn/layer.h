@@ -7,6 +7,7 @@
 // while keeping every gradient auditable and finite-difference-checkable.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,18 +17,38 @@
 namespace drcell::nn {
 
 /// A trainable tensor together with its accumulated gradient.
-struct Parameter {
+///
+/// The value is read through value() and written only through
+/// mutable_value(), which bumps generation(): every write to a tensor
+/// happens-after a bump of its counter, so a reader that remembers the
+/// generation it last checked (core::HealthMonitor::check_parameters) can
+/// skip a tensor nobody has written since. Take the reference right before
+/// the write and never keep it across waves or train steps — a write through
+/// a stale reference is invisible to the counter.
+class Parameter {
+ public:
   Parameter() = default;
   Parameter(std::size_t rows, std::size_t cols)
-      : value(rows, cols), grad(rows, cols) {}
+      : grad(rows, cols), value_(rows, cols) {}
+
+  const Matrix& value() const { return value_; }
+  Matrix& mutable_value() {
+    ++generation_;
+    return value_;
+  }
+  /// Number of mutable_value() calls so far (copies carry it along).
+  std::uint64_t generation() const { return generation_; }
 
   // resize() reuses the gradient's storage (data_.assign on warm capacity),
   // so a steady-state zero_grad is a fill, not a fresh allocation — at the
   // metro tier the gradients alone are ~25 MB per network.
-  void zero_grad() { grad.resize(value.rows(), value.cols(), 0.0); }
+  void zero_grad() { grad.resize(value_.rows(), value_.cols(), 0.0); }
 
-  Matrix value;
   Matrix grad;
+
+ private:
+  Matrix value_;
+  std::uint64_t generation_ = 0;
 };
 
 /// Feed-forward layer operating on batch-major matrices (batch x features).

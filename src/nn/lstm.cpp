@@ -171,11 +171,11 @@ Lstm::Lstm(std::size_t input_size, std::size_t hidden_size, Rng& rng)
       wh_(hidden_size, 4 * hidden_size),
       b_(1, 4 * hidden_size) {
   DRCELL_CHECK(input_size > 0 && hidden_size > 0);
-  xavier_uniform(wx_.value, input_size, hidden_size, rng);
-  xavier_uniform(wh_.value, hidden_size, hidden_size, rng);
+  xavier_uniform(wx_.mutable_value(), input_size, hidden_size, rng);
+  xavier_uniform(wh_.mutable_value(), hidden_size, hidden_size, rng);
   // Forget-gate bias starts at 1 so early training does not erase memory.
-  for (std::size_t c = hidden_size; c < 2 * hidden_size; ++c)
-    b_.value(0, c) = 1.0;
+  Matrix& b = b_.mutable_value();
+  for (std::size_t c = hidden_size; c < 2 * hidden_size; ++c) b(0, c) = 1.0;
 }
 
 void Lstm::finish_step(std::size_t t) {
@@ -186,12 +186,12 @@ void Lstm::finish_step(std::size_t t) {
   // bit-identical to adding it.
   Matrix& z = z_ws_;
   if (t > 0) {
-    h_[t - 1].matmul_into(wh_.value, recur_ws_);
+    h_[t - 1].matmul_into(wh_.value(), recur_ws_);
     z += recur_ws_;
   }
   for (std::size_t r = 0; r < batch_; ++r)
     for (std::size_t col = 0; col < 4 * hidden; ++col)
-      z(r, col) += b_.value(0, col);
+      z(r, col) += b_.value()(0, col);
 
   Matrix& gates = gates_[t];
   gates.resize_overwrite(batch_, 4 * hidden);
@@ -222,7 +222,7 @@ const Matrix& Lstm::forward(const std::vector<Matrix>& steps) {
     DRCELL_CHECK_MSG(xt.rows() == batch_ && xt.cols() == input_size(),
                      "LSTM: inconsistent step shape");
     x_[t] = xt;
-    xt.matmul_into(wx_.value, z_ws_);
+    xt.matmul_into(wx_.value(), z_ws_);
     finish_step(t);
   }
   return h_.back();
@@ -262,7 +262,7 @@ const Matrix& Lstm::forward(const std::vector<SparseRowMatrix>& steps) {
     DRCELL_CHECK_MSG(xt.rows() == batch_ && xt.cols() == input_size(),
                      "LSTM: inconsistent step shape");
     sx_[t] = xt;
-    xt.matmul_into(wx_.value, z_ws_);
+    xt.matmul_into(wx_.value(), z_ws_);
     finish_step(t);
   }
   return h_.back();
@@ -300,7 +300,7 @@ void Lstm::backward(const Matrix& grad_last_hidden) {
 
     // Gradient flowing to the previous step (no transpose materialised).
     // Input gradients are never formed: nothing upstream of the LSTM trains.
-    if (t > 0) dz.matmul_transposed_other_into(wh_.value, dh_next_ws_);
+    if (t > 0) dz.matmul_transposed_other_into(wh_.value(), dh_next_ws_);
     std::swap(dc_next_ws_, dc_prev_ws_);
   }
 

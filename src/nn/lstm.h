@@ -105,8 +105,8 @@ class Lstm {
 
   std::vector<Parameter*> parameters() { return {&wx_, &wh_, &b_}; }
 
-  std::size_t input_size() const { return wx_.value.rows(); }
-  std::size_t hidden_size() const { return wh_.value.rows(); }
+  std::size_t input_size() const { return wx_.value().rows(); }
+  std::size_t hidden_size() const { return wh_.value().rows(); }
 
  private:
   // Gate block layout along columns: [input | forget | candidate | output],

@@ -19,8 +19,8 @@ Adam::Adam(std::vector<Parameter*> params, double learning_rate, double beta1,
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (auto* p : params_) {
-    m_.emplace_back(p->value.rows(), p->value.cols());
-    v_.emplace_back(p->value.rows(), p->value.cols());
+    m_.emplace_back(p->value().rows(), p->value().cols());
+    v_.emplace_back(p->value().rows(), p->value().cols());
   }
 }
 
@@ -39,17 +39,22 @@ void Adam::step(util::ThreadPool* pool) {
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
   const double beta1 = beta1_, beta2 = beta2_, lr = lr_, eps = eps_;
+  // Write access, and with it the one generation bump per tensor, is taken
+  // here in serial code: pool lanes write only through these pointers and
+  // never touch a Parameter's counter.
+  values_ws_.clear();
+  for (Parameter* p : params_)
+    values_ws_.push_back(p->mutable_value().data().data());
   // Scalars captured by value: a by-reference capture would be a load
   // through the closure the vectoriser must assume aliases the __restrict
   // stores below, forcing the loop scalar again.
   const auto update = [this, beta1, beta2, lr, eps, bc1,
                        bc2](std::size_t tensor, std::size_t lo,
                             std::size_t hi) {
-    auto& p = *params_[tensor];
     double* __restrict m = m_[tensor].data().data();
     double* __restrict v = v_[tensor].data().data();
-    double* __restrict x = p.value.data().data();
-    const double* __restrict g = p.grad.data().data();
+    double* __restrict x = values_ws_[tensor];
+    const double* __restrict g = params_[tensor]->grad.data().data();
     for (std::size_t i = lo; i < hi; ++i) {
       m[i] = beta1 * m[i] + (1.0 - beta1) * g[i];
       v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i];
@@ -65,7 +70,7 @@ void Adam::step(util::ThreadPool* pool) {
     constexpr std::size_t kChunk = 1 << 16;
     chunks_ws_.clear();
     for (std::size_t k = 0; k < params_.size(); ++k) {
-      const std::size_t n = params_[k]->value.data().size();
+      const std::size_t n = params_[k]->value().data().size();
       for (std::size_t lo = 0; lo < n; lo += kChunk)
         chunks_ws_.push_back({k, lo, std::min(lo + kChunk, n)});
     }
@@ -76,7 +81,7 @@ void Adam::step(util::ThreadPool* pool) {
     return;
   }
   for (std::size_t k = 0; k < params_.size(); ++k)
-    update(k, 0, params_[k]->value.data().size());
+    update(k, 0, params_[k]->value().data().size());
 }
 
 void Adam::zero_grad() {

@@ -41,6 +41,7 @@ class Adam {
   long t_ = 0;
   std::vector<Matrix> m_, v_;
   std::vector<Chunk> chunks_ws_;
+  std::vector<double*> values_ws_;  // per tensor, taken by step()
 };
 
 /// Scales gradients so their global L2 norm does not exceed max_norm.

@@ -79,7 +79,7 @@ void save_parameters(std::ostream& out,
   ms.reserve(params.size());
   for (const auto* p : params) {
     DRCELL_CHECK(p != nullptr);
-    ms.push_back(&p->value);
+    ms.push_back(&p->value());
   }
   save_matrices(out, ms);
 }
@@ -91,12 +91,13 @@ void load_parameters(std::istream& in, const std::vector<Parameter*>& params) {
         "weight stream has " + std::to_string(ms.size()) +
         " matrices, network expects " + std::to_string(params.size()));
   for (std::size_t i = 0; i < ms.size(); ++i) {
-    if (ms[i].rows() != params[i]->value.rows() ||
-        ms[i].cols() != params[i]->value.cols())
+    if (ms[i].rows() != params[i]->value().rows() ||
+        ms[i].cols() != params[i]->value().cols())
       throw SerializationError("matrix " + std::to_string(i) +
                                " shape mismatch while loading weights");
   }
-  for (std::size_t i = 0; i < ms.size(); ++i) params[i]->value = ms[i];
+  for (std::size_t i = 0; i < ms.size(); ++i)
+    params[i]->mutable_value() = ms[i];
 }
 
 void copy_parameters(const std::vector<Parameter*>& from,
@@ -104,9 +105,9 @@ void copy_parameters(const std::vector<Parameter*>& from,
   DRCELL_CHECK_MSG(from.size() == to.size(),
                    "parameter count mismatch in copy_parameters");
   for (std::size_t i = 0; i < from.size(); ++i) {
-    DRCELL_CHECK(from[i]->value.rows() == to[i]->value.rows() &&
-                 from[i]->value.cols() == to[i]->value.cols());
-    to[i]->value = from[i]->value;
+    DRCELL_CHECK(from[i]->value().rows() == to[i]->value().rows() &&
+                 from[i]->value().cols() == to[i]->value().cols());
+    to[i]->mutable_value() = from[i]->value();
   }
 }
 

@@ -94,9 +94,13 @@ std::size_t DqnTrainer::select_action(const std::vector<double>& state,
     if (mask[a] && a != best && j-- == 0) return a;
 }
 
-std::size_t DqnTrainer::greedy_action(const std::vector<double>& state,
-                                      const std::vector<std::uint8_t>& mask) {
-  return masked_argmax_row(selection_forward(state), 0, mask);
+std::size_t DqnTrainer::greedy_action(
+    std::span<const std::uint32_t> state_ones,
+    const std::vector<std::uint8_t>& mask) {
+  check_state_ones(state_ones);
+  reset_selection_steps();
+  encoder_.ones_to_sequence_row(state_ones, 0, sel_seq_ws_);
+  return masked_argmax_row(online_->forward_batch(sel_seq_ws_), 0, mask);
 }
 
 void DqnTrainer::observe(Experience e) {

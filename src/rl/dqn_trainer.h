@@ -71,8 +71,11 @@ class DqnTrainer {
   std::size_t select_action(const std::vector<double>& state,
                             const std::vector<std::uint8_t>& mask);
 
-  /// Greedy (δ = 0) action — the deployed policy of the testing stage.
-  std::size_t greedy_action(const std::vector<double>& state,
+  /// Greedy (δ = 0) action — the deployed policy of the testing stage —
+  /// from the state's sparse one-index list
+  /// (mcs::SparseMcsEnvironment::state_ones): one B=1 sparse full-width
+  /// forward, no k·m dense state. Does not advance the schedule.
+  std::size_t greedy_action(std::span<const std::uint32_t> state_ones,
                             const std::vector<std::uint8_t>& mask);
 
   /// Candidate-subset variant (metro tier): the state arrives as its
@@ -157,7 +160,7 @@ class DqnTrainer {
   /// Resets sel_seq_ws_ to k empty [1 x cells] steps.
   void reset_selection_steps();
   /// The B=1 sparse full-width forward of a flat state (checked): the Q
-  /// row select_action and greedy_action argmax over.
+  /// row select_action argmaxes over.
   const Matrix& selection_forward(const std::vector<double>& state);
   /// The B=1 sparse column-restricted forward of `candidates` (checked);
   /// returns the 1 x |candidates| Q row.

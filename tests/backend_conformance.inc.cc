@@ -403,10 +403,10 @@ TEST_F(BackendConformance, BatchedTrainStepMatchesPerSample) {
     ASSERT_EQ(pa.size(), pb.size());
     for (std::size_t i = 0; i < pa.size(); ++i) {
       if (exact()) {
-        EXPECT_EQ(pa[i]->value, pb[i]->value) << "B=" << batch << " param "
+        EXPECT_EQ(pa[i]->value(), pb[i]->value()) << "B=" << batch << " param "
                                               << i;
       } else {
-        EXPECT_LT((pa[i]->value - pb[i]->value).max_abs(), 1e-8)
+        EXPECT_LT((pa[i]->value() - pb[i]->value()).max_abs(), 1e-8)
             << "B=" << batch << " param " << i;
       }
     }
@@ -459,9 +459,9 @@ TEST_F(BackendConformance, TrainStepWorkerCountInvariance) {
   ASSERT_EQ(pa.size(), pb.size());
   for (std::size_t i = 0; i < pa.size(); ++i) {
     if (exact()) {
-      EXPECT_EQ(pa[i]->value, pb[i]->value) << "param " << i;
+      EXPECT_EQ(pa[i]->value(), pb[i]->value()) << "param " << i;
     } else {
-      EXPECT_LT((pa[i]->value - pb[i]->value).max_abs(), 1e-8)
+      EXPECT_LT((pa[i]->value() - pb[i]->value()).max_abs(), 1e-8)
           << "param " << i;
     }
   }
@@ -564,7 +564,7 @@ TEST_F(BackendConformance, TrainingWithinDocumentedBoundOfNative) {
     }
     std::vector<Matrix> params;
     for (const auto* p : trainer.online().parameters())
-      params.push_back(p->value);
+      params.push_back(p->value());
     return std::make_pair(losses, params);
   };
 

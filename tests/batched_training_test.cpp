@@ -272,7 +272,7 @@ void expect_train_step_matches_reference(Net net, std::size_t workers) {
   const auto pb = reference.online().parameters();
   ASSERT_EQ(pa.size(), pb.size());
   for (std::size_t i = 0; i < pa.size(); ++i)
-    EXPECT_EQ(pa[i]->value, pb[i]->value) << "param " << i;
+    EXPECT_EQ(pa[i]->value(), pb[i]->value()) << "param " << i;
 }
 
 TEST(BatchedTrainStep, MlpMatchesReferenceBitIdentically) {
@@ -342,7 +342,7 @@ void expect_mixed_bootstrap_rows_match_reference(Net net,
   const auto pb = reference.online().parameters();
   ASSERT_EQ(pa.size(), pb.size());
   for (std::size_t i = 0; i < pa.size(); ++i)
-    EXPECT_EQ(pa[i]->value, pb[i]->value) << "param " << i;
+    EXPECT_EQ(pa[i]->value(), pb[i]->value()) << "param " << i;
 }
 
 TEST(BatchedTrainStep, MixedBootstrapRowsMatchReferenceBitIdentically) {
@@ -401,7 +401,7 @@ void expect_dense_and_ones_states_train_identically(Net net) {
   const auto pb = ones.online().parameters();
   ASSERT_EQ(pa.size(), pb.size());
   for (std::size_t i = 0; i < pa.size(); ++i)
-    EXPECT_EQ(pa[i]->value, pb[i]->value) << "param " << i;
+    EXPECT_EQ(pa[i]->value(), pb[i]->value()) << "param " << i;
 }
 
 TEST(ReplayEncoding, DenseAndOneIndexStatesTrainBitIdentically) {

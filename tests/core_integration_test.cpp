@@ -42,8 +42,8 @@ std::vector<double> all_q_values(DrCellAgent& agent, std::size_t cells,
 
 TEST(DrCellAgent, ConstructionAndGreedyAction) {
   DrCellAgent agent(5, fast_config());
-  const std::vector<double> state(10, 0.0);
-  const auto a = agent.greedy_action(state, {1, 1, 1, 1, 1});
+  const std::vector<std::uint32_t> no_ones;  // the all-zero state
+  const auto a = agent.greedy_action(no_ones, {1, 1, 1, 1, 1});
   EXPECT_LT(a, 5u);
 }
 
@@ -52,8 +52,8 @@ TEST(DrCellAgent, MlpVariantWorks) {
   config.network = NetworkKind::kMlp;
   config.mlp_hidden = {16};
   DrCellAgent agent(4, config);
-  const std::vector<double> state(8, 0.0);
-  EXPECT_LT(agent.greedy_action(state, {1, 1, 1, 1}), 4u);
+  const std::vector<std::uint32_t> no_ones;  // the all-zero state
+  EXPECT_LT(agent.greedy_action(no_ones, {1, 1, 1, 1}), 4u);
 }
 
 TEST(DrCellAgent, WeightRoundTripPreservesPolicy) {
@@ -232,8 +232,8 @@ TEST(Transfer, TransferredAgentStartsFromSourceWeights) {
       transfer_agent(source, target_task, testing::default_engine(), options);
   EXPECT_EQ(transferred.num_cells(), 5u);
   // Fine-tuned for one episode: weights exist and produce valid actions.
-  const std::vector<double> state(10, 0.0);
-  EXPECT_LT(transferred.greedy_action(state, {1, 1, 1, 1, 1}), 5u);
+  const std::vector<std::uint32_t> no_ones;  // the all-zero state
+  EXPECT_LT(transferred.greedy_action(no_ones, {1, 1, 1, 1, 1}), 5u);
 }
 
 TEST(Transfer, ShortTrainAgentRuns) {

@@ -24,6 +24,7 @@
 #include "data/datasets.h"
 #include "data/task_io.h"
 #include "mcs/environment.h"
+#include "nn/optimizer.h"
 #include "nn/serialize.h"
 #include "rl/dqn_trainer.h"
 #include "rl/mlp_qnetwork.h"
@@ -398,6 +399,21 @@ TEST(HealthMonitor, QSentinels) {
   EXPECT_EQ(range_monitor.check_q(big), core::HealthStatus::kHealthy);
   big(0, 1) = -1e13;
   EXPECT_EQ(range_monitor.check_q(big), core::HealthStatus::kQOutOfRange);
+  EXPECT_EQ(range_monitor.reason(), "|Q| exceeded " + std::to_string(1e12));
+}
+
+TEST(HealthMonitor, NonFiniteQOutranksAnEarlierOutOfRangeValue) {
+  // Both kinds in one batch, the out-of-range value first in scan order:
+  // the non-finite sentinel still names the cause.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::infinity()}) {
+    core::HealthMonitor monitor;
+    Matrix q(2, 3);
+    q(0, 0) = 1e13;
+    q(1, 2) = bad;
+    EXPECT_EQ(monitor.check_q(q), core::HealthStatus::kNonFiniteQ) << bad;
+    EXPECT_EQ(monitor.reason(), "Q forward produced non-finite values");
+  }
 }
 
 TEST(HealthMonitor, ParameterSentinelViaAgent) {
@@ -406,10 +422,101 @@ TEST(HealthMonitor, ParameterSentinelViaAgent) {
   config.lstm_hidden = 8;
   core::DrCellAgent agent(4, config);
   EXPECT_EQ(agent.check_parameter_health(), core::HealthStatus::kHealthy);
-  agent.trainer().online().parameters()[0]->value(0, 0) =
+  agent.trainer().online().parameters()[0]->mutable_value()(0, 0) =
       std::numeric_limits<double>::quiet_NaN();
   EXPECT_EQ(agent.check_parameter_health(),
             core::HealthStatus::kNonFiniteParams);
+}
+
+core::DrCellConfig small_agent_config() {
+  core::DrCellConfig config;
+  config.history_cycles = 2;
+  config.lstm_hidden = 8;
+  return config;
+}
+
+std::vector<std::uint64_t> generations(rl::QNetwork& net) {
+  std::vector<std::uint64_t> out;
+  for (const nn::Parameter* p : net.parameters())
+    out.push_back(p->generation());
+  return out;
+}
+
+/// True when every tensor's generation moved past `before`.
+bool all_bumped(rl::QNetwork& net, const std::vector<std::uint64_t>& before) {
+  const std::vector<std::uint64_t> after = generations(net);
+  for (std::size_t i = 0; i < after.size(); ++i)
+    if (after[i] <= before[i]) return false;
+  return after.size() == before.size();
+}
+
+TEST(HealthMonitor, ParameterScanSkipsTensorsUnwrittenSinceTheirCleanScan) {
+  // A frozen agent's tensors are scanned once; a NaN written behind the
+  // counter (const_cast, not mutable_value()) stays unseen until the next
+  // write access to that tensor, or until reset() forgets the record.
+  core::DrCellAgent agent(4, small_agent_config());
+  nn::Parameter* wh = agent.trainer().online().parameters()[1];
+  ASSERT_EQ(agent.check_parameter_health(), core::HealthStatus::kHealthy);
+  const_cast<Matrix&>(wh->value())(0, 0) =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(agent.check_parameter_health(), core::HealthStatus::kHealthy);
+  EXPECT_EQ(agent.check_parameter_health(), core::HealthStatus::kHealthy);
+  (void)wh->mutable_value();
+  EXPECT_EQ(agent.check_parameter_health(),
+            core::HealthStatus::kNonFiniteParams);
+
+  core::DrCellAgent forgotten(4, small_agent_config());
+  nn::Parameter* b = forgotten.trainer().online().parameters()[2];
+  ASSERT_EQ(forgotten.check_parameter_health(), core::HealthStatus::kHealthy);
+  const_cast<Matrix&>(b->value())(0, 1) =
+      std::numeric_limits<double>::infinity();
+  EXPECT_EQ(forgotten.check_parameter_health(), core::HealthStatus::kHealthy);
+  forgotten.health().reset();
+  EXPECT_EQ(forgotten.check_parameter_health(),
+            core::HealthStatus::kNonFiniteParams);
+}
+
+TEST(HealthMonitor, AdamStepMakesTheNextScanRescanEveryTensor) {
+  // A trained agent is rescanned after every optimiser step: Adam::step
+  // writes (and bumps) each tensor, so a NaN planted behind the counter is
+  // found by the first scan after the step.
+  core::DrCellAgent agent(4, small_agent_config());
+  const auto params = agent.trainer().online().parameters();
+  ASSERT_EQ(agent.check_parameter_health(), core::HealthStatus::kHealthy);
+  const_cast<Matrix&>(params.back()->value())(0, 0) =
+      std::numeric_limits<double>::quiet_NaN();
+  ASSERT_EQ(agent.check_parameter_health(), core::HealthStatus::kHealthy);
+  nn::Adam optimizer(params, 1e-3);
+  optimizer.zero_grad();
+  optimizer.step();
+  EXPECT_EQ(agent.check_parameter_health(),
+            core::HealthStatus::kNonFiniteParams);
+}
+
+TEST(HealthMonitor, AgentWeightWritersBumpEveryGeneration) {
+  core::DrCellAgent source(4, small_agent_config());
+  core::DrCellAgent agent(4, small_agent_config());
+  rl::DqnTrainer& trainer = agent.trainer();
+
+  auto before = generations(trainer.target());
+  trainer.sync_target();
+  EXPECT_TRUE(all_bumped(trainer.target(), before)) << "sync_target";
+
+  std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
+  source.save_weights(blob);
+  before = generations(trainer.online());
+  auto target_before = generations(trainer.target());
+  agent.load_weights(blob);
+  EXPECT_TRUE(all_bumped(trainer.online(), before)) << "load_weights";
+  EXPECT_TRUE(all_bumped(trainer.target(), target_before))
+      << "load_weights syncs the target";
+
+  before = generations(trainer.online());
+  target_before = generations(trainer.target());
+  source.copy_weights_to(agent);
+  EXPECT_TRUE(all_bumped(trainer.online(), before)) << "copy_weights_to";
+  EXPECT_TRUE(all_bumped(trainer.target(), target_before))
+      << "copy_weights_to syncs the target";
 }
 
 // ---------------------------------------------------------------------------
@@ -467,6 +574,14 @@ void expect_campaign_identical(const core::CampaignScheduler& a,
 bool has_incident(const core::CampaignScheduler& s, const std::string& kind) {
   return std::any_of(s.incidents().begin(), s.incidents().end(),
                      [&](const core::Incident& i) { return i.kind == kind; });
+}
+
+/// The wave of the first incident of `kind`, or SIZE_MAX when there is none.
+std::size_t first_incident_wave(const core::CampaignScheduler& s,
+                                const std::string& kind) {
+  for (const core::Incident& i : s.incidents())
+    if (i.kind == kind) return i.wave;
+  return std::numeric_limits<std::size_t>::max();
 }
 
 TEST(SchedulerFaults, PersistentFaultQuarantinesOnlyTargetedCampaign) {
@@ -541,17 +656,23 @@ TEST(SchedulerFaults, NanPoisonedAgentRollsBackFromCheckpointRing) {
   core::CampaignScheduler poisoned(options);
   fleet.populate(poisoned);
   poisoned.run(/*max_waves=*/10);
-  fleet.agent->trainer().online().parameters()[0]->value(1, 1) =
+  fleet.agent->trainer().online().parameters()[0]->mutable_value()(1, 1) =
       std::numeric_limits<double>::quiet_NaN();
+  const auto poisoned_generations =
+      generations(fleet.agent->trainer().online());
   poisoned.run();
 
-  // Detected by the parameter sentinel, restored from the newest ring
-  // entry (an empty ring would have quarantined slots 0-1), and — the
-  // frozen policy being deterministic and the selector streams restored —
-  // the re-run lands exactly on the no-fault run.
+  // Detected by the parameter sentinel in the HEALTH phase of the first
+  // wave after the poison, restored from the newest ring entry (wave 8; an
+  // empty ring would have quarantined slots 0-1), and — the frozen policy
+  // being deterministic and the selector streams restored — the re-run
+  // lands exactly on the no-fault run.
   EXPECT_EQ(poisoned.rollbacks(), 1u);
-  EXPECT_TRUE(has_incident(poisoned, "agent-unhealthy"));
-  EXPECT_TRUE(has_incident(poisoned, "rollback"));
+  EXPECT_EQ(first_incident_wave(poisoned, "agent-unhealthy"), 10u);
+  EXPECT_EQ(first_incident_wave(poisoned, "rollback"), 8u);
+  // The rollback rewrote every online tensor through mutable_value().
+  EXPECT_TRUE(all_bumped(fleet.agent->trainer().online(),
+                         poisoned_generations));
   EXPECT_TRUE(poisoned.quarantined_slots().empty());
   EXPECT_TRUE(fleet.agent->health().healthy());  // reset after rollback
   for (std::size_t slot = 0; slot < 4; ++slot)
@@ -587,10 +708,40 @@ TEST(SchedulerFaults, OnlineTrainStepDetectsNanWithinOneStep) {
   // output bias goes to +inf instead: every bootstrap value is then +inf,
   // and the very next train step records a non-finite Huber loss.
   nn::Parameter* output_bias = agent.trainer().target().parameters().back();
-  for (double& b : output_bias->value.data())
+  for (double& b : output_bias->mutable_value().data())
     b = std::numeric_limits<double>::infinity();
   scheduler.step_wave();  // ONE wave = one train step
   EXPECT_EQ(agent.health().status(), core::HealthStatus::kNonFiniteLoss);
+}
+
+TEST(SchedulerFaults, TrainingAgentIsRescannedEveryWaveItTrains) {
+  // The HEALTH phase skips only tensors unwritten since their last clean
+  // scan. An agent that trains writes every online tensor once per train
+  // step, so the next wave's HEALTH phase rescans all of them.
+  DisarmGuard guard;
+  const ToyFleet fleet;
+  core::DrCellConfig config = fleet.config;
+  config.dqn.batch_size = 4;
+  config.dqn.min_replay = 4;
+  core::DrCellAgent agent(6, config);
+  core::CampaignScheduler scheduler;
+  scheduler.add_campaign(
+      "online-0", fleet.campaign, fleet.task,
+      [] { return testing::default_engine(); },
+      std::make_shared<core::OnlineAdaptivePolicy>(agent, 0.05, 7));
+  scheduler.run(/*max_waves=*/8);
+  ASSERT_GT(agent.trainer().train_steps(), 0u);
+  for (int wave = 0; wave < 5; ++wave) {
+    const auto before = generations(agent.trainer().online());
+    const std::size_t steps_before = agent.trainer().train_steps();
+    scheduler.step_wave();
+    ASSERT_EQ(agent.trainer().train_steps(), steps_before + 1)
+        << "wave " << wave;
+    const auto after = generations(agent.trainer().online());
+    for (std::size_t i = 0; i < after.size(); ++i)
+      EXPECT_EQ(after[i], before[i] + 1) << "wave " << wave << " param " << i;
+  }
+  EXPECT_TRUE(agent.health().healthy());
 }
 
 TEST(SchedulerFaults, UnhealthyAgentWithoutRingQuarantinesItsCampaigns) {
@@ -606,12 +757,12 @@ TEST(SchedulerFaults, UnhealthyAgentWithoutRingQuarantinesItsCampaigns) {
   core::CampaignScheduler scheduler;
   fleet.populate(scheduler);
   scheduler.run(/*max_waves=*/3);
-  fleet.agent->trainer().online().parameters()[0]->value(0, 0) =
+  fleet.agent->trainer().online().parameters()[0]->mutable_value()(0, 0) =
       std::numeric_limits<double>::quiet_NaN();
   scheduler.run();
 
   ASSERT_TRUE(scheduler.all_done());
-  EXPECT_TRUE(has_incident(scheduler, "agent-unhealthy"));
+  EXPECT_EQ(first_incident_wave(scheduler, "agent-unhealthy"), 3u);
   EXPECT_FALSE(has_incident(scheduler, "rollback"));
   EXPECT_EQ(scheduler.quarantined_slots(), (std::vector<std::size_t>{0, 1}));
   const auto results = scheduler.results();

@@ -50,11 +50,27 @@ TEST(ReLULayer, BackwardGatesGradient) {
   EXPECT_EQ(dx(0, 1), 5.0);
 }
 
+TEST(Parameter, GenerationCountsWriteAccessesOnly) {
+  Parameter p(2, 3);
+  EXPECT_EQ(p.generation(), 0u);
+  EXPECT_EQ(p.value().rows(), 2u);  // a read
+  p.zero_grad();                    // the gradient is not the value
+  EXPECT_EQ(p.generation(), 0u);
+  p.mutable_value()(1, 2) = 4.0;
+  EXPECT_EQ(p.generation(), 1u);
+  EXPECT_EQ(p.value()(1, 2), 4.0);
+  // check_gradient perturbs the value in place: one write access.
+  p.zero_grad();
+  check_gradient(p, [&] { return p.value()(1, 2); });
+  EXPECT_EQ(p.generation(), 2u);
+  EXPECT_EQ(p.value()(1, 2), 4.0);  // restored
+}
+
 TEST(DenseLayer, ForwardMatchesManualComputation) {
   Rng rng(1);
   Dense d(2, 3, rng);
-  d.weight().value = make_matrix({{1, 2, 3}, {4, 5, 6}});
-  d.bias().value = make_matrix({{0.5, -0.5, 1.0}});
+  d.weight().mutable_value() = make_matrix({{1, 2, 3}, {4, 5, 6}});
+  d.bias().mutable_value() = make_matrix({{0.5, -0.5, 1.0}});
   Matrix x = make_matrix({{1.0, 2.0}});
   const Matrix y = d.forward(x);
   EXPECT_NEAR(y(0, 0), 1 * 1 + 2 * 4 + 0.5, 1e-12);

@@ -50,7 +50,7 @@ TEST(Lstm, ForgetGateBiasInitialisedToOne) {
   Rng rng(2);
   Lstm lstm(2, 3, rng);
   auto params = lstm.parameters();
-  const Matrix& b = params[2]->value;  // bias is third
+  const Matrix& b = params[2]->value();  // bias is third
   for (std::size_t j = 3; j < 6; ++j) EXPECT_EQ(b(0, j), 1.0);
   for (std::size_t j = 0; j < 3; ++j) EXPECT_EQ(b(0, j), 0.0);
 }
@@ -218,9 +218,10 @@ TEST(Lstm, CanLearnToRememberFirstStep) {
     const auto l = mse_loss(y, target);
     const Matrix dh = head.backward(l.grad);
     lstm.backward(dh);
-    for (auto* p : params)
-      for (std::size_t i = 0; i < p->value.data().size(); ++i)
-        p->value.data()[i] -= lr * p->grad.data()[i];
+    for (auto* p : params) {
+      const auto x = p->mutable_value().data();
+      for (std::size_t i = 0; i < x.size(); ++i) x[i] -= lr * p->grad.data()[i];
+    }
     if (iter == 0) initial_loss = l.value;
     final_loss = l.value;
   }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "nn/dense.h"
@@ -58,10 +59,17 @@ TEST(Serialize, ParameterRoundTripRestoresValues) {
 
   Rng rng2(99);
   Dense restored(3, 4, rng2);
-  ASSERT_NE(restored.weight().value, original.weight().value);
+  ASSERT_NE(restored.weight().value(), original.weight().value());
+  const std::uint64_t saved_gen = original.weight().generation();
+  const std::uint64_t weight_gen = restored.weight().generation();
+  const std::uint64_t bias_gen = restored.bias().generation();
   load_parameters(ss, restored.parameters());
-  EXPECT_EQ(restored.weight().value, original.weight().value);
-  EXPECT_EQ(restored.bias().value, original.bias().value);
+  EXPECT_EQ(restored.weight().value(), original.weight().value());
+  EXPECT_EQ(restored.bias().value(), original.bias().value());
+  // Saving reads; loading writes every tensor once.
+  EXPECT_EQ(original.weight().generation(), saved_gen);
+  EXPECT_EQ(restored.weight().generation(), weight_gen + 1);
+  EXPECT_EQ(restored.bias().generation(), bias_gen + 1);
 }
 
 TEST(Serialize, ParameterCountMismatchThrows) {
@@ -102,12 +110,16 @@ TEST(Serialize, LstmRoundTripPreservesBehaviour) {
 TEST(Serialize, CopyParametersTransfersValues) {
   Rng rng(7);
   Dense a(2, 3, rng), b(2, 3, rng);
-  ASSERT_NE(a.weight().value, b.weight().value);
+  ASSERT_NE(a.weight().value(), b.weight().value());
+  const std::uint64_t source_gen = a.weight().generation();
+  const std::uint64_t dest_gen = b.weight().generation();
   copy_parameters(a.parameters(), b.parameters());
-  EXPECT_EQ(a.weight().value, b.weight().value);
+  EXPECT_EQ(a.weight().value(), b.weight().value());
+  EXPECT_EQ(a.weight().generation(), source_gen);
+  EXPECT_EQ(b.weight().generation(), dest_gen + 1);
   // Independent storage: mutating the source must not affect the copy.
-  a.weight().value(0, 0) += 1.0;
-  EXPECT_NE(a.weight().value, b.weight().value);
+  a.weight().mutable_value()(0, 0) += 1.0;
+  EXPECT_NE(a.weight().value(), b.weight().value());
 }
 
 TEST(Serialize, CopyParametersShapeMismatchThrows) {

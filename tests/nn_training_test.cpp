@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "nn/activations.h"
 #include "nn/dense.h"
@@ -8,6 +10,7 @@
 #include "nn/optimizer.h"
 #include "nn/sequential.h"
 #include "test_helpers.h"
+#include "util/thread_pool.h"
 
 namespace drcell::nn {
 namespace {
@@ -24,7 +27,7 @@ struct Bowl {
     p.zero_grad();
     double l = 0.0;
     for (std::size_t i = 0; i < 2; ++i) {
-      const double d = p.value(0, i) - target(0, i);
+      const double d = p.value()(0, i) - target(0, i);
       l += d * d;
       p.grad(0, i) = 2.0 * d;
     }
@@ -44,18 +47,39 @@ TEST(Adam, ConvergesOnQuadratic) {
     bowl.loss_and_grad();
     opt.step();
   }
-  EXPECT_NEAR(bowl.p.value(0, 0), 3.0, 1e-4);
-  EXPECT_NEAR(bowl.p.value(0, 1), -2.0, 1e-4);
+  EXPECT_NEAR(bowl.p.value()(0, 0), 3.0, 1e-4);
+  EXPECT_NEAR(bowl.p.value()(0, 1), -2.0, 1e-4);
+}
+
+TEST(Adam, StepBumpsEveryGenerationOnceAtAnyWorkerCount) {
+  // One write access per tensor per step, taken in serial code whether or
+  // not the update itself runs on pool lanes.
+  for (const std::size_t workers : {0u, 3u}) {
+    util::ThreadPool pool(workers);
+    Rng rng(5);
+    Dense d(3, 4, rng);
+    const auto params = d.parameters();
+    Adam opt(params, 0.01);
+    for (int step = 1; step <= 2; ++step) {
+      std::vector<std::uint64_t> before;
+      for (const Parameter* p : params) before.push_back(p->generation());
+      opt.zero_grad();
+      opt.step(&pool);
+      for (std::size_t i = 0; i < params.size(); ++i)
+        EXPECT_EQ(params[i]->generation(), before[i] + 1)
+            << "workers " << workers << " step " << step << " param " << i;
+    }
+  }
 }
 
 TEST(Adam, FirstStepIsBiasCorrectlySized) {
   // With bias correction the very first Adam update has magnitude ≈ lr.
   Bowl bowl;
   Adam opt({&bowl.p}, 0.1);
-  const double before = bowl.p.value(0, 0);
+  const double before = bowl.p.value()(0, 0);
   bowl.loss_and_grad();
   opt.step();
-  EXPECT_NEAR(std::fabs(bowl.p.value(0, 0) - before), 0.1, 1e-6);
+  EXPECT_NEAR(std::fabs(bowl.p.value()(0, 0) - before), 0.1, 1e-6);
 }
 
 TEST(Optimizer, ZeroGradClearsGradients) {
@@ -140,8 +164,8 @@ TEST(Training, HuberIsRobustToOutlierTargets) {
   auto train = [](bool huber) {
     Rng rng(22);
     Dense d(1, 1, rng);
-    d.weight().value(0, 0) = 1.0;
-    d.bias().value(0, 0) = 0.0;
+    d.weight().mutable_value()(0, 0) = 1.0;
+    d.bias().mutable_value()(0, 0) = 0.0;
     Adam opt(d.parameters(), 0.01);
     Matrix x = make_matrix({{1.0}, {2.0}, {3.0}});
     Matrix y = make_matrix({{1.0}, {2.0}, {1000.0}});  // outlier
@@ -153,7 +177,7 @@ TEST(Training, HuberIsRobustToOutlierTargets) {
       d.backward(l.grad);
       opt.step();
     }
-    return std::fabs(d.weight().value(0, 0) - 1.0);
+    return std::fabs(d.weight().value()(0, 0) - 1.0);
   };
   EXPECT_LT(train(true), train(false));
 }

@@ -305,7 +305,7 @@ TEST(PooledDqn, TrainStepBitIdenticalToSerial) {
   const auto pp = pooled->online().parameters();
   ASSERT_EQ(ps.size(), pp.size());
   for (std::size_t i = 0; i < ps.size(); ++i)
-    EXPECT_EQ(ps[i]->value, pp[i]->value) << "param " << i;  // bit-wise
+    EXPECT_EQ(ps[i]->value(), pp[i]->value()) << "param " << i;  // bit-wise
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ TEST(MlpQNetwork, CloneHasSameShapeFreshWeights) {
   EXPECT_EQ(clone->num_actions(), 4u);
   EXPECT_EQ(clone->parameters().size(), net.parameters().size());
   // Different init.
-  EXPECT_NE(net.parameters()[0]->value, clone->parameters()[0]->value);
+  EXPECT_NE(net.parameters()[0]->value(), clone->parameters()[0]->value());
 }
 
 TEST(DrqnQNetwork, OutputShapeAndName) {
@@ -57,7 +57,7 @@ TEST(DrqnQNetwork, OutputShapeAndName) {
   // The LSTM feeds one output layer: lstm(3) + dense(2). The dense weight
   // is [hidden x cells].
   EXPECT_EQ(net.parameters().size(), 5u);
-  EXPECT_EQ(net.parameters()[3]->value.rows(), 12u);
+  EXPECT_EQ(net.parameters()[3]->value().rows(), 12u);
 }
 
 TEST(DrqnQNetwork, HistoryChangesOutput) {
@@ -116,9 +116,9 @@ TEST(DqnTrainer, GreedyRespectsMask) {
   auto net = std::make_unique<MlpQNetwork>(4, 1, std::vector<std::size_t>{8},
                                            rng);
   DqnTrainer trainer(std::move(net), fast_options(), 2);
-  const std::vector<double> s{0, 0, 0, 0};
+  const std::vector<std::uint32_t> no_ones;  // the all-zero state
   for (int i = 0; i < 20; ++i) {
-    const auto a = trainer.greedy_action(s, {0, 1, 0, 1});
+    const auto a = trainer.greedy_action(no_ones, {0, 1, 0, 1});
     EXPECT_TRUE(a == 1 || a == 3);
   }
 }
@@ -268,9 +268,8 @@ void train_bandit_and_expect_identity(std::uint64_t seed) {
     trainer.train_step();
   }
   for (std::size_t ctx = 0; ctx < 3; ++ctx) {
-    std::vector<double> state(3, 0.0);
-    state[ctx] = 1.0;
-    EXPECT_EQ(trainer.greedy_action(state, {1, 1, 1}), ctx)
+    const std::vector<std::uint32_t> ones{static_cast<std::uint32_t>(ctx)};
+    EXPECT_EQ(trainer.greedy_action(ones, {1, 1, 1}), ctx)
         << "context " << ctx;
   }
 }

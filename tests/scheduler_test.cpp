@@ -389,7 +389,7 @@ TEST(Checkpoint, FailedReplayLeavesSchedulerUnchanged) {
 
 std::vector<Matrix> parameter_values(rl::QNetwork& net) {
   std::vector<Matrix> values;
-  for (const nn::Parameter* p : net.parameters()) values.push_back(p->value);
+  for (const nn::Parameter* p : net.parameters()) values.push_back(p->value());
   return values;
 }
 
@@ -423,7 +423,7 @@ TEST(Checkpoint, FailedWeightLoadRestoresEarlierAgents) {
   loaded.add_campaign("b", campaign, task, engine_factory(),
                       std::make_shared<DrCellPolicy>(agent_b));
   // Desynchronise the target so a restore through sync_target would show.
-  agent_a.trainer().target().parameters()[0]->value(0, 0) += 1.0;
+  agent_a.trainer().target().parameters()[0]->mutable_value()(0, 0) += 1.0;
   const auto online_before = parameter_values(agent_a.trainer().online());
   const auto target_before = parameter_values(agent_a.trainer().target());
   const std::size_t env_steps = agent_a.trainer().env_steps();

@@ -327,14 +327,11 @@ TEST(CandidateActions, GreedyArgmaxEqualsFullMaskedArgmaxWhenCovering) {
   rl::DqnTrainer trainer(make_drqn(cells, k, 31), opt, 41);
   Rng rng(43);
   for (int trial = 0; trial < 20; ++trial) {
-    // One-hot-union state, both representations.
-    std::vector<double> state(k * cells, 0.0);
+    // One-hot-union state as its one-index list.
     std::vector<std::uint32_t> ones;
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::size_t hot = j * cells + rng.uniform_index(cells);
-      state[hot] = 1.0;
-      ones.push_back(static_cast<std::uint32_t>(hot));
-    }
+    for (std::size_t j = 0; j < k; ++j)
+      ones.push_back(static_cast<std::uint32_t>(j * cells +
+                                                rng.uniform_index(cells)));
     std::vector<std::uint8_t> mask(cells, 0);
     std::vector<std::uint32_t> candidates;
     for (std::uint32_t c = 0; c < cells; ++c)
@@ -349,7 +346,7 @@ TEST(CandidateActions, GreedyArgmaxEqualsFullMaskedArgmaxWhenCovering) {
     const std::vector<double> qs = trainer.candidate_q_values(ones, candidates);
     const std::size_t best = static_cast<std::size_t>(
         std::max_element(qs.begin(), qs.end()) - qs.begin());
-    EXPECT_EQ(trainer.greedy_action(state, mask), candidates[best])
+    EXPECT_EQ(trainer.greedy_action(ones, mask), candidates[best])
         << "trial " << trial;
   }
 }
@@ -423,7 +420,7 @@ TEST(CandidateActions, CoveringCandidateTrainStepMatchesFullBitIdentically) {
   const auto pb = candidate.online().parameters();
   ASSERT_EQ(pa.size(), pb.size());
   for (std::size_t i = 0; i < pa.size(); ++i)
-    EXPECT_EQ(pa[i]->value, pb[i]->value) << "param " << i;
+    EXPECT_EQ(pa[i]->value(), pb[i]->value()) << "param " << i;
 }
 
 TEST(CandidateActions, SparseStateTrainStepMatchesReference) {
@@ -457,7 +454,7 @@ TEST(CandidateActions, SparseStateTrainStepMatchesReference) {
   const auto pa = sparse.online().parameters();
   const auto pb = reference.online().parameters();
   for (std::size_t i = 0; i < pa.size(); ++i)
-    EXPECT_EQ(pa[i]->value, pb[i]->value) << "param " << i;
+    EXPECT_EQ(pa[i]->value(), pb[i]->value()) << "param " << i;
 }
 
 std::vector<cs::CellCoord> grid_coords(std::size_t side) {
@@ -620,7 +617,7 @@ TEST(CandidateActions, CandidateQValuesMatchFullForwardAndGreedyArgmax) {
   // candidate_q_values must hand back exactly the scores the greedy
   // candidate path argmaxes over — bit-identical to the full forward's
   // entries at the candidate columns, with the argmax agreeing with the
-  // dense greedy_action over the candidates as its mask (same first-max
+  // greedy_action over the candidates as its mask (same first-max
   // tie-break).
   const std::size_t cells = 14, k = 2;
   rl::DqnOptions opt;
@@ -651,7 +648,7 @@ TEST(CandidateActions, CandidateQValuesMatchFullForwardAndGreedyArgmax) {
     for (const std::uint32_t c : candidates) mask[c] = 1;
     const std::size_t best = static_cast<std::size_t>(
         std::max_element(qs.begin(), qs.end()) - qs.begin());
-    EXPECT_EQ(candidates[best], trainer.greedy_action(state, mask))
+    EXPECT_EQ(candidates[best], trainer.greedy_action(ones, mask))
         << "trial " << trial;
   }
 }
@@ -912,8 +909,8 @@ TEST(SpatialDrqn, CloneArchitectureMatchesShapes) {
   const auto pb = clone->parameters();
   ASSERT_EQ(pa.size(), pb.size());
   for (std::size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_EQ(pa[i]->value.rows(), pb[i]->value.rows()) << "param " << i;
-    EXPECT_EQ(pa[i]->value.cols(), pb[i]->value.cols()) << "param " << i;
+    EXPECT_EQ(pa[i]->value().rows(), pb[i]->value().rows()) << "param " << i;
+    EXPECT_EQ(pa[i]->value().cols(), pb[i]->value().cols()) << "param " << i;
   }
 }
 

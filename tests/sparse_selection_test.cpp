@@ -74,6 +74,14 @@ std::vector<std::vector<double>> random_states(
   return states;
 }
 
+/// The ascending indices of a flat 0/1 state's ones (its one-index list).
+std::vector<std::uint32_t> ones_of(const std::vector<double>& state) {
+  std::vector<std::uint32_t> ones;
+  for (std::size_t i = 0; i < state.size(); ++i)
+    if (state[i] != 0.0) ones.push_back(static_cast<std::uint32_t>(i));
+  return ones;
+}
+
 std::vector<const std::vector<double>*> pointers(
     const std::vector<std::vector<double>>& states) {
   std::vector<const std::vector<double>*> out;
@@ -160,7 +168,7 @@ TEST(SparseSelectionForward, GreedyActionIsMaskedArgmaxOfDenseForward) {
       mask[trial % kCells] = 1;
       const Matrix q = trainer.online().forward(
           testing::to_sequence_batch(encoder, pointers(states)));
-      EXPECT_EQ(trainer.greedy_action(states[0], mask),
+      EXPECT_EQ(trainer.greedy_action(ones_of(states[0]), mask),
                 rl::masked_argmax_row(q, 0, mask))
           << net_spec.name << " trial " << trial;
     }
@@ -252,8 +260,9 @@ TEST(SparseSelectionForward, PoisonedInputRowShowsOnBothPathsAlike) {
       Rng net_rng(37);
       rl::DrqnQNetwork net(kCells, kHistory, 8, net_rng);
       nn::Parameter* wx = net.parameters()[0];
-      ASSERT_EQ(wx->value.rows(), kCells);
-      wx->value(poisoned, 1) = std::numeric_limits<double>::quiet_NaN();
+      ASSERT_EQ(wx->value().rows(), kCells);
+      wx->mutable_value()(poisoned, 1) =
+          std::numeric_limits<double>::quiet_NaN();
 
       const Matrix q_dense = net.forward_batch(
           testing::to_sequence_batch(encoder, pointers(states)));
